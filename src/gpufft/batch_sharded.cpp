@@ -2,21 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "common/metrics.h"
-#include "fft/factor.h"
 #include "gpufft/registry.h"
-#include "gpufft/smallfft.h"
 
 namespace repro::gpufft {
 namespace {
-
-/// The TuneConfig slab-depth knob overrides the plan's `shards` when set
-/// (same rule as the sharded and out-of-core plans).
-std::size_t deal_shards(std::size_t shards, const TuneConfig& tune) {
-  return tune.slab_depth != 0 ? tune.slab_depth : shards;
-}
 
 /// Member plan description: the single-card out-of-core schedule with the
 /// decimation already folded in (slab_depth zeroed so the member plan
@@ -29,46 +20,18 @@ PlanDesc member_desc(std::size_t n, std::size_t shards, Direction dir,
   return d;
 }
 
-/// Merge `steps` into the running `total` (duration sums, traffic-weighted
-/// bandwidth), matching the execute_batch_host convention elsewhere.
-void merge_rows(std::vector<StepTiming>& total, std::vector<double>& traffic,
-                const std::vector<StepTiming>& steps) {
-  if (total.empty()) {
-    total = steps;
-    traffic.assign(steps.size(), 0.0);
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      traffic[i] = steps[i].gbs * steps[i].ms;
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    total[i].ms += steps[i].ms;
-    traffic[i] += steps[i].gbs * steps[i].ms;
-  }
-}
-
 }  // namespace
 
 BatchShardedFft3DPlan::BatchShardedFft3DPlan(sim::DeviceGroup& group,
                                              std::size_t n,
                                              std::size_t shards,
                                              Direction dir, TuneConfig tune)
-    : PlanBaseT<float>(
-          group.device(0),
-          PlanDesc::batch_sharded3d(n, deal_shards(shards, tune), dir)),
+    : PlanBaseT<float>(group.device(0),
+                       PlanDesc::batch_sharded3d(
+                           n, checked_decimation(n, shards, tune), dir)),
       group_(&group),
       n_(n),
-      shards_(deal_shards(shards, tune)) {
-  REPRO_CHECK_MSG(n % shards_ == 0,
-                  "shards must divide n; got n=" + fft::describe_size(n) +
-                      " shards=" + std::to_string(shards_));
-  REPRO_CHECK_MSG(shards_ >= 2 && shards_ <= kMaxFactor,
-                  "shards must be a supported small-FFT factor");
-  REPRO_CHECK_MSG(is_pow2(shards_),
-                  "the dealt out-of-core schedule decimates z with one "
-                  "power-of-two small-FFT rank; got shards=" +
-                      std::to_string(shards_) +
-                      " (n itself may be non-pow2)");
+      shards_(desc_.splits) {
   desc_.tune = tune;
   // No group-divisibility constraints: dealing works for any member count
   // because each volume runs whole on one card.
@@ -125,7 +88,8 @@ BatchDealTiming BatchShardedFft3DPlan::execute_batch(
         const std::size_t d = alive[next % alive.size()];
         ++next;
         try {
-          merge_rows(rows, traffic, member_plans_[d]->execute_host(data));
+          accumulate_steps(rows, traffic,
+                           member_plans_[d]->execute_host(data));
           bt.volume_member[k] = static_cast<int>(d);
           bt.volume_done_ms[k] = group_->device(d).elapsed_ms() - t0;
           break;
@@ -141,9 +105,7 @@ BatchDealTiming BatchShardedFft3DPlan::execute_batch(
     // Members already synced their own volumes (the out-of-core plan
     // drains its device); the group view is just the slowest member.
     bt.makespan_ms = group_->elapsed_ms() - t0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      rows[i].gbs = rows[i].ms > 0.0 ? traffic[i] / rows[i].ms : 0.0;
-    }
+    finish_accumulation(rows, traffic);
     last_steps_ = std::move(rows);
     last_batch_ = bt;
     last_total_ms_ = bt.makespan_ms;

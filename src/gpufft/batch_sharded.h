@@ -72,7 +72,8 @@ class BatchShardedFft3DPlan final : public PlanBaseT<float> {
   /// Unsupported: the batch is host-resident by construction.
   std::vector<StepTiming> execute_impl(DeviceBuffer<cxf>& data) override;
 
-  /// One volume dealt to the least-loaded alive member.
+  /// One volume dealt to the first schedulable member: dealing restarts
+  /// at member 0 on every call.
   std::vector<StepTiming> execute_host(std::span<cxf> data) override;
 
   /// The FftPlan batch entry point (out-of-core phase rows summed across

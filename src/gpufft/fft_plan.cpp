@@ -7,10 +7,7 @@
 #include "gpufft/staging.h"
 
 namespace repro::gpufft {
-namespace {
 
-/// Fold one volume's steps into the batch accumulator (per-step times sum;
-/// bandwidth re-derives from the summed traffic at the end).
 void accumulate_steps(std::vector<StepTiming>& total,
                       std::vector<double>& traffic,
                       const std::vector<StepTiming>& steps) {
@@ -35,8 +32,6 @@ void finish_accumulation(std::vector<StepTiming>& total,
     total[i].gbs = total[i].ms > 0.0 ? traffic[i] / total[i].ms : 0.0;
   }
 }
-
-}  // namespace
 
 template <typename T>
 std::vector<StepTiming> FftPlanT<T>::execute(DeviceBuffer<cx<T>>& data) {

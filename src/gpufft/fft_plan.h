@@ -48,6 +48,15 @@ auto with_plan_context(const PlanDesc& desc, F&& fn) {
   }
 }
 
+/// Fold one volume's steps into a batch accumulator: per-step times sum,
+/// and `traffic` carries each step's bandwidth x time so that
+/// finish_accumulation re-derives the bandwidth of the summed rows.
+void accumulate_steps(std::vector<StepTiming>& total,
+                      std::vector<double>& traffic,
+                      const std::vector<StepTiming>& steps);
+void finish_accumulation(std::vector<StepTiming>& total,
+                         const std::vector<double>& traffic);
+
 template <typename T>
 class FftPlanT {
  public:

@@ -6,6 +6,7 @@
 #include "fft/factor.h"
 #include "gpufft/cache.h"
 #include "gpufft/registry.h"
+#include "gpufft/smallfft.h"
 #include "gpufft/staging.h"
 
 namespace repro::gpufft {
@@ -99,49 +100,54 @@ void SlabTwiddleKernel::run_block(sim::BlockCtx& ctx) {
   });
 }
 
-namespace {
-
-/// The TuneConfig slab-depth knob overrides the plan's `splits` when set.
-std::size_t effective_splits(std::size_t splits, const TuneConfig& tune) {
-  return tune.slab_depth != 0 ? tune.slab_depth : splits;
+std::vector<StepTiming> table12_rows(const ShardTiming& t, double bytes) {
+  auto row = [&](const char* name, double ms) {
+    return StepTiming{name, ms, ms > 0.0 ? 2.0 * bytes / (ms * 1e6) : 0.0};
+  };
+  return {
+      row("phase1 send", t.h2d1_ms),    row("phase1 slab FFT", t.fft1_ms),
+      row("phase1 twiddle", t.twiddle_ms), row("phase1 receive", t.d2h1_ms),
+      row("phase2 send", t.h2d2_ms),    row("phase2 pencil FFT", t.fft2_ms),
+      row("phase2 receive", t.d2h2_ms),
+  };
 }
 
-/// Inner slab-FFT description: carries the tuned knobs, but not the slab
-/// decimation itself (the slab plan must not re-decimate). dense3d routes
-/// a non-pow2 slab to the mixed-radix plan; the pitch knob is cleared
-/// because the streamed staging copies assume densely packed slabs.
-PlanDesc slab_plan_desc(Shape3 slab, Direction dir, TuneConfig tune) {
+std::size_t checked_decimation(std::size_t n, std::size_t requested,
+                               const TuneConfig& tune) {
+  const std::size_t s = tune.slab_depth != 0 ? tune.slab_depth : requested;
+  const std::string got =
+      "; got n=" + fft::describe_size(n) + " S=" + std::to_string(s);
+  REPRO_CHECK_MSG(s >= 2 && s <= kMaxFactor && n % s == 0,
+                  "the Z decimation factor S must divide n and be a "
+                  "supported small-FFT factor" + got);
+  REPRO_CHECK_MSG(is_pow2(s),
+                  "the Z decimation runs one power-of-two small-FFT rank "
+                  "across the S slabs" + got +
+                      " (n itself may be non-pow2 — those slabs run the "
+                      "mixed-radix plan)");
+  return s;
+}
+
+PlanDesc slab_plan_desc(PlanDesc slab, TuneConfig tune) {
   tune.slab_depth = 0;
   tune.pitch = PitchMode::Dense;
-  PlanDesc d = PlanDesc::dense3d(slab, dir, Precision::F32);
-  d.tune = tune;
-  return d;
+  slab.tune = tune;
+  return slab;
 }
-
-}  // namespace
 
 OutOfCoreFft3D::OutOfCoreFft3D(Device& dev, std::size_t n, std::size_t splits,
                                Direction dir, TuneConfig tune)
     : PlanBaseT<float>(
-          dev, PlanDesc::out_of_core(n, effective_splits(splits, tune), dir)),
+          dev,
+          PlanDesc::out_of_core(n, checked_decimation(n, splits, tune), dir)),
       opt_(tune),
       n_(n),
-      splits_(effective_splits(splits, tune)),
+      splits_(desc_.splits),
       slab_shape_{n, n, n / splits_},
-      slab_plan_(PlanRegistry::of(dev).get_or_create(
-          slab_plan_desc(slab_shape_, dir, tune))),
+      // dense3d routes a non-pow2 slab to the mixed-radix plan.
+      slab_plan_(PlanRegistry::of(dev).get_or_create(slab_plan_desc(
+          PlanDesc::dense3d(slab_shape_, dir, Precision::F32), tune))),
       host_work_(n * n * n) {
-  REPRO_CHECK_MSG(n % splits_ == 0,
-                  "out-of-core splits must divide n; got n=" +
-                      fft::describe_size(n) + " splits=" +
-                      std::to_string(splits_));
-  REPRO_CHECK_MSG(splits_ >= 2 && splits_ <= kMaxFactor,
-                  "splits must be a supported small-FFT factor");
-  REPRO_CHECK_MSG(is_pow2(splits_),
-                  "the z decimation runs one power-of-two small-FFT rank "
-                  "across slabs; got splits=" + std::to_string(splits_) +
-                      " (any n that such a split divides is fine — the "
-                      "slab itself may be non-pow2)");
   desc_.tune = tune;
 }
 
@@ -205,6 +211,7 @@ OutOfCoreTiming OutOfCoreFft3D::execute_impl(std::span<cxf> host_data) {
       timing.d2h1_ms += staged_d2h(
           dev_, std::span<cxf>(host_work_).subspan(z * plane, plane), slab,
           &s, k * plane, sp);
+      timing.exchange_bytes += plane * sizeof(cxf);
     }
   }
 
@@ -227,6 +234,7 @@ OutOfCoreTiming OutOfCoreFft3D::execute_impl(std::span<cxf> host_data) {
         std::span<const cxf>(host_work_)
             .subspan(splits_ * k * plane, splits_ * plane),
         &s, /*dst_offset=*/0, sp);
+    timing.exchange_bytes += splits_ * plane * sizeof(cxf);
 
     ZPencilFftKernel fft(slab, pencil_slab, desc_.dir, grid, 0,
                          opt_.threads_per_block);
@@ -249,22 +257,10 @@ OutOfCoreTiming OutOfCoreFft3D::execute_impl(std::span<cxf> host_data) {
 
 std::vector<StepTiming> OutOfCoreFft3D::execute_host(std::span<cxf> data) {
   const OutOfCoreTiming t = execute(data);
-  const double bytes = static_cast<double>(n_ * n_ * n_) * sizeof(cxf);
-  auto row = [&](const char* name, double ms) {
-    // Each phase touches the full volume once in each direction.
-    return StepTiming{name, ms, ms > 0.0 ? 2.0 * bytes / (ms * 1e6) : 0.0};
-  };
-  std::vector<StepTiming> steps{
-      row("phase1 send", t.h2d1_ms),    row("phase1 slab FFT", t.fft1_ms),
-      row("phase1 twiddle", t.twiddle_ms), row("phase1 receive", t.d2h1_ms),
-      row("phase2 send", t.h2d2_ms),    row("phase2 pencil FFT", t.fft2_ms),
-      row("phase2 receive", t.d2h2_ms),
-  };
-  finish(steps);
   // The rows report the schedule-independent Table 12 sums; the cost of
   // the run is the overlapped makespan the stream scheduler resolved.
   last_total_ms_ = t.makespan_ms;
-  return steps;
+  return table12_rows(t, static_cast<double>(n_ * n_ * n_) * sizeof(cxf));
 }
 
 std::vector<StepTiming> OutOfCoreFft3D::execute_batch_host(
@@ -276,23 +272,9 @@ std::vector<StepTiming> OutOfCoreFft3D::execute_batch_host(
   std::vector<StepTiming> total;
   std::vector<double> traffic;
   for (const auto& volume : volumes) {
-    const auto steps = execute_host(volume);
-    if (total.empty()) {
-      total = steps;
-      traffic.resize(steps.size());
-      for (std::size_t i = 0; i < steps.size(); ++i) {
-        traffic[i] = steps[i].gbs * steps[i].ms;
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      total[i].ms += steps[i].ms;
-      traffic[i] += steps[i].gbs * steps[i].ms;
-    }
+    accumulate_steps(total, traffic, execute_host(volume));
   }
-  for (std::size_t i = 0; i < total.size(); ++i) {
-    total[i].gbs = total[i].ms > 0.0 ? traffic[i] / total[i].ms : 0.0;
-  }
+  finish_accumulation(total, traffic);
   last_total_ms_ = dev_.elapsed_ms() - t0;
   return total;
 }

@@ -27,7 +27,9 @@
 // overlapped wall-clock the scheduler resolved.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "gpufft/fft_plan.h"
 #include "gpufft/plan.h"
@@ -39,8 +41,8 @@ namespace repro::gpufft {
 /// one per (x, y) pencil.
 class ZPencilFftKernel final : public sim::Kernel {
  public:
-  /// `elem_offset` shifts the slab view into `data` (the sharded real plan
-  /// runs the Nyquist tail region through a second instance at its offset).
+  /// `elem_offset` shifts the slab view into `data` (the sharded executor
+  /// runs each plane-layout region through its own instance).
   ZPencilFftKernel(DeviceBuffer<cxf>& data, Shape3 slab, Direction dir,
                    unsigned grid_blocks, std::size_t elem_offset = 0,
                    unsigned threads_per_block = kDefaultThreadsPerBlock);
@@ -80,19 +82,63 @@ class SlabTwiddleKernel final : public sim::Kernel {
   unsigned threads_;
 };
 
-/// Phase-level timing breakdown (Table 12 columns). The buckets sum each
-/// operation's duration and so are independent of the overlap schedule;
-/// makespan_ms is the streamed wall-clock (<= total_ms() exactly when the
-/// scheduler found overlap).
-struct OutOfCoreTiming {
+/// The seven Table 12 timing buckets of one Z-decimated run on one device
+/// (duration sums, schedule independent). The exchange is the d2h1 + h2d2
+/// legs; on peer fabrics a d2d leg's send side lands in d2h1 and its
+/// receive side in h2d2, so the buckets keep their meaning across
+/// topologies.
+struct ShardTiming {
   double h2d1_ms{}, fft1_ms{}, twiddle_ms{}, d2h1_ms{};
   double h2d2_ms{}, fft2_ms{}, d2h2_ms{};
-  double makespan_ms{};  ///< overlapped elapsed time of the whole run
-  [[nodiscard]] double total_ms() const {
+  /// Bytes the all-to-all moved: both staged legs (the phase-1 download
+  /// and the phase-2 upload) on host-staged layouts, each d2d leg once on
+  /// peer layouts.
+  std::uint64_t exchange_bytes{};
+
+  ShardTiming& operator+=(const ShardTiming& o) {
+    h2d1_ms += o.h2d1_ms;
+    fft1_ms += o.fft1_ms;
+    twiddle_ms += o.twiddle_ms;
+    d2h1_ms += o.d2h1_ms;
+    h2d2_ms += o.h2d2_ms;
+    fft2_ms += o.fft2_ms;
+    d2h2_ms += o.d2h2_ms;
+    exchange_bytes += o.exchange_bytes;
+    return *this;
+  }
+  [[nodiscard]] double busy_ms() const {
     return h2d1_ms + fft1_ms + twiddle_ms + d2h1_ms + h2d2_ms + fft2_ms +
            d2h2_ms;
   }
+  [[nodiscard]] double exchange_ms() const { return d2h1_ms + h2d2_ms; }
+  [[nodiscard]] double compute_ms() const {
+    return fft1_ms + twiddle_ms + fft2_ms;
+  }
 };
+
+/// Phase-level timing breakdown of the out-of-core plan (Table 12
+/// columns). makespan_ms is the streamed wall-clock (<= total_ms() exactly
+/// when the scheduler found overlap).
+struct OutOfCoreTiming : ShardTiming {
+  double makespan_ms{};  ///< overlapped elapsed time of the whole run
+  [[nodiscard]] double total_ms() const { return busy_ms(); }
+};
+
+/// The seven Table 12 rows of `t`. Each phase touches `bytes` once in each
+/// direction, so a row's bandwidth is 2 * bytes over its time.
+std::vector<StepTiming> table12_rows(const ShardTiming& t, double bytes);
+
+/// The Z-decimation factor S of a plan over an n^3 volume: the TuneConfig
+/// slab-depth knob overrides `requested` when set. Throws Error naming n
+/// and S unless S divides n and is a power-of-two small-FFT factor.
+std::size_t checked_decimation(std::size_t n, std::size_t requested,
+                               const TuneConfig& tune);
+
+/// Description of the inner plan that transforms one staged slab: `slab`
+/// with the tuned knobs but not the decimation itself (the slab plan must
+/// not re-decimate). The pitch knob is cleared because the streamed
+/// staging copies assume densely packed slabs.
+PlanDesc slab_plan_desc(PlanDesc slab, TuneConfig tune);
 
 /// Out-of-core 3-D FFT of a host-resident cube of side n, streaming slabs
 /// of n/splits planes through the device. Transforms `host_data` in
@@ -102,7 +148,8 @@ struct OutOfCoreTiming {
 /// plan is shared through the registry.
 class OutOfCoreFft3D final : public PlanBaseT<float> {
  public:
-  /// `splits` must divide n; the slab (2 buffers) must fit on the card.
+  /// `splits` is the decimation S (checked_decimation); the slab (2
+  /// buffers) must fit on the card.
   /// A non-zero tune.slab_depth overrides `splits` (the TuneConfig knob).
   OutOfCoreFft3D(Device& dev, std::size_t n, std::size_t splits,
                  Direction dir, TuneConfig tune = {});

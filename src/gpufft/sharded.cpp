@@ -98,84 +98,64 @@ ResolvedShard resolve_shard(const sim::Topology& topo,
   return r;
 }
 
-/// Device-loss failover shared by both sharded plans: run the schedule
-/// over the resolved members, and when a card dies mid-run restore the
-/// input from the snapshot, re-resolve the layout over the survivors
-/// (possibly dropping from pencil to slab, or from peer legs to host
-/// staging when a torus forwarder died), and run again. Decimation
-/// arithmetic depends only on `shards`, so the recovered result is
-/// bit-identical to an undisturbed run. The snapshot is taken only while
-/// faults are armed — phase 2 overwrites `data` in place and an armed
-/// injector is the only way a run can stop halfway — so the fault-free
-/// path pays nothing for the safety net.
-template <typename ResolveFn, typename RunFn>
-ShardedTiming run_with_failover(sim::DeviceGroup& group, std::span<cxf> data,
-                                ResolveFn&& resolve, RunFn&& run) {
-  ResolvedShard r = resolve(group.schedulable_members());
-  REPRO_CHECK_MSG(!r.members.empty(),
-                  "every device in the group has been lost");
-  std::vector<cxf> snapshot;
-  if (group.any_faults_armed()) snapshot.assign(data.begin(), data.end());
-  for (;;) {
-    try {
-      return run(r.members, r.layout);
-    } catch (const sim::DeviceLostError&) {
-      ResolvedShard next = resolve(group.schedulable_members());
-      if (next.members.empty() || snapshot.empty()) throw;
-      ++recovery_counters().device_lost_failovers;
-      std::copy(snapshot.begin(), snapshot.end(), data.begin());
-      r = std::move(next);
-    }
+/// Member mi's phase-2 work: `groups` plane groups from `first`, each cut
+/// to Y block `block` of the layout's y_blocks. Slab: a contiguous block
+/// of local_nz/members whole groups — the same blocks host-staged phase 2
+/// reads. Pencil: one (plane group, Y block) unit.
+struct Phase2Unit {
+  std::size_t first{}, groups{}, block{};
+};
+
+Phase2Unit phase2_unit(const ShardLayout& layout, std::size_t local_nz,
+                       std::size_t mi) {
+  if (layout.decomp == Decomposition::Slab) {
+    const std::size_t gpd = local_nz / layout.members;
+    return {mi * gpd, gpd, 0};
+  }
+  return {mi / layout.y_blocks, 1, mi % layout.y_blocks};
+}
+
+/// Attribute a failed per-pass plausibility check (pass_energy_plausible
+/// over the cube's `points`) to `dev`, the member that computed the pass.
+void check_pass_energy(Device& dev, const char* check, double e_in,
+                       double e_out, std::size_t points) {
+  if (!pass_energy_plausible(e_in, e_out, points)) {
+    fail_pass_check(
+        dev, check,
+        4.0 * static_cast<double>(points) * std::max(e_in, 1e-300), e_out);
   }
 }
 
-/// The TuneConfig slab-depth knob overrides the plan's `shards` when set.
-std::size_t effective_shards(std::size_t shards, const TuneConfig& tune) {
-  return tune.slab_depth != 0 ? tune.slab_depth : shards;
-}
-
 /// Per-member phase-2 plausibility check over the final volume: member
-/// `mi` wrote a known region of `out` (its plane-group block on slab, its
-/// (group, Y-block) unit on pencil), and any legitimate DFT composition
-/// keeps that region's energy within the scale-free pass bound. Runs
-/// after the group drains, so a phase-2 KernelCorrupt is caught with the
-/// producing member attributed before the wrapper's end-to-end check
-/// would blame the plan's primary device.
+/// `mi` wrote the rows of its phase-2 unit in every layout region of
+/// `out`, and any legitimate DFT composition keeps their energy within
+/// the scale-free pass bound. Runs after the group drains, so a
+/// phase-2 KernelCorrupt is caught with the producing member attributed
+/// before the wrapper's end-to-end check would blame the plan's primary
+/// device.
 void verify_phase2_regions(sim::DeviceGroup& group,
                            const std::vector<std::size_t>& members,
-                           const ShardLayout& layout, std::size_t n,
+                           const ShardLayout& layout, const PlaneLayout& pl,
                            std::size_t shards, std::span<const cxf> out,
                            double e_in) {
-  const std::size_t plane = n * n;
+  const std::size_t n = pl.rows;
   const std::size_t local_nz = n / shards;
   const std::size_t nm = members.size();
-  const std::size_t points = n * n * n;
-  const double bound =
-      4.0 * static_cast<double>(points) * std::max(e_in, 1e-300);
+  const PlaneLayout unit = pl.y_block(n / layout.y_blocks);
   for (std::size_t mi = 0; mi < nm; ++mi) {
+    const Phase2Unit u = phase2_unit(layout, local_nz, mi);
     double e = 0.0;
-    if (layout.decomp == Decomposition::Slab) {
-      const std::size_t gpd = local_nz / nm;
-      for (std::size_t gl = 0; gl < gpd; ++gl) {
-        const std::size_t k = mi * gpd + gl;
-        for (std::size_t k2 = 0; k2 < shards; ++k2) {
-          const std::size_t z = k + local_nz * k2;
-          e += span_energy<float>(out.subspan(z * plane, plane));
+    for (std::size_t gl = 0; gl < u.groups; ++gl) {
+      for (std::size_t k2 = 0; k2 < shards; ++k2) {
+        const std::size_t z = u.first + gl + local_nz * k2;
+        for (std::size_t r = 0; r < pl.regions(); ++r) {
+          e += span_energy<float>(out.subspan(
+              pl.offset(r, n, z) + u.block * unit.elems(r), unit.elems(r)));
         }
       }
-    } else {
-      const std::size_t py = layout.y_blocks;
-      const std::size_t ny = n / py;
-      const std::size_t g = mi / py;
-      const std::size_t pb = mi % py;
-      for (std::size_t k2 = 0; k2 < shards; ++k2) {
-        const std::size_t z = g + local_nz * k2;
-        e += span_energy<float>(out.subspan(z * plane + pb * ny * n, ny * n));
-      }
     }
-    if (!pass_energy_plausible(e_in, e, points)) {
-      fail_pass_check(group.device(members[mi]), "phase2-energy", bound, e);
-    }
+    check_pass_energy(group.device(members[mi]), "phase2-energy", e_in, e,
+                      n * n * n);
   }
 }
 
@@ -185,118 +165,124 @@ void accumulate(ShardedTiming& into, const ShardedTiming& t) {
     into.devices.resize(t.devices.size());
   }
   for (std::size_t d = 0; d < t.devices.size(); ++d) {
-    ShardTiming& a = into.devices[d];
-    const ShardTiming& b = t.devices[d];
-    a.h2d1_ms += b.h2d1_ms;
-    a.fft1_ms += b.fft1_ms;
-    a.twiddle_ms += b.twiddle_ms;
-    a.d2h1_ms += b.d2h1_ms;
-    a.h2d2_ms += b.h2d2_ms;
-    a.fft2_ms += b.fft2_ms;
-    a.d2h2_ms += b.d2h2_ms;
-    a.exchange_bytes += b.exchange_bytes;
+    into.devices[d] += t.devices[d];
   }
   into.barrier_ms += t.barrier_ms;
 }
 
-/// Inner slab-plan description carrying the tuned knobs but not the slab
-/// decimation itself (the slab plan must not re-decimate). The pitch knob
-/// is cleared too: the exchange stages densely packed slabs, so a padded
-/// mixed-radix slab layout never leaves one device.
-PlanDesc tuned_slab_desc(PlanDesc d, TuneConfig tune) {
-  tune.slab_depth = 0;
-  tune.pitch = PitchMode::Dense;
-  d.tune = tune;
-  return d;
-}
-
 }  // namespace
 
-ShardedFft3DPlan::ShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
-                                   std::size_t shards, Direction dir,
-                                   TuneConfig tune)
-    : PlanBaseT<float>(
-          group.device(0),
-          PlanDesc::sharded3d(n, effective_shards(shards, tune), dir)),
+ShardedExecutor::ShardedExecutor(sim::DeviceGroup& group,
+                                 const PlanDesc& desc, TuneConfig tune)
+    : PlanBaseT<float>(group.device(0), desc),
       group_(&group),
       opt_(tune),
-      n_(n),
-      shards_(effective_shards(shards, tune)),
-      slab_shape_{n, n, n / shards_},
-      host_work_(n * n * n),
-      staging_lease_(group, n * n * n * sizeof(cxf)) {
-  REPRO_CHECK_MSG(n % shards_ == 0,
-                  "shards must divide n; got n=" + fft::describe_size(n) +
-                      " shards=" + std::to_string(shards_));
-  REPRO_CHECK_MSG(shards_ >= 2 && shards_ <= kMaxFactor,
-                  "shards must be a supported small-FFT factor");
-  REPRO_CHECK_MSG(is_pow2(shards_),
-                  "the z decimation runs one power-of-two small-FFT rank "
-                  "across shards; got shards=" + std::to_string(shards_) +
-                      " (n itself may be non-pow2 — those slabs run the "
-                      "mixed-radix plan)");
-  // Group sizes that divide neither phase extent are allowed: execution
-  // falls back to the largest member prefix that does (usable_members),
-  // exactly as the failover path does after losing a card. The batch
-  // planner's deal-vs-shard rule models the same prefix.
+      n_(desc.shape.nx),
+      shards_(desc.splits),
+      planes_(PlaneLayout::of(desc.layout, n_)),
+      slab_shape_{n_, n_, n_ / shards_},
+      host_work_(planes_.plane() * n_),
+      staging_lease_(group, planes_.plane() * n_ * sizeof(cxf)) {
   desc_.tune = tune;
-  slab_plans_.reserve(group.size());
-  for (std::size_t d = 0; d < group.size(); ++d) {
-    // A member already lost to a fault gets no slab plan (building one
-    // would throw); the schedule never assigns work to lost members.
-    if (group.device(d).lost()) {
-      slab_plans_.push_back(nullptr);
-      continue;
-    }
+}
+
+void ShardedExecutor::acquire_slab_plans(const PlanDesc& slab) {
+  slab_plans_.reserve(group_->size());
+  for (std::size_t d = 0; d < group_->size(); ++d) {
+    Device& dev = group_->device(d);
     slab_plans_.push_back(
-        PlanRegistry::of(group.device(d))
-            .get_or_create(tuned_slab_desc(
-                PlanDesc::dense3d(slab_shape_, dir, Precision::F32),
-                tune)));
-  }
-  // Peer-capable fabrics get the planner's slab-vs-pencil call (keyed on
-  // bisection bandwidth via topology_model_ms); the tree has no choice
-  // to make, so its construction cost is unchanged. Non-pow2 extents
-  // always take the slab decomposition: its phase-2 unit is a whole slab
-  // that the mixed-radix plan can transform, while the pencil phase-2
-  // kernels keep their pow2-only X machinery.
-  if (group.size() > 1 && group.topo().peer_capable() && is_pow2(n_)) {
-    decomp_ = choose_decomposition(group.topo(), group.device(0).spec(), n_,
-                                   shards_, group.size(), dir);
+        dev.lost() ? nullptr
+                   : PlanRegistry::of(dev).get_or_create(
+                         slab_plan_desc(slab, opt_)));
   }
 }
 
-std::vector<StepTiming> ShardedFft3DPlan::execute_impl(DeviceBuffer<cxf>&) {
+std::vector<StepTiming> ShardedExecutor::execute_impl(DeviceBuffer<cxf>&) {
   REPRO_FAIL(
       "sharded plans transform host-resident volumes distributed across a "
       "device group; use execute_host()");
 }
 
-ShardedTiming ShardedFft3DPlan::execute(std::span<cxf> host_data) {
-  REPRO_CHECK(host_data.size() == n_ * n_ * n_);
+ShardedTiming ShardedExecutor::execute(std::span<cxf> host_data) {
+  REPRO_CHECK(host_data.size() == buffer_elements());
+  // Device-loss failover: run the schedule over the resolved members, and
+  // when a card dies mid-run restore the input from the snapshot,
+  // re-resolve the layout over the survivors (possibly dropping from
+  // pencil to slab, or from peer legs to host staging when a torus
+  // forwarder died), and run again. Decimation arithmetic depends only on
+  // `shards`, so the recovered result is bit-identical to an undisturbed
+  // run. The snapshot is taken only while faults are armed — phase 2
+  // overwrites the volume in place and an armed injector is the only way
+  // a run can stop halfway — so the fault-free path pays nothing for the
+  // safety net.
+  const auto resolve = [&] {
+    return resolve_shard(group_->topo(), group_,
+                         group_->schedulable_members(), n_, shards_, decomp_);
+  };
   return with_plan_context(desc_, [&] {
     return verified_span_run<float>(
         this->device(), this->exec_policy(), desc_, host_data, [&] {
-          return run_with_failover(
-              *group_, host_data,
-              [&](std::vector<std::size_t> alive) {
-                return resolve_shard(group_->topo(), group_, std::move(alive),
-                                     n_, shards_, decomp_);
-              },
-              [&](const std::vector<std::size_t>& members,
-                  const ShardLayout& layout) {
-                return run_on(members, layout, host_data);
-              });
+          ResolvedShard r = resolve();
+          REPRO_CHECK_MSG(!r.members.empty(),
+                          "every device in the group has been lost");
+          std::vector<cxf> snapshot;
+          if (group_->any_faults_armed()) {
+            snapshot.assign(host_data.begin(), host_data.end());
+          }
+          for (;;) {
+            try {
+              return run_on(r.members, r.layout, host_data);
+            } catch (const sim::DeviceLostError&) {
+              ResolvedShard next = resolve();
+              if (next.members.empty() || snapshot.empty()) throw;
+              ++recovery_counters().device_lost_failovers;
+              std::copy(snapshot.begin(), snapshot.end(), host_data.begin());
+              r = std::move(next);
+            }
+          }
         });
   });
 }
+
+std::vector<StepTiming> ShardedExecutor::execute_host(std::span<cxf> data) {
+  const ShardedTiming t = execute(data);
+  // The rows are schedule-independent duration sums across the fleet; the
+  // cost of the run is the overlapped group makespan.
+  last_total_ms_ = t.makespan_ms;
+  return table12_rows(
+      t.sum(), static_cast<double>(buffer_elements()) * sizeof(cxf));
+}
+
+std::vector<StepTiming> ShardedExecutor::execute_batch_host(
+    std::span<const std::span<cxf>> volumes) {
+  REPRO_CHECK(!volumes.empty());
+  const double t0 = group_->elapsed_ms();
+  std::vector<StepTiming> total;
+  std::vector<double> traffic;
+  for (const auto& volume : volumes) {
+    accumulate_steps(total, traffic, execute_host(volume));
+  }
+  finish_accumulation(total, traffic);
+  last_total_ms_ = group_->elapsed_ms() - t0;
+  return total;
+}
+
+void ShardedExecutor::phase1_transform(std::size_t d, DeviceBuffer<cxf>& slab,
+                                       sim::Stream& s, double& ms) {
+  for (const auto& step : slab_plans_[d]->execute_async(slab, s)) {
+    ms += step.ms;
+  }
+}
+
+void ShardedExecutor::phase2_epilogue(std::size_t, DeviceBuffer<cxf>&,
+                                      sim::Stream&, double&) {}
 
 /// One pair of slab leases + streams per member — the out-of-core
 /// double-buffering generalized to the fleet. Leases and streams are
 /// RAII, so an error unwinding through a frame holding a ctx releases
 /// every arena block and folds every stream timeline; the pipelined batch
 /// keeps kPipelineContexts contexts alive so consecutive volumes overlap.
-struct ShardedFft3DPlan::VolumeCtx {
+struct ShardedExecutor::VolumeCtx {
   std::vector<std::size_t> members;  ///< group ordinals this ctx spans
   ShardLayout layout;
   std::vector<ResourceCache::Lease<float>> leases;
@@ -327,10 +313,10 @@ struct ShardedFft3DPlan::VolumeCtx {
   }
 };
 
-std::unique_ptr<ShardedFft3DPlan::VolumeCtx> ShardedFft3DPlan::make_ctx(
+std::unique_ptr<ShardedExecutor::VolumeCtx> ShardedExecutor::make_ctx(
     const std::vector<std::size_t>& members, const ShardLayout& layout) {
-  const std::size_t slab_elems =
-      n_ * n_ * std::max(n_ / shards_, shards_);
+  const std::size_t plane = planes_.plane();
+  const std::size_t slab_elems = plane * std::max(n_ / shards_, shards_);
   auto ctx = std::make_unique<VolumeCtx>();
   ctx->members = members;
   ctx->layout = layout;
@@ -346,14 +332,12 @@ std::unique_ptr<ShardedFft3DPlan::VolumeCtx> ShardedFft3DPlan::make_ctx(
     ctx->streams.push_back(std::make_unique<sim::Stream>(dev));
   }
   if (peer) {
-    // Per-member receive buffer: the member's whole phase-2 working set
-    // (slab: its block of plane groups; pencil: its (group, Y-block)
-    // unit) lands here directly and phase 2 runs in place — no host
+    // Per-member receive buffer: the S planes of every group of the
+    // member's phase-2 unit, region-major, land here directly — no host
     // staging volume on the peer path.
     const std::size_t recv_elems =
-        layout.decomp == Decomposition::Pencil
-            ? shards_ * (n_ / layout.y_blocks) * n_
-            : (n_ / shards_) / nm * shards_ * n_ * n_;
+        phase2_unit(layout, n_ / shards_, 0).groups * shards_ *
+        planes_.y_block(n_ / layout.y_blocks).plane();
     for (std::size_t mi = 0; mi < nm; ++mi) {
       auto& dev = group_->device(members[mi]);
       ctx->leases.push_back(ResourceCache::of(dev).lease<float>(recv_elems));
@@ -370,31 +354,18 @@ std::unique_ptr<ShardedFft3DPlan::VolumeCtx> ShardedFft3DPlan::make_ctx(
   return ctx;
 }
 
-void ShardedFft3DPlan::enqueue_volume(VolumeCtx& ctx,
-                                      std::span<cxf> host_data,
-                                      std::span<cxf> host_work,
-                                      double vol_start_ms,
-                                      ShardedTiming& timing) {
-  enqueue_phase1(ctx, host_data, host_work, timing);
-  enqueue_phase2(ctx, host_data, host_work, vol_start_ms, timing);
-}
-
-void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
-                                      std::span<cxf> host_data,
-                                      std::span<cxf> host_work,
-                                      ShardedTiming& timing) {
-  const std::size_t plane = n_ * n_;
+void ShardedExecutor::enqueue_phase1(VolumeCtx& ctx,
+                                     std::span<cxf> host_data,
+                                     std::span<cxf> host_work,
+                                     ShardedTiming& timing) {
+  const PlaneLayout& pl = planes_;
+  const std::size_t plane = pl.plane();
   const std::size_t local_nz = n_ / shards_;
   const std::size_t nm = ctx.members.size();
   const bool peer = ctx.layout.exchange == Exchange::Peer;
   const std::size_t nm1 = peer ? ctx.layout.phase1_members : nm;
-  // Slab: member emi owns plane groups [emi*gpd, (emi+1)*gpd) — the same
-  // contiguous blocks host-staged phase 2 reads. Pencil: member emi owns
-  // (plane group emi / py, Y block emi % py).
-  const std::size_t gpd =
-      ctx.layout.decomp == Decomposition::Slab ? local_nz / nm : 0;
-  const std::size_t py = ctx.layout.y_blocks;
-  const std::size_t ny = n_ / py;
+  const PlaneLayout unit = pl.y_block(n_ / ctx.layout.y_blocks);
+  const std::span<const cxf> src = host_data;
   const StagePolicy& sp = this->exec_policy().staging;
   const bool verify = this->exec_policy().verify != VerifyPolicy::Off;
   auto charge = [&timing](const std::vector<sim::PeerLeg>& legs) {
@@ -417,37 +388,39 @@ void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
 
     for (std::size_t j = 0; j < local_nz; ++j) {
       const std::size_t z = residue + shards_ * j;
-      const std::span<const cxf> src = host_data.subspan(z * plane, plane);
-      t.h2d1_ms += staged_h2d(dev, slab, src, &s, j * plane, sp);
+      for (std::size_t r = 0; r < pl.regions(); ++r) {
+        t.h2d1_ms += staged_h2d(dev, slab,
+                                src.subspan(pl.offset(r, n_, z), pl.elems(r)),
+                                &s, pl.offset(r, local_nz, j), sp);
+      }
     }
 
-    for (const auto& step : slab_plans_[d]->execute_async(slab, s)) {
-      t.fft1_ms += step.ms;
-    }
+    phase1_transform(d, slab, s, t.fft1_ms);
 
-    SlabTwiddleKernel tw(slab, slab_shape_, n_, residue, desc_.dir, grid, 0,
-                         opt_.threads_per_block);
-    t.twiddle_ms += dev.launch_async(tw, s).total_ms;
+    for (std::size_t r = 0; r < pl.regions(); ++r) {
+      SlabTwiddleKernel tw(slab, Shape3{pl.widths[r], pl.rows, local_nz}, n_,
+                           residue, desc_.dir, grid, pl.offset(r, local_nz),
+                           opt_.threads_per_block);
+      t.twiddle_ms += dev.launch_async(tw, s).total_ms;
+    }
 
     if (verify) {
       // Per-pass ABFT guard: the residue's slab output is visible now
       // (functional effects apply at enqueue), so check it before the
       // exchange spreads one member's corruption across the fleet — and
-      // attribute a failure to the member that computed the pass.
+      // attribute a failure to the member that computed the pass. The
+      // slab's regions are contiguous, so one prefix covers them all.
       double e_res = 0.0;
       for (std::size_t j = 0; j < local_nz; ++j) {
         const std::size_t z = residue + shards_ * j;
-        e_res += span_energy<float>(
-            std::span<const cxf>(host_data).subspan(z * plane, plane));
+        for (std::size_t r = 0; r < pl.regions(); ++r) {
+          e_res += span_energy<float>(
+              src.subspan(pl.offset(r, n_, z), pl.elems(r)));
+        }
       }
       const double e_out = span_energy<float>(
           std::span<const cxf>(slab.span()).first(local_nz * plane));
-      if (!pass_energy_plausible(e_res, e_out, n_ * n_ * n_)) {
-        fail_pass_check(dev, "pass-energy",
-                        4.0 * static_cast<double>(n_ * n_ * n_) *
-                            std::max(e_res, 1e-300),
-                        e_out);
-      }
+      check_pass_energy(dev, "pass-energy", e_res, e_out, n_ * n_ * n_);
     }
 
     if (!peer) {
@@ -455,9 +428,11 @@ void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
       // staging volume that every card's phase 2 reads back.
       for (std::size_t k = 0; k < local_nz; ++k) {
         const std::size_t z = residue + shards_ * k;
-        t.d2h1_ms += staged_d2h(
-            dev, std::span<cxf>(host_work).subspan(z * plane, plane), slab,
-            &s, k * plane, sp);
+        for (std::size_t r = 0; r < pl.regions(); ++r) {
+          t.d2h1_ms += staged_d2h(
+              dev, host_work.subspan(pl.offset(r, n_, z), pl.elems(r)), slab,
+              &s, pl.offset(r, local_nz, k), sp);
+        }
         t.exchange_bytes += plane * sizeof(cxf);
       }
       continue;
@@ -466,31 +441,22 @@ void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
     // Peer exchange: the planes leave the producer as direct d2d legs in
     // ring order starting at the owner (self-copy first, then mi+1, ...)
     // so concurrent residues drive different links first and the
-    // per-link FIFOs fill instead of hot-spotting member 0.
-    if (ctx.layout.decomp == Decomposition::Slab) {
-      for (std::size_t r = 0; r < nm; ++r) {
-        const std::size_t emi = (mi + r) % nm;
-        const std::size_t e = ctx.members[emi];
-        for (std::size_t gl = 0; gl < gpd; ++gl) {
-          const std::size_t j = emi * gpd + gl;  // slab plane == group k
+    // per-link FIFOs fill instead of hot-spotting member 0. Each leg
+    // carries one region and lands at its region-major receive offset.
+    for (std::size_t ring = 0; ring < nm; ++ring) {
+      const std::size_t emi = (mi + ring) % nm;
+      const Phase2Unit u = phase2_unit(ctx.layout, local_nz, emi);
+      for (std::size_t gl = 0; gl < u.groups; ++gl) {
+        const std::size_t j = u.first + gl;  // slab plane == group k
+        for (std::size_t r = 0; r < pl.regions(); ++r) {
           charge(group_->d2d_async(
-              d, e, slab, j * plane, ctx.recv(emi),
-              (gl * shards_ + residue) * plane, plane, s,
-              std::span<sim::Stream* const>(ctx.exch)));
-          t.exchange_bytes += plane * sizeof(cxf);
+              d, ctx.members[emi], slab,
+              pl.offset(r, local_nz, j) + u.block * unit.elems(r),
+              ctx.recv(emi),
+              unit.offset(r, u.groups * shards_, gl * shards_ + residue),
+              unit.elems(r), s, ctx.exch));
         }
-      }
-    } else {
-      for (std::size_t r = 0; r < nm; ++r) {
-        const std::size_t emi = (mi + r) % nm;
-        const std::size_t e = ctx.members[emi];
-        const std::size_t g = emi / py;  // plane group owned by emi
-        const std::size_t p = emi % py;  // Y block owned by emi
-        charge(group_->d2d_async(
-            d, e, slab, g * plane + p * ny * n_, ctx.recv(emi),
-            residue * ny * n_, ny * n_, s,
-            std::span<sim::Stream* const>(ctx.exch)));
-        t.exchange_bytes += ny * n_ * sizeof(cxf);
+        t.exchange_bytes += unit.plane() * sizeof(cxf);
       }
     }
   }
@@ -504,136 +470,121 @@ void ShardedFft3DPlan::enqueue_phase1(VolumeCtx& ctx,
   }
 }
 
-void ShardedFft3DPlan::enqueue_phase2(VolumeCtx& ctx,
-                                      std::span<cxf> host_data,
-                                      std::span<cxf> host_work,
-                                      double vol_start_ms,
-                                      ShardedTiming& timing) {
-  const std::size_t plane = n_ * n_;
+void ShardedExecutor::enqueue_phase2(VolumeCtx& ctx,
+                                     std::span<cxf> host_data,
+                                     std::span<cxf> host_work,
+                                     double vol_start_ms,
+                                     ShardedTiming& timing) {
+  const PlaneLayout& pl = planes_;
   const std::size_t local_nz = n_ / shards_;
   const std::size_t nm = ctx.members.size();
-  const Shape3 pencil_slab{n_, n_, shards_};
+  const bool peer = ctx.layout.exchange == Exchange::Peer;
+  const std::span<const cxf> staged = host_work;
   const StagePolicy& sp = this->exec_policy().staging;
 
-  if (ctx.layout.exchange == Exchange::HostStaged) {
+  double latest = vol_start_ms;
+  if (!peer) {
     // Group-wide phase boundary: every phase-2 group gathers one plane
     // from each phase-1 residue — i.e. from every card — so all streams
     // fence at the maximum stream tail. The members share one time
     // origin, which is what makes the absolute wait_until meaningful
     // across devices; for a group of one this degenerates to the
     // out-of-core event pair exactly.
-    double barrier = vol_start_ms;
     for (const auto& s : ctx.streams) {
-      barrier = std::max(barrier, s->ready_ms());
+      latest = std::max(latest, s->ready_ms());
     }
-    ctx.fence(barrier);
-    timing.barrier_ms = barrier - vol_start_ms;
-
-    // ---- Phase 2: contiguous block of plane groups per member ----
-    const std::size_t groups_per_dev = local_nz / nm;
+    ctx.fence(latest);
+  } else {
+    // Peer exchange: no group-wide barrier. Each member fences its own
+    // two streams on (a) its own phase-1 tails (its slabs fed the
+    // self-copies) and (b) its receive Event — the last d2d leg landing
+    // in its receive buffer. barrier_ms reports the latest member fence
+    // for continuity with the host-staged breakdown.
     for (std::size_t mi = 0; mi < nm; ++mi) {
-      const std::size_t e = ctx.members[mi];
-      auto& dev = group_->device(e);
-      ShardTiming& t = timing.devices[e];
-      const unsigned grid = opt_.grid_for(dev.spec());
-      for (std::size_t g = 0; g < groups_per_dev; ++g) {
-        const std::size_t k = mi * groups_per_dev + g;
-        sim::Stream& s = ctx.stream(mi, g % 2);
-        auto& slab = ctx.slab(mi, g % 2);
-
-        t.h2d2_ms += staged_h2d(
-            dev, slab,
-            std::span<const cxf>(host_work)
-                .subspan(shards_ * k * plane, shards_ * plane),
-            &s, /*dst_offset=*/0, sp);
-        t.exchange_bytes += shards_ * plane * sizeof(cxf);
-
-        ZPencilFftKernel fft(slab, pencil_slab, desc_.dir, grid, 0,
-                             opt_.threads_per_block);
-        t.fft2_ms += dev.launch_async(fft, s).total_ms;
-
-        for (std::size_t k2 = 0; k2 < shards_; ++k2) {
-          const std::size_t z = k + local_nz * k2;
-          t.d2h2_ms += staged_d2h(dev, host_data.subspan(z * plane, plane),
-                                  slab, &s, k2 * plane, sp);
-        }
-      }
+      sim::Stream& s0 = ctx.stream(mi, 0);
+      sim::Stream& s1 = ctx.stream(mi, 1);
+      const double own = std::max(s0.ready_ms(), s1.ready_ms());
+      s0.wait(ctx.recv_done[mi]);
+      s1.wait(ctx.recv_done[mi]);
+      s0.wait_until_ms(own);
+      s1.wait_until_ms(own);
+      latest = std::max({latest, own, ctx.recv_done[mi].time_ms()});
     }
-    return;
-  }
-
-  // Peer exchange: no group-wide barrier. Each member fences its own two
-  // streams on (a) its own phase-1 tails (its slabs fed the self-copies)
-  // and (b) its receive Event — the last d2d leg landing in its receive
-  // buffer. barrier_ms reports the latest member fence for continuity
-  // with the host-staged breakdown.
-  double latest = vol_start_ms;
-  for (std::size_t mi = 0; mi < nm; ++mi) {
-    sim::Stream& s0 = ctx.stream(mi, 0);
-    sim::Stream& s1 = ctx.stream(mi, 1);
-    const double own = std::max(s0.ready_ms(), s1.ready_ms());
-    s0.wait(ctx.recv_done[mi]);
-    s1.wait(ctx.recv_done[mi]);
-    s0.wait_until_ms(own);
-    s1.wait_until_ms(own);
-    latest = std::max({latest, own, ctx.recv_done[mi].time_ms()});
   }
   timing.barrier_ms = latest - vol_start_ms;
 
-  if (ctx.layout.decomp == Decomposition::Slab) {
-    // ---- Phase 2 in place on the receive buffer, no upload leg ----
-    const std::size_t gpd = local_nz / nm;
-    for (std::size_t mi = 0; mi < nm; ++mi) {
-      const std::size_t e = ctx.members[mi];
-      auto& dev = group_->device(e);
-      ShardTiming& t = timing.devices[e];
-      const unsigned grid = opt_.grid_for(dev.spec());
-      for (std::size_t gl = 0; gl < gpd; ++gl) {
-        const std::size_t k = mi * gpd + gl;
-        sim::Stream& s = ctx.stream(mi, gl % 2);
-        ZPencilFftKernel fft(ctx.recv(mi), pencil_slab, desc_.dir, grid,
-                             gl * shards_ * plane, opt_.threads_per_block);
-        t.fft2_ms += dev.launch_async(fft, s).total_ms;
-        for (std::size_t k2 = 0; k2 < shards_; ++k2) {
-          const std::size_t z = k + local_nz * k2;
-          t.d2h2_ms += staged_d2h(dev, host_data.subspan(z * plane, plane),
-                                  ctx.recv(mi), &s,
-                                  gl * shards_ * plane + k2 * plane, sp);
-        }
-      }
-    }
-    return;
-  }
-
-  // ---- Pencil phase 2: one (plane-group, Y-block) unit per member ----
-  // The receive buffer is already pencil-shaped — shards Z-planes of
-  // (ny, n) rows, z-major by residue — so the kernel runs in place and
-  // the downloads scatter each output plane's Y-block rows.
-  const std::size_t py = ctx.layout.y_blocks;
-  const std::size_t ny = n_ / py;
+  // ---- Phase 2: each member's unit, S-point pencil FFTs per group ----
+  const PlaneLayout unit = pl.y_block(n_ / ctx.layout.y_blocks);
   for (std::size_t mi = 0; mi < nm; ++mi) {
     const std::size_t e = ctx.members[mi];
-    const std::size_t g = mi / py;
-    const std::size_t p = mi % py;
+    const Phase2Unit u = phase2_unit(ctx.layout, local_nz, mi);
     auto& dev = group_->device(e);
     ShardTiming& t = timing.devices[e];
     const unsigned grid = opt_.grid_for(dev.spec());
-    sim::Stream& s = ctx.stream(mi, 0);
-    ZPencilFftKernel fft(ctx.recv(mi), Shape3{n_, ny, shards_}, desc_.dir,
-                         grid, 0, opt_.threads_per_block);
-    t.fft2_ms += dev.launch_async(fft, s).total_ms;
-    for (std::size_t k2 = 0; k2 < shards_; ++k2) {
-      const std::size_t z = g + local_nz * k2;
-      t.d2h2_ms += staged_d2h(
-          dev, host_data.subspan(z * plane + p * ny * n_, ny * n_),
-          ctx.recv(mi), &s, k2 * ny * n_, sp);
+    for (std::size_t gl = 0; gl < u.groups; ++gl) {
+      const std::size_t k = u.first + gl;
+      sim::Stream& s = ctx.stream(mi, gl % 2);
+      auto& slab = ctx.slab(mi, gl % 2);
+      // The group's S planes sit region-major from `at` in `buf`: a slab
+      // from element 0, or in place in the receive buffer.
+      DeviceBuffer<cxf>* buf = &slab;
+      std::size_t at = 0;
+      if (!peer) {
+        // Host-staged layouts are always slab: the unit is whole planes.
+        for (std::size_t r = 0; r < pl.regions(); ++r) {
+          t.h2d2_ms += staged_h2d(
+              dev, slab,
+              staged.subspan(pl.offset(r, n_, shards_ * k),
+                             shards_ * pl.elems(r)),
+              &s, pl.offset(r, shards_), sp);
+        }
+        t.exchange_bytes += shards_ * pl.plane() * sizeof(cxf);
+      } else if (pl.regions() == 1) {
+        // The group is contiguous in the receive buffer: run in place,
+        // no upload leg.
+        buf = &ctx.recv(mi);
+        at = gl * shards_ * unit.plane();
+      } else {
+        // Gather the group's regions out of the receive buffer with local
+        // d2d copies, then run on the slab. The gather is the receive
+        // half of the exchange, so its time lands in the h2d2 bucket.
+        for (std::size_t r = 0; r < pl.regions(); ++r) {
+          for (const auto& leg : group_->d2d_async(
+                   e, e, ctx.recv(mi),
+                   unit.offset(r, u.groups * shards_, gl * shards_), slab,
+                   unit.offset(r, shards_), shards_ * unit.elems(r), s,
+                   ctx.exch)) {
+            t.h2d2_ms += leg.dur_ms;
+          }
+        }
+      }
+
+      for (std::size_t r = 0; r < pl.regions(); ++r) {
+        ZPencilFftKernel fft(*buf, Shape3{unit.widths[r], unit.rows, shards_},
+                             desc_.dir, grid, at + unit.offset(r, shards_),
+                             opt_.threads_per_block);
+        t.fft2_ms += dev.launch_async(fft, s).total_ms;
+      }
+      phase2_epilogue(e, *buf, s, t.fft2_ms);
+
+      // Downloads scatter each output plane's unit rows.
+      for (std::size_t k2 = 0; k2 < shards_; ++k2) {
+        const std::size_t z = k + local_nz * k2;
+        for (std::size_t r = 0; r < pl.regions(); ++r) {
+          t.d2h2_ms += staged_d2h(
+              dev,
+              host_data.subspan(pl.offset(r, n_, z) + u.block * unit.elems(r),
+                                unit.elems(r)),
+              *buf, &s, at + unit.offset(r, shards_, k2), sp);
+        }
+      }
     }
   }
 }
 
-ShardedTiming ShardedFft3DPlan::run_on(
-    const std::vector<std::size_t>& members, const ShardLayout& layout,
-    std::span<cxf> host_data) {
+ShardedTiming ShardedExecutor::run_on(const std::vector<std::size_t>& members,
+                                      const ShardLayout& layout,
+                                      std::span<cxf> host_data) {
   const bool verify = this->exec_policy().verify != VerifyPolicy::Off;
   const double e_in =
       verify ? span_energy<float>(std::span<const cxf>(host_data)) : 0.0;
@@ -643,11 +594,12 @@ ShardedTiming ShardedFft3DPlan::run_on(
   // Buckets stay indexed by group ordinal (stable reporting across
   // failovers); a lost card simply keeps zero rows.
   timing.devices.resize(group_->size());
-  enqueue_volume(*ctx, host_data, host_work_, start_ms, timing);
+  enqueue_phase1(*ctx, host_data, host_work_, timing);
+  enqueue_phase2(*ctx, host_data, host_work_, start_ms, timing);
   group_->sync_all();
   if (verify) {
-    verify_phase2_regions(*group_, members, layout, n_, shards_, host_data,
-                          e_in);
+    verify_phase2_regions(*group_, members, layout, planes_, shards_,
+                          host_data, e_in);
   }
   timing.makespan_ms = group_->elapsed_ms() - start_ms;
   last_layout_ = layout;
@@ -656,68 +608,45 @@ ShardedTiming ShardedFft3DPlan::run_on(
   return timing;
 }
 
-std::vector<StepTiming> ShardedFft3DPlan::execute_host(std::span<cxf> data) {
-  const ShardedTiming t = execute(data);
-  ShardTiming sum;
-  for (const auto& d : t.devices) {
-    sum.h2d1_ms += d.h2d1_ms;
-    sum.fft1_ms += d.fft1_ms;
-    sum.twiddle_ms += d.twiddle_ms;
-    sum.d2h1_ms += d.d2h1_ms;
-    sum.h2d2_ms += d.h2d2_ms;
-    sum.fft2_ms += d.fft2_ms;
-    sum.d2h2_ms += d.d2h2_ms;
+ShardedFft3DPlan::ShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
+                                   std::size_t shards, Direction dir,
+                                   TuneConfig tune)
+    : ShardedExecutor(
+          group,
+          PlanDesc::sharded3d(n, checked_decimation(n, shards, tune), dir),
+          tune) {
+  // dense3d routes a non-pow2 slab to the mixed-radix plan.
+  acquire_slab_plans(PlanDesc::dense3d(slab_shape_, dir, Precision::F32));
+  // Peer-capable fabrics get the planner's slab-vs-pencil call (keyed on
+  // bisection bandwidth via topology_model_ms); the tree has no choice
+  // to make, so its construction cost is unchanged. Non-pow2 extents
+  // always take the slab decomposition: its phase-2 unit is a whole slab
+  // that the mixed-radix plan can transform, while the pencil phase-2
+  // kernels keep their pow2-only X machinery.
+  if (group.size() > 1 && group.topo().peer_capable() && is_pow2(n_)) {
+    decomp_ = choose_decomposition(group.topo(), group.device(0).spec(), n_,
+                                   shards_, group.size(), dir);
   }
-  const double bytes = static_cast<double>(n_ * n_ * n_) * sizeof(cxf);
-  auto row = [&](const char* name, double ms) {
-    // Each phase touches the full volume once in each direction.
-    return StepTiming{name, ms, ms > 0.0 ? 2.0 * bytes / (ms * 1e6) : 0.0};
-  };
-  std::vector<StepTiming> steps{
-      row("phase1 send", sum.h2d1_ms),
-      row("phase1 slab FFT", sum.fft1_ms),
-      row("phase1 twiddle", sum.twiddle_ms),
-      row("exchange receive", sum.d2h1_ms),
-      row("exchange send", sum.h2d2_ms),
-      row("phase2 pencil FFT", sum.fft2_ms),
-      row("phase2 receive", sum.d2h2_ms),
-  };
-  finish(steps);
-  // The rows are schedule-independent duration sums across the fleet; the
-  // cost of the run is the overlapped group makespan.
-  last_total_ms_ = t.makespan_ms;
-  return steps;
-}
-
-double ShardedBatchTiming::exchange_occupancy() const {
-  std::size_t active = 0;
-  double exch = 0.0;
-  for (const auto& d : total.devices) {
-    if (d.busy_ms() > 0.0) {
-      ++active;
-      exch += d.exchange_ms();
-    }
-  }
-  return active > 0 && makespan_ms > 0.0
-             ? exch / (static_cast<double>(active) * makespan_ms)
-             : 0.0;
-}
-
-double ShardedBatchTiming::compute_occupancy() const {
-  std::size_t active = 0;
-  double comp = 0.0;
-  for (const auto& d : total.devices) {
-    if (d.busy_ms() > 0.0) {
-      ++active;
-      comp += d.compute_ms();
-    }
-  }
-  return active > 0 && makespan_ms > 0.0
-             ? comp / (static_cast<double>(active) * makespan_ms)
-             : 0.0;
 }
 
 namespace {
+
+/// Share of (active devices x makespan) that `part` of each active
+/// device's buckets fills.
+double occupancy(const ShardedBatchTiming& bt,
+                 double (ShardTiming::*part)() const) {
+  std::size_t active = 0;
+  double ms = 0.0;
+  for (const auto& d : bt.total.devices) {
+    if (d.busy_ms() > 0.0) {
+      ++active;
+      ms += (d.*part)();
+    }
+  }
+  return active > 0 && bt.makespan_ms > 0.0
+             ? ms / (static_cast<double>(active) * bt.makespan_ms)
+             : 0.0;
+}
 
 /// Replay the pipelined batch schedule's queueing discipline on one
 /// representative card with closed-form phase times — no simulated
@@ -776,12 +705,38 @@ double replay_pipelined_ms(const ShardPhases& p, bool one_dma,
   return makespan;
 }
 
+/// The issue order the pipelined batch runs: the argmin, with its
+/// replayed makespan, over every candidate phase-1 lookahead (lookahead L
+/// keeps at most L+1 contexts live, so L < kPipelineContexts).
+std::pair<std::size_t, double> best_lookahead(const ShardPhases& p,
+                                              bool one_dma,
+                                              std::size_t residues,
+                                              std::size_t groups,
+                                              std::size_t batch) {
+  std::pair<std::size_t, double> best{
+      0, replay_pipelined_ms(p, one_dma, residues, groups, batch, 0)};
+  for (std::size_t la = 1; la < kPipelineContexts && la < batch; ++la) {
+    const double m = replay_pipelined_ms(p, one_dma, residues, groups, batch,
+                                         la);
+    if (m < best.second) best = {la, m};
+  }
+  return best;
+}
+
 }  // namespace
+
+double ShardedBatchTiming::exchange_occupancy() const {
+  return occupancy(*this, &ShardTiming::exchange_ms);
+}
+
+double ShardedBatchTiming::compute_occupancy() const {
+  return occupancy(*this, &ShardTiming::compute_ms);
+}
 
 ShardedBatchTiming ShardedFft3DPlan::execute_batch(
     std::span<const std::span<cxf>> volumes, BatchMode mode) {
   REPRO_CHECK(!volumes.empty());
-  for (const auto& v : volumes) REPRO_CHECK(v.size() == n_ * n_ * n_);
+  for (const auto& v : volumes) REPRO_CHECK(v.size() == buffer_elements());
   // Verified batches drain serially: the pipelined interleave keeps
   // several volumes in flight, so a failed check could not recompute one
   // volume without replaying the whole window, while the serial path
@@ -794,6 +749,13 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
     ShardedBatchTiming bt;
     bt.total.devices.resize(group_->size());
     const double t0 = group_->elapsed_ms();
+    const auto finish_batch = [&] {
+      bt.makespan_ms = group_->elapsed_ms() - t0;
+      bt.total.makespan_ms = bt.makespan_ms;
+      last_timing_ = bt.total;
+      last_total_ms_ = bt.makespan_ms;
+      return bt;
+    };
 
     if (mode == BatchMode::Serial) {
       // PR 3 behavior: full group drain between volumes (each volume
@@ -802,11 +764,7 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
         accumulate(bt.total, execute(v));
         bt.volume_done_ms.push_back(group_->elapsed_ms() - t0);
       }
-      bt.makespan_ms = group_->elapsed_ms() - t0;
-      bt.total.makespan_ms = bt.makespan_ms;
-      last_timing_ = bt.total;
-      last_total_ms_ = bt.makespan_ms;
-      return bt;
+      return finish_batch();
     }
 
     // ---- Pipelined: software-pipelined issue order over a rotation of
@@ -823,7 +781,6 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
     // apply at enqueue in program order
     // and the interleaved stages touch disjoint buffers, so either
     // order is bit-identical to the Serial schedule.
-    const std::size_t local_nz = n_ / shards_;
     const auto resolve = [&](std::vector<std::size_t> alive) {
       return resolve_shard(group_->topo(), group_, std::move(alive), n_,
                            shards_, decomp_);
@@ -860,32 +817,16 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
       probe_phases_ = probe_shard_phases(
           group_->device(shard.members[0]).spec(), n_, shards_, desc_.dir);
     }
-    const bool one_dma =
-        group_->device(shard.members[0]).spec().dma_engines == 1;
     // The replay's phase extents follow the resolved layout: phase-1
-    // residues per owner, and one phase-2 unit per member on pencil.
-    const std::size_t rep_res = shards_ / shard.layout.phase1_members;
-    const std::size_t rep_grp =
-        shard.layout.decomp == Decomposition::Pencil
-            ? 1
-            : local_nz / shard.members.size();
-    std::size_t lookahead = 0;
-    {
-      // Issue order = argmin over the replayed candidates (lookahead L
-      // keeps at most L+1 contexts live, so L < kPipelineContexts).
-      double best = replay_pipelined_ms(*probe_phases_, one_dma, rep_res,
-                                        rep_grp, volumes.size(), 0);
-      for (std::size_t la = 1;
-           la < kPipelineContexts && la < volumes.size(); ++la) {
-        const double m = replay_pipelined_ms(*probe_phases_, one_dma,
-                                             rep_res, rep_grp,
-                                             volumes.size(), la);
-        if (m < best) {
-          best = m;
-          lookahead = la;
-        }
-      }
-    }
+    // residues per owner, and the plane groups of one member's unit.
+    const std::size_t lookahead =
+        best_lookahead(
+            *probe_phases_,
+            group_->device(shard.members[0]).spec().dma_engines == 1,
+            shards_ / shard.layout.phase1_members,
+            phase2_unit(shard.layout, n_ / shards_, 0).groups,
+            volumes.size())
+            .first;
     std::size_t p1 = 0;  // next volume to enter phase 1
     std::size_t p2 = 0;  // next volume to enter phase 2
     while (p2 < volumes.size()) {
@@ -955,67 +896,30 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
     }
     for (auto& c : ctx) c.reset();
     group_->sync_all();
-    bt.makespan_ms = group_->elapsed_ms() - t0;
-    bt.total.makespan_ms = bt.makespan_ms;
-    last_timing_ = bt.total;
-    last_total_ms_ = bt.makespan_ms;
-    return bt;
+    return finish_batch();
   });
 }
 
 std::vector<StepTiming> ShardedFft3DPlan::execute_batch_host(
     std::span<const std::span<cxf>> volumes) {
   const ShardedBatchTiming bt = execute_batch(volumes);
-  ShardTiming sum;
-  for (const auto& d : bt.total.devices) {
-    sum.h2d1_ms += d.h2d1_ms;
-    sum.fft1_ms += d.fft1_ms;
-    sum.twiddle_ms += d.twiddle_ms;
-    sum.d2h1_ms += d.d2h1_ms;
-    sum.h2d2_ms += d.h2d2_ms;
-    sum.fft2_ms += d.fft2_ms;
-    sum.d2h2_ms += d.d2h2_ms;
-  }
-  const double bytes = static_cast<double>(volumes.size()) *
-                       static_cast<double>(n_ * n_ * n_) * sizeof(cxf);
-  auto row = [&](const char* name, double ms) {
-    return StepTiming{name, ms, ms > 0.0 ? 2.0 * bytes / (ms * 1e6) : 0.0};
-  };
-  std::vector<StepTiming> steps{
-      row("phase1 send", sum.h2d1_ms),
-      row("phase1 slab FFT", sum.fft1_ms),
-      row("phase1 twiddle", sum.twiddle_ms),
-      row("exchange receive", sum.d2h1_ms),
-      row("exchange send", sum.h2d2_ms),
-      row("phase2 pencil FFT", sum.fft2_ms),
-      row("phase2 receive", sum.d2h2_ms),
-  };
-  finish(steps);
   // The rows are duration sums across the batch; the cost of the run is
   // the overlapped (pipelined) batch makespan.
   last_total_ms_ = bt.makespan_ms;
-  return steps;
+  return table12_rows(bt.total.sum(),
+                      static_cast<double>(volumes.size()) *
+                          static_cast<double>(buffer_elements()) *
+                          sizeof(cxf));
 }
 
 ShardedRealFft3DPlan::ShardedRealFft3DPlan(sim::DeviceGroup& group,
                                            std::size_t n, std::size_t shards,
                                            Direction dir, TuneConfig tune)
-    : PlanBaseT<float>(
-          group.device(0),
-          PlanDesc::sharded_real3d(n, effective_shards(shards, tune), dir)),
-      group_(&group),
-      opt_(tune),
-      n_(n),
-      shards_(effective_shards(shards, tune)),
-      slab_shape_{n, n, n / shards_},
-      host_work_((n / 2 + 1) * n * n),
-      staging_lease_(group, (n / 2 + 1) * n * n * sizeof(cxf)) {
-  REPRO_CHECK_MSG(n % shards_ == 0,
-                  "shards must divide n; got n=" + fft::describe_size(n) +
-                      " shards=" + std::to_string(shards_));
-  REPRO_CHECK_MSG(shards_ >= 2 && shards_ <= kMaxFactor,
-                  "shards must be a supported small-FFT factor");
-  REPRO_CHECK_MSG(is_pow2(n) && is_pow2(shards_),
+    : ShardedExecutor(group,
+                      PlanDesc::sharded_real3d(
+                          n, checked_decimation(n, shards, tune), dir),
+                      tune) {
+  REPRO_CHECK_MSG(is_pow2(n),
                   "sharded real plans still need power-of-two extents (the "
                   "packed half-length X pass runs the radix-4/2 fine "
                   "kernel); got n=" + fft::describe_size(n) +
@@ -1024,429 +928,57 @@ ShardedRealFft3DPlan::ShardedRealFft3DPlan(sim::DeviceGroup& group,
   REPRO_CHECK_MSG(n >= 32,
                   "sharded real plans need n >= 32 (the half-length X fine "
                   "stages need n/2 >= 16)");
-  // As with the complex plan, non-dividing group sizes run on the
-  // largest usable member prefix.
-  desc_.tune = tune;
+  if (dir == Direction::Forward) {
+    // Phase 1 runs the whole real slab plan (r2c X + coarse Y/local-Z).
+    acquire_slab_plans(PlanDesc::real3d(slab_shape_, dir));
+    return;
+  }
+  // Phase 2 finishes with the fused c2r pass; share its tables now (none
+  // for a member that is already gone — the schedule only touches alive
+  // members).
   for (std::size_t d = 0; d < group.size(); ++d) {
     auto& dev = group.device(d);
-    if (dev.lost()) {
-      // No per-member resources for a member that is already gone; the
-      // schedule only touches alive members.
-      if (dir == Direction::Forward) {
-        slab_plans_.push_back(nullptr);
-      } else {
-        tw_half_.emplace_back();
-        tw_full_.emplace_back();
-      }
-      continue;
-    }
-    if (dir == Direction::Forward) {
-      // Phase 1 runs the whole real slab plan (r2c X + coarse Y/local-Z).
-      slab_plans_.push_back(PlanRegistry::of(dev).get_or_create(
-          tuned_slab_desc(PlanDesc::real3d(slab_shape_, dir), tune)));
-    } else {
-      // Phase 2 finishes with the fused c2r pass; share its tables now.
-      tw_half_.push_back(ResourceCache::of(dev).twiddles<float>(n / 2, dir));
-      tw_full_.push_back(ResourceCache::of(dev).twiddles<float>(n, dir));
-    }
+    tw_half_.push_back(dev.lost() ? nullptr
+                                  : ResourceCache::of(dev).twiddles<float>(
+                                        n / 2, dir));
+    tw_full_.push_back(
+        dev.lost() ? nullptr : ResourceCache::of(dev).twiddles<float>(n, dir));
   }
 }
 
-std::vector<StepTiming> ShardedRealFft3DPlan::execute_impl(DeviceBuffer<cxf>&) {
-  REPRO_FAIL(
-      "sharded plans transform host-resident volumes distributed across a "
-      "device group; use execute_host()");
+void ShardedRealFft3DPlan::phase1_transform(std::size_t d,
+                                            DeviceBuffer<cxf>& slab,
+                                            sim::Stream& s, double& ms) {
+  if (desc_.dir == Direction::Forward) {
+    ShardedExecutor::phase1_transform(d, slab, s, ms);
+    return;
+  }
+  // The c2r pass needs the full Z axis, which phase 2 reassembles: the
+  // inverse's phase 1 runs the coarse Y/local-Z ranks only.
+  Device& dev = group_->device(d);
+  const Device::StreamGuard guard(dev, s);
+  ms += run_real_coarse_slab<float>(dev, slab, slab_shape_, desc_.dir, opt_);
 }
 
-ShardedTiming ShardedRealFft3DPlan::execute(std::span<cxf> host_data) {
-  REPRO_CHECK(host_data.size() == buffer_elements());
-  return with_plan_context(desc_, [&] {
-    return verified_span_run<float>(
-        this->device(), this->exec_policy(), desc_, host_data, [&] {
-          return run_with_failover(
-              *group_, host_data,
-              [&](std::vector<std::size_t> alive) {
-                return resolve_shard(group_->topo(), group_, std::move(alive),
-                                     n_, shards_, Decomposition::Slab);
-              },
-              [&](const std::vector<std::size_t>& members,
-                  const ShardLayout& layout) {
-                return run_on(members, layout, host_data);
-              });
-        });
-  });
-}
-
-ShardedTiming ShardedRealFft3DPlan::run_on(
-    const std::vector<std::size_t>& members, const ShardLayout& layout,
-    std::span<cxf> host_data) {
-  // Split layout (real3d.h): a logical Z-plane is an (n/2)*n main span
-  // plus an n-element Nyquist tail row; both are contiguous in the host
-  // volume and in each staged slab, so every plane costs two transfers of
-  // mrow + n = (n/2+1)*n elements total.
-  const std::size_t mrow = (n_ / 2) * n_;   // main elements per Z-plane
-  const std::size_t plane = mrow + n_;      // total elements per Z-plane
-  const std::size_t tail = mrow * n_;       // host tail-plane base
-  const std::size_t local_nz = n_ / shards_;
-  const std::size_t nm = members.size();
-  const bool forward = desc_.dir == Direction::Forward;
-  const StagePolicy& sp = this->exec_policy().staging;
-  const bool verify = this->exec_policy().verify != VerifyPolicy::Off;
-  const double e_in =
-      verify ? span_energy<float>(std::span<const cxf>(host_data)) : 0.0;
-
-  const std::size_t slab_elems = plane * std::max(local_nz, shards_);
-  std::vector<ResourceCache::Lease<float>> leases;
-  std::vector<std::unique_ptr<sim::Stream>> streams;
-  leases.reserve(2 * nm);
-  streams.reserve(2 * nm);
-  for (std::size_t mi = 0; mi < nm; ++mi) {
-    auto& dev = group_->device(members[mi]);
-    leases.push_back(ResourceCache::of(dev).lease<float>(slab_elems));
-    leases.push_back(ResourceCache::of(dev).lease<float>(slab_elems));
-    streams.push_back(std::make_unique<sim::Stream>(dev));
-    streams.push_back(std::make_unique<sim::Stream>(dev));
-  }
-  auto slab_of = [&](std::size_t mi, std::size_t i) -> DeviceBuffer<cxf>& {
-    return leases[2 * mi + i].buffer();
-  };
-  auto stream_of = [&](std::size_t mi, std::size_t i) -> sim::Stream& {
-    return *streams[2 * mi + i];
-  };
-
-  // Peer exchange state: each member's receive buffer mirrors its slice
-  // of the host staging volume (main region of gpd*shards Z-plane main
-  // spans, then the packed Nyquist tail rows), so phase 2 gathers its
-  // plane group out of it with local d2d copies and runs the existing
-  // kernels on the slab unchanged.
-  const bool peer = layout.exchange == Exchange::Peer;
-  const std::size_t gpd = local_nz / nm;
-  const std::size_t recv_tail = gpd * shards_ * mrow;  // tail region base
-  std::vector<ResourceCache::Lease<float>> recv_leases;
-  std::vector<std::unique_ptr<sim::Stream>> exch_owned;
-  std::vector<sim::Stream*> exch(group_->size(), nullptr);
-  std::vector<sim::Event> recv_done(nm);
-  if (peer) {
-    for (std::size_t mi = 0; mi < nm; ++mi) {
-      auto& dev = group_->device(members[mi]);
-      recv_leases.push_back(
-          ResourceCache::of(dev).lease<float>(gpd * shards_ * plane));
-    }
-    for (std::size_t d = 0; d < group_->size(); ++d) {
-      if (group_->device(d).lost()) continue;
-      exch_owned.push_back(
-          std::make_unique<sim::Stream>(group_->device(d)));
-      exch[d] = exch_owned.back().get();
-    }
-  }
-
-  const double start_ms = group_->elapsed_ms();
-  ShardedTiming timing;
-  timing.devices.resize(group_->size());
-  auto charge = [&timing](const std::vector<sim::PeerLeg>& legs) {
-    for (const auto& leg : legs) {
-      timing.devices[leg.from].d2h1_ms += leg.dur_ms;
-      if (leg.to != leg.from) timing.devices[leg.to].h2d2_ms += leg.dur_ms;
-    }
-  };
-
-  // ---- Phase 1: residue I on member I mod nm ----
-  // Forward: full real slab plan (r2c X + coarse Y/local-Z) + twiddle.
-  // Inverse: coarse Y/local-Z ranks only (the c2r pass needs the full Z
-  // axis, which phase 2 reassembles) + twiddle.
-  for (std::size_t residue = 0; residue < shards_; ++residue) {
-    const std::size_t mi = residue % nm;
-    const std::size_t d = members[mi];
-    const std::size_t local = residue / nm;
-    auto& dev = group_->device(d);
-    ShardTiming& t = timing.devices[d];
-    sim::Stream& s = stream_of(mi, local % 2);
-    auto& slab = slab_of(mi, local % 2);
-    const unsigned grid = opt_.grid_for(dev.spec());
-    const std::size_t slab_tail = mrow * local_nz;  // slab tail-region base
-
-    const std::span<const cxf> host_src = host_data;
-    for (std::size_t j = 0; j < local_nz; ++j) {
-      const std::size_t z = residue + shards_ * j;
-      t.h2d1_ms += staged_h2d(dev, slab, host_src.subspan(z * mrow, mrow),
-                              &s, j * mrow, sp);
-      t.h2d1_ms += staged_h2d(dev, slab, host_src.subspan(tail + z * n_, n_),
-                              &s, slab_tail + j * n_, sp);
-    }
-
-    if (forward) {
-      for (const auto& step : slab_plans_[d]->execute_async(slab, s)) {
-        t.fft1_ms += step.ms;
-      }
-    } else {
-      const Device::StreamGuard guard(dev, s);
-      t.fft1_ms += run_real_coarse_slab<float>(dev, slab, slab_shape_,
-                                               desc_.dir, opt_);
-    }
-
-    // Inter-rank Z twiddles over both layout regions of the slab.
-    SlabTwiddleKernel tw_main(slab, Shape3{n_ / 2, n_, local_nz}, n_,
-                              residue, desc_.dir, grid, 0,
-                              opt_.threads_per_block);
-    t.twiddle_ms += dev.launch_async(tw_main, s).total_ms;
-    SlabTwiddleKernel tw_tail(slab, Shape3{1, n_, local_nz}, n_, residue,
-                              desc_.dir, grid, slab_tail,
-                              opt_.threads_per_block);
-    t.twiddle_ms += dev.launch_async(tw_tail, s).total_ms;
-
-    if (verify) {
-      // Per-pass ABFT guard with the producing member attributed (see
-      // the complex plan). The slab's main and tail regions are
-      // contiguous, so one prefix covers both.
-      double e_res = 0.0;
-      for (std::size_t j = 0; j < local_nz; ++j) {
-        const std::size_t z = residue + shards_ * j;
-        e_res += span_energy<float>(
-            std::span<const cxf>(host_data).subspan(z * mrow, mrow));
-        e_res += span_energy<float>(
-            std::span<const cxf>(host_data).subspan(tail + z * n_, n_));
-      }
-      const double e_out = span_energy<float>(
-          std::span<const cxf>(slab.span()).first(local_nz * plane));
-      if (!pass_energy_plausible(e_res, e_out, n_ * n_ * n_)) {
-        fail_pass_check(dev, "pass-energy",
-                        4.0 * static_cast<double>(n_ * n_ * n_) *
-                            std::max(e_res, 1e-300),
-                        e_out);
-      }
-    }
-
-    if (!peer) {
-      // The download IS the all-to-all send — and it carries (n/2+1)/n
-      // of the complex plan's bytes, the point of the real layout.
-      for (std::size_t k = 0; k < local_nz; ++k) {
-        const std::size_t z = residue + shards_ * k;
-        t.d2h1_ms += staged_d2h(
-            dev, std::span<cxf>(host_work_).subspan(z * mrow, mrow), slab,
-            &s, k * mrow, sp);
-        t.d2h1_ms += staged_d2h(
-            dev, std::span<cxf>(host_work_).subspan(tail + z * n_, n_),
-            slab, &s, slab_tail + k * n_, sp);
-        t.exchange_bytes += plane * sizeof(cxf);
-      }
-      continue;
-    }
-
-    // Peer exchange in ring order (see ShardedFft3DPlan): two legs per
-    // plane, the main span and its Nyquist tail row, landing at the
-    // consumer's host-staging-mirroring offsets.
-    for (std::size_t r = 0; r < nm; ++r) {
-      const std::size_t emi = (mi + r) % nm;
-      const std::size_t e = members[emi];
-      auto& rbuf = recv_leases[emi].buffer();
-      for (std::size_t gl = 0; gl < gpd; ++gl) {
-        const std::size_t j = emi * gpd + gl;  // slab plane == group k
-        charge(group_->d2d_async(d, e, slab, j * mrow, rbuf,
-                                 (gl * shards_ + residue) * mrow, mrow, s,
-                                 std::span<sim::Stream* const>(exch)));
-        charge(group_->d2d_async(
-            d, e, slab, slab_tail + j * n_, rbuf,
-            recv_tail + (gl * shards_ + residue) * n_, n_, s,
-            std::span<sim::Stream* const>(exch)));
-        t.exchange_bytes += plane * sizeof(cxf);
-      }
-    }
-  }
-
-  if (peer) {
-    // Per-member receive fence (see ShardedFft3DPlan::enqueue_phase1).
-    for (std::size_t mi = 0; mi < nm; ++mi) {
-      exch[members[mi]]->record(recv_done[mi]);
-    }
-    double latest = start_ms;
-    for (std::size_t mi = 0; mi < nm; ++mi) {
-      sim::Stream& s0 = stream_of(mi, 0);
-      sim::Stream& s1 = stream_of(mi, 1);
-      const double own = std::max(s0.ready_ms(), s1.ready_ms());
-      s0.wait(recv_done[mi]);
-      s1.wait(recv_done[mi]);
-      s0.wait_until_ms(own);
-      s1.wait_until_ms(own);
-      latest = std::max({latest, own, recv_done[mi].time_ms()});
-    }
-    timing.barrier_ms = latest - start_ms;
-  } else {
-    // Group-wide phase boundary (see ShardedFft3DPlan::run_on).
-    double barrier = start_ms;
-    for (const auto& s : streams) barrier = std::max(barrier, s->ready_ms());
-    for (auto& s : streams) s->wait_until_ms(barrier);
-    timing.barrier_ms = barrier - start_ms;
-  }
-
-  // ---- Phase 2: contiguous block of plane groups per member ----
-  const std::size_t groups_per_dev = local_nz / nm;
-  const std::size_t slab2_tail = mrow * shards_;  // slab tail-region base
-  for (std::size_t mi = 0; mi < nm; ++mi) {
-    const std::size_t e = members[mi];
-    auto& dev = group_->device(e);
-    ShardTiming& t = timing.devices[e];
-    const unsigned grid = opt_.grid_for(dev.spec());
-    for (std::size_t g = 0; g < groups_per_dev; ++g) {
-      const std::size_t k = mi * groups_per_dev + g;
-      sim::Stream& s = stream_of(mi, g % 2);
-      auto& slab = slab_of(mi, g % 2);
-
-      if (!peer) {
-        t.h2d2_ms += staged_h2d(
-            dev, slab,
-            std::span<const cxf>(host_work_)
-                .subspan(shards_ * k * mrow, shards_ * mrow),
-            &s, /*dst_offset=*/0, sp);
-        t.h2d2_ms += staged_h2d(
-            dev, slab,
-            std::span<const cxf>(host_work_)
-                .subspan(tail + shards_ * k * n_, shards_ * n_),
-            &s, slab2_tail, sp);
-        t.exchange_bytes += shards_ * plane * sizeof(cxf);
-      } else {
-        // Gather this plane group out of the receive buffer with local
-        // d2d copies (both layout regions), then run the unchanged
-        // phase-2 kernels on the slab. The gather is the receive half
-        // of the exchange, so its time lands in the h2d2 bucket.
-        auto& rbuf = recv_leases[mi].buffer();
-        for (const auto& leg : group_->d2d_async(
-                 e, e, rbuf, g * shards_ * mrow, slab, 0, shards_ * mrow,
-                 s, std::span<sim::Stream* const>(exch))) {
-          t.h2d2_ms += leg.dur_ms;
-        }
-        for (const auto& leg : group_->d2d_async(
-                 e, e, rbuf, recv_tail + g * shards_ * n_, slab,
-                 slab2_tail, shards_ * n_, s,
-                 std::span<sim::Stream* const>(exch))) {
-          t.h2d2_ms += leg.dur_ms;
-        }
-      }
-
-      ZPencilFftKernel fft_main(slab, Shape3{n_ / 2, n_, shards_},
-                                desc_.dir, grid, 0, opt_.threads_per_block);
-      t.fft2_ms += dev.launch_async(fft_main, s).total_ms;
-      ZPencilFftKernel fft_tail(slab, Shape3{1, n_, shards_}, desc_.dir,
-                                grid, slab2_tail, opt_.threads_per_block);
-      t.fft2_ms += dev.launch_async(fft_tail, s).total_ms;
-
-      if (!forward) {
-        // Z is whole again: finish with the fused c2r pass, folding the
-        // full 1/(n/2 * n * n) normalization (true inverse).
-        RealFineParams fp;
-        fp.nx = n_;
-        fp.count = n_ * shards_;
-        fp.twiddles = opt_.fine_twiddles;
-        fp.grid_blocks = grid;
-        fp.threads_per_block = static_cast<unsigned>(
-            std::max<std::size_t>(n_ / 8, opt_.threads_per_block));
-        fp.shmem_pad_words = opt_.shmem_pad_words;
-        fp.scale = 1.0 / (static_cast<double>(n_ / 2) *
-                          static_cast<double>(n_) * static_cast<double>(n_));
-        RealFineC2RKernel c2r(slab, fp, tw_half_[e].get(), tw_full_[e].get());
-        t.fft2_ms += dev.launch_async(c2r, s).total_ms;
-      }
-
-      for (std::size_t k2 = 0; k2 < shards_; ++k2) {
-        const std::size_t z = k + local_nz * k2;
-        t.d2h2_ms += staged_d2h(dev, host_data.subspan(z * mrow, mrow),
-                                slab, &s, k2 * mrow, sp);
-        t.d2h2_ms += staged_d2h(dev, host_data.subspan(tail + z * n_, n_),
-                                slab, &s, slab2_tail + k2 * n_, sp);
-      }
-    }
-  }
-
-  group_->sync_all();
-  if (verify) {
-    // Per-member phase-2 plausibility over the split output layout:
-    // member mi wrote planes z = k + local_nz*k2 for its plane-group
-    // block, each an mrow main span plus an n-element tail row.
-    const std::size_t points = n_ * n_ * n_;
-    const double bound =
-        4.0 * static_cast<double>(points) * std::max(e_in, 1e-300);
-    for (std::size_t mi = 0; mi < nm; ++mi) {
-      double e = 0.0;
-      for (std::size_t g = 0; g < groups_per_dev; ++g) {
-        const std::size_t k = mi * groups_per_dev + g;
-        for (std::size_t k2 = 0; k2 < shards_; ++k2) {
-          const std::size_t z = k + local_nz * k2;
-          e += span_energy<float>(
-              std::span<const cxf>(host_data).subspan(z * mrow, mrow));
-          e += span_energy<float>(
-              std::span<const cxf>(host_data).subspan(tail + z * n_, n_));
-        }
-      }
-      if (!pass_energy_plausible(e_in, e, points)) {
-        fail_pass_check(group_->device(members[mi]), "phase2-energy", bound,
-                        e);
-      }
-    }
-  }
-  timing.makespan_ms = group_->elapsed_ms() - start_ms;
-  last_timing_ = timing;
-  last_total_ms_ = timing.makespan_ms;
-  return timing;
-}
-
-std::vector<StepTiming> ShardedRealFft3DPlan::execute_host(
-    std::span<cxf> data) {
-  const ShardedTiming t = execute(data);
-  ShardTiming sum;
-  for (const auto& d : t.devices) {
-    sum.h2d1_ms += d.h2d1_ms;
-    sum.fft1_ms += d.fft1_ms;
-    sum.twiddle_ms += d.twiddle_ms;
-    sum.d2h1_ms += d.d2h1_ms;
-    sum.h2d2_ms += d.h2d2_ms;
-    sum.fft2_ms += d.fft2_ms;
-    sum.d2h2_ms += d.d2h2_ms;
-  }
-  const double bytes = static_cast<double>(buffer_elements()) * sizeof(cxf);
-  auto row = [&](const char* name, double ms) {
-    return StepTiming{name, ms, ms > 0.0 ? 2.0 * bytes / (ms * 1e6) : 0.0};
-  };
-  std::vector<StepTiming> steps{
-      row("phase1 send", sum.h2d1_ms),
-      row("phase1 slab FFT", sum.fft1_ms),
-      row("phase1 twiddle", sum.twiddle_ms),
-      row("exchange receive", sum.d2h1_ms),
-      row("exchange send", sum.h2d2_ms),
-      row("phase2 pencil FFT", sum.fft2_ms),
-      row("phase2 receive", sum.d2h2_ms),
-  };
-  finish(steps);
-  last_total_ms_ = t.makespan_ms;
-  return steps;
-}
-
-std::vector<StepTiming> ShardedRealFft3DPlan::execute_batch_host(
-    std::span<const std::span<cxf>> volumes) {
-  REPRO_CHECK(!volumes.empty());
-  // Half-spectrum volumes run back-to-back; each already overlaps
-  // internally per card. (The complex plan owns the pipelined path.)
-  const double t0 = group_->elapsed_ms();
-  std::vector<StepTiming> total;
-  std::vector<double> traffic;
-  for (const auto& volume : volumes) {
-    const auto steps = execute_host(volume);
-    if (total.empty()) {
-      total = steps;
-      traffic.resize(steps.size());
-      for (std::size_t i = 0; i < steps.size(); ++i) {
-        traffic[i] = steps[i].gbs * steps[i].ms;
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      total[i].ms += steps[i].ms;
-      traffic[i] += steps[i].gbs * steps[i].ms;
-    }
-  }
-  for (std::size_t i = 0; i < total.size(); ++i) {
-    total[i].gbs = total[i].ms > 0.0 ? traffic[i] / total[i].ms : 0.0;
-  }
-  last_total_ms_ = group_->elapsed_ms() - t0;
-  return total;
+void ShardedRealFft3DPlan::phase2_epilogue(std::size_t e,
+                                           DeviceBuffer<cxf>& group,
+                                           sim::Stream& s, double& ms) {
+  if (desc_.dir == Direction::Forward) return;
+  // Z is whole again: finish with the fused c2r pass, folding the full
+  // 1/(n/2 * n * n) normalization (true inverse).
+  Device& dev = group_->device(e);
+  RealFineParams fp;
+  fp.nx = n_;
+  fp.count = n_ * shards_;
+  fp.twiddles = opt_.fine_twiddles;
+  fp.grid_blocks = opt_.grid_for(dev.spec());
+  fp.threads_per_block = static_cast<unsigned>(
+      std::max<std::size_t>(n_ / 8, opt_.threads_per_block));
+  fp.shmem_pad_words = opt_.shmem_pad_words;
+  fp.scale = 1.0 / (static_cast<double>(n_ / 2) * static_cast<double>(n_) *
+                    static_cast<double>(n_));
+  RealFineC2RKernel c2r(group, fp, tw_half_[e].get(), tw_full_[e].get());
+  ms += dev.launch_async(c2r, s).total_ms;
 }
 
 ShardLayout shard_layout(const sim::Topology& topo, std::size_t n,
@@ -1559,15 +1091,9 @@ double sharded_batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
   // engine's FIFO serializes every transfer so pipelining recovers only
   // compute shadow, while on a 2-DMA card the lookahead order fills the
   // barrier gap the exchange leaves on the upload engine.
-  const std::size_t residues = shards / devices;
-  const std::size_t groups = (n / shards) / devices;
-  const bool one_dma = spec.dma_engines == 1;
-  double best = replay_pipelined_ms(p, one_dma, residues, groups, batch, 0);
-  for (std::size_t la = 1; la < kPipelineContexts && la < batch; ++la) {
-    best = std::min(
-        best, replay_pipelined_ms(p, one_dma, residues, groups, batch, la));
-  }
-  return best;
+  return best_lookahead(p, spec.dma_engines == 1, shards / devices,
+                        (n / shards) / devices, batch)
+      .second;
 }
 
 namespace {

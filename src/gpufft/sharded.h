@@ -27,10 +27,10 @@
 //     mi sends to mi, mi+1, ... mod N), landing in a per-member receive
 //     buffer; on the torus each transfer store-and-forwards along its
 //     dimension-ordered route, occupying every intermediate hop's DMA
-//     engines and the per-link FIFOs. Phase 2 then runs in place on the
-//     receive buffer — no host staging, no global barrier; each member
-//     starts when its own receives (tracked by a per-member Event) and
-//     its own phase-1 tails are done.
+//     engines and the per-link FIFOs. Phase 2 then works out of the
+//     receive buffer (see below) — no host staging, no global barrier;
+//     each member starts when its own receives (tracked by a per-member
+//     Event) and its own phase-1 tails are done.
 //
 // On peer fabrics the plan also supports a *pencil* decomposition
 // (Decomposition::Pencil): each member owns one (plane-group, Y-block)
@@ -41,6 +41,16 @@
 // are bit-identical to the host reference: the phase-2 pencil kernel is
 // independent per (x, y) pencil, so splitting its slab along Y changes
 // nothing functionally.
+//
+// One executor (ShardedExecutor) runs this schedule for complex and
+// split-real volumes alike: a PlaneLayout lists the contiguous regions a
+// Z-plane occupies ({n x n} complex, {(n/2) x n, 1 x n} split
+// half-spectrum), and every phase loops over those regions. On peer
+// layouts phase 2 runs in place on the receive buffer when a plane group
+// is contiguous there (one region) and otherwise first gathers the
+// group's regions into a slab with one local d2d leg per region. The two
+// plans differ only in their layout, their per-member resources, their
+// phase-1 slab transform and the real inverse's c2r epilogue.
 //
 // Per device the schedule is exactly the out-of-core one: two slab leases,
 // two streams, residues (and phase-2 groups) alternating between them, so
@@ -66,10 +76,12 @@
 // 2-DMA cards.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "gpufft/fft_plan.h"
@@ -117,22 +129,44 @@ ShardLayout shard_layout(const sim::Topology& topo, std::size_t n,
                          std::size_t shards, std::size_t devices,
                          Decomposition preferred);
 
-/// Per-device timing buckets of one sharded run (duration sums, schedule
-/// independent; the exchange is the d2h1 + h2d2 legs — for peer
-/// exchanges, a leg's send side lands in d2h1 and its receive side in
-/// h2d2, so the buckets keep their meaning across topologies).
-struct ShardTiming {
-  double h2d1_ms{}, fft1_ms{}, twiddle_ms{}, d2h1_ms{};
-  double h2d2_ms{}, fft2_ms{}, d2h2_ms{};
-  std::uint64_t exchange_bytes{};  ///< bytes through the host staging
+/// Where one Z-plane of an n^3 volume lives: the contiguous regions it
+/// occupies, each `rows` (= n) rows of widths[r] elements. A complex
+/// volume has one region, n x n; the split half-spectrum (real3d.h) has
+/// two, the (n/2) x n main block and the 1 x n Nyquist tail row. Every
+/// buffer of D planes — the host volume (D = n), a staged slab, a receive
+/// buffer — stores them region-major: region r starts at D times the
+/// plane elements of regions 0..r-1, its plane j elems(r) * j further on
+/// (offset(r, D, j)). The host tail region thus starts at (n/2)*n*n.
+struct PlaneLayout {
+  std::size_t rows{};               ///< Y rows of every region
+  std::vector<std::size_t> widths;  ///< elements per row of each region
 
-  [[nodiscard]] double busy_ms() const {
-    return h2d1_ms + fft1_ms + twiddle_ms + d2h1_ms + h2d2_ms + fft2_ms +
-           d2h2_ms;
+  /// The plane layout of a cube of side n stored as `layout`.
+  [[nodiscard]] static PlaneLayout of(Layout layout, std::size_t n) {
+    if (layout == Layout::RealHalfSpectrum) return {n, {n / 2, 1}};
+    return {n, {n}};
   }
-  [[nodiscard]] double exchange_ms() const { return d2h1_ms + h2d2_ms; }
-  [[nodiscard]] double compute_ms() const {
-    return fft1_ms + twiddle_ms + fft2_ms;
+  [[nodiscard]] std::size_t regions() const { return widths.size(); }
+  [[nodiscard]] std::size_t elems(std::size_t r) const {
+    return rows * widths[r];
+  }
+  /// Elements of one whole plane.
+  [[nodiscard]] std::size_t plane() const {
+    std::size_t e = 0;
+    for (std::size_t w : widths) e += rows * w;
+    return e;
+  }
+  /// Offset of region r of plane j in a buffer of `depth` region-major
+  /// planes.
+  [[nodiscard]] std::size_t offset(std::size_t r, std::size_t depth,
+                                   std::size_t j = 0) const {
+    std::size_t e = 0;
+    for (std::size_t i = 0; i < r; ++i) e += elems(i);
+    return depth * e + j * elems(r);
+  }
+  /// The same regions cut to a block of `ny` rows (a pencil unit).
+  [[nodiscard]] PlaneLayout y_block(std::size_t ny) const {
+    return {ny, widths};
   }
 };
 
@@ -142,10 +176,15 @@ struct ShardedTiming {
   double barrier_ms{};   ///< phase-1 -> phase-2 fence (max stream tail)
   double makespan_ms{};  ///< overlapped wall-clock across the fleet
 
+  /// The buckets summed over the fleet, in ordinal order.
+  [[nodiscard]] ShardTiming sum() const {
+    ShardTiming s;
+    for (const auto& d : devices) s += d;
+    return s;
+  }
+
   [[nodiscard]] std::uint64_t exchange_bytes() const {
-    std::uint64_t b = 0;
-    for (const auto& d : devices) b += d.exchange_bytes;
-    return b;
+    return sum().exchange_bytes;
   }
   [[nodiscard]] double max_busy_ms() const {
     double ms = 0.0;
@@ -200,17 +239,6 @@ struct ShardedBatchTiming {
   /// Same denominator, numerator = kernel time (fft1 + twiddle + fft2).
   [[nodiscard]] double compute_occupancy() const;
 };
-/// `shards` is the Z-decimation factor S (the out-of-core `splits`,
-/// decoupled from the device count so results are bit-identical for every
-/// N); each device owns shards/N residues in phase 1 and a contiguous
-/// (n/shards)/N block of plane groups in phase 2. As an FftPlan it
-/// supports the host entry points only — the volume is never resident on
-/// any single card. Obtain through a group-attached PlanRegistry:
-///
-///   sim::DeviceGroup group(4, sim::geforce_8800_gts());
-///   auto plan = gpufft::PlanRegistry::of(group).get_or_create(
-///       gpufft::PlanDesc::sharded3d(256, 8, gpufft::Direction::Forward));
-///   plan->execute_host(volume);
 /// Volume contexts the pipelined batch keeps in flight (slab leases,
 /// streams, and host staging rotate over this many slots). Two is the
 /// minimum for any cross-volume overlap, but the context count also
@@ -232,15 +260,18 @@ struct ShardPhases {
   double up2_ms{}, fft2_ms{}, dn2_ms{};
 };
 
-class ShardedFft3DPlan final : public PlanBaseT<float> {
+/// The Z-decimated schedule over a device group, for the plane layout the
+/// PlanDesc's Layout picks (see the file comment). `shards` is the
+/// Z-decimation factor S (the out-of-core `splits`, decoupled from the
+/// device count so results are bit-identical for every N); each device
+/// owns S/N residues in phase 1 and a contiguous (n/S)/N block of plane
+/// groups in phase 2. A group whose size divides neither S nor n/S runs
+/// on its largest member prefix that divides both, as after losing a
+/// card. As an FftPlan it supports the host entry points only.
+class ShardedExecutor : public PlanBaseT<float> {
  public:
-  /// Requires shards | n, shards a supported small-FFT factor, and the
-  /// group size dividing both `shards` and `n/shards` (so both phases
-  /// split evenly across the cards). A non-zero tune.slab_depth overrides
-  /// `shards` (the TuneConfig knob).
-  ShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
-                   std::size_t shards, Direction dir, TuneConfig tune = {});
-
+  /// Transform a host-resident volume (buffer_elements() elements in the
+  /// plan's layout) in place.
   ShardedTiming execute(std::span<cxf> host_data);
   /// Re-expose the device-resident entry point the span overload hides.
   using FftPlanT<float>::execute;
@@ -248,41 +279,25 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   /// Unsupported: the volume is distributed, never on one card.
   std::vector<StepTiming> execute_impl(DeviceBuffer<cxf>& data) override;
 
-  /// The FftPlan host entry point (phase rows summed across devices).
+  /// The FftPlan host entry point (Table 12 rows summed across devices).
   /// last_total_ms() afterwards reports the fleet makespan.
   std::vector<StepTiming> execute_host(std::span<cxf> data) override;
 
-  /// Many volumes through the fleet. Pipelined (the default) overlaps
-  /// volume k's exchange + phase 2 with volume k+1's phase 1; Serial is
-  /// the PR 3 back-to-back schedule (kept for A/B tests and the model
-  /// cross-check). Both are bit-identical. Survives DeviceLost mid-batch:
-  /// completed volumes keep their results, the failing volume restores
-  /// from its snapshot and re-shards over the survivors, and the rest of
-  /// the batch continues on the reduced fleet.
-  ShardedBatchTiming execute_batch(std::span<const std::span<cxf>> volumes,
-                                   BatchMode mode = BatchMode::Pipelined);
-
-  /// FftPlan batch entry point: runs the Pipelined schedule; the rows are
-  /// duration sums across volumes and last_total_ms() is the overlapped
-  /// batch makespan.
+  /// Volumes back-to-back through execute_host (the base-class batch
+  /// would route through the unsupported device-buffer execute()): rows
+  /// summed across volumes, last_total_ms() the batch span.
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
   /// Two slab staging buffers per member device.
   [[nodiscard]] std::size_t workspace_bytes() const override {
-    return group_->size() * 2 * n_ * n_ * std::max(n_ / shards_, shards_) *
-           sizeof(cxf);
+    return group_->size() * 2 * planes_.plane() *
+           std::max(n_ / shards_, shards_) * sizeof(cxf);
   }
 
   [[nodiscard]] sim::DeviceGroup& group() const { return *group_; }
   [[nodiscard]] std::size_t n() const { return n_; }
   [[nodiscard]] std::size_t shards() const { return shards_; }
-
-  /// The decomposition the next run will prefer. The constructor seeds
-  /// it from choose_decomposition (planner.h) on peer-capable groups;
-  /// the setter exists for A/B studies (bench_topology) and tests.
-  [[nodiscard]] Decomposition decomposition() const { return decomp_; }
-  void set_decomposition(Decomposition d) { decomp_ = d; }
 
   /// Geometry the last execute()/execute_host() actually ran with.
   [[nodiscard]] const ShardLayout& last_layout() const {
@@ -294,32 +309,48 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
     return last_timing_;
   }
 
- private:
+ protected:
+  /// `desc` carries n, the checked decimation S and the layout.
+  ShardedExecutor(sim::DeviceGroup& group, const PlanDesc& desc,
+                  TuneConfig tune);
+
+  /// One registry plan of `slab` (slab_plan_desc) per member, in ordinal
+  /// order; a member already lost to a fault gets none (building one
+  /// would throw), and the schedule never assigns it work.
+  void acquire_slab_plans(const PlanDesc& slab);
+
+  /// Phase 1's in-slab transform of one residue on member `d`: full X and
+  /// Y plus the partial Z over the slab's n/S planes, adding each kernel's
+  /// time to `ms` in launch order. The default runs the member's slab
+  /// plan.
+  virtual void phase1_transform(std::size_t d, DeviceBuffer<cxf>& slab,
+                                sim::Stream& s, double& ms);
+
+  /// Phase 2's tail after the pencil FFTs of one plane group on member
+  /// `e`, adding its kernel time to `ms`. `group` holds the group's S
+  /// planes region-major from element 0 whenever the layout has more than
+  /// one region (a staged or gathered slab). The default does nothing.
+  virtual void phase2_epilogue(std::size_t e, DeviceBuffer<cxf>& group,
+                               sim::Stream& s, double& ms);
+
   /// The per-run execution context: one pair of slab leases + streams per
   /// member. The pipelined batch keeps kPipelineContexts of these alive
   /// so consecutive volumes overlap without the WAR reuse fence binding;
-  /// the single-volume path owns exactly one, reproducing the PR 3
-  /// schedule op for op.
+  /// the single-volume path owns exactly one.
   struct VolumeCtx;
 
   [[nodiscard]] std::unique_ptr<VolumeCtx> make_ctx(
       const std::vector<std::size_t>& members, const ShardLayout& layout);
 
-  /// Enqueue one full volume (phase 1, group-wide exchange fence, phase
-  /// 2) on `ctx`'s streams without draining them. Buckets accumulate into
+  /// The two halves of one volume, split so the pipelined batch can issue
+  /// volume k+1's phase 1 *before* volume k's phase 2: the engine FIFOs
+  /// dispatch in submission order, so whole-volume issue order would
+  /// head-of-line block the next volume's uploads behind this volume's
+  /// barrier-gated exchange. Phase 1 only reads `host_data` and writes
+  /// `host_work`; phase 2 (which opens with the exchange fence) reads
+  /// `host_work` and overwrites `host_data`. Buckets accumulate into
   /// `timing` (indexed by group ordinal); `vol_start_ms` anchors the
   /// barrier bookkeeping.
-  void enqueue_volume(VolumeCtx& ctx, std::span<cxf> host_data,
-                      std::span<cxf> host_work, double vol_start_ms,
-                      ShardedTiming& timing);
-
-  /// The two halves of enqueue_volume, split so the pipelined batch can
-  /// issue volume k+1's phase 1 *before* volume k's phase 2: the engine
-  /// FIFOs dispatch in submission order, so whole-volume issue order
-  /// would head-of-line block the next volume's uploads behind this
-  /// volume's barrier-gated exchange. Phase 1 only reads `host_data` and
-  /// writes `host_work`; phase 2 (which opens with the group-wide fence)
-  /// reads `host_work` and overwrites `host_data`.
   void enqueue_phase1(VolumeCtx& ctx, std::span<cxf> host_data,
                       std::span<cxf> host_work, ShardedTiming& timing);
   void enqueue_phase2(VolumeCtx& ctx, std::span<cxf> host_data,
@@ -337,12 +368,56 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   TuneConfig opt_;
   std::size_t n_;
   std::size_t shards_;
+  PlaneLayout planes_;
+  Shape3 slab_shape_;  ///< logical phase-1 slab (n, n, n/S)
+  /// The decomposition the next run prefers (Slab unless a plan picks).
   Decomposition decomp_{Decomposition::Slab};
   ShardLayout last_layout_{};
-  Shape3 slab_shape_;
   std::vector<std::shared_ptr<FftPlan>> slab_plans_;  ///< one per device
   std::vector<cxf> host_work_;
   sim::DeviceGroup::HostStagingLease staging_lease_;
+  ShardedTiming last_timing_{};
+};
+
+/// Complex cubes through the sharded Z-decimated schedule, with the
+/// pipelined multi-volume batch and the slab-vs-pencil choice on peer
+/// fabrics. Obtain through a group-attached PlanRegistry:
+///
+///   sim::DeviceGroup group(4, sim::geforce_8800_gts());
+///   auto plan = gpufft::PlanRegistry::of(group).get_or_create(
+///       gpufft::PlanDesc::sharded3d(256, 8, gpufft::Direction::Forward));
+///   plan->execute_host(volume);
+class ShardedFft3DPlan final : public ShardedExecutor {
+ public:
+  /// Requires S | n with S a power-of-two small-FFT factor (checked_
+  /// decimation); any group size works (see ShardedExecutor). A non-zero
+  /// tune.slab_depth overrides `shards` (the TuneConfig knob).
+  ShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
+                   std::size_t shards, Direction dir, TuneConfig tune = {});
+
+  /// Many volumes through the fleet. Pipelined (the default) overlaps
+  /// volume k's exchange + phase 2 with volume k+1's phase 1; Serial is
+  /// the back-to-back schedule (kept for A/B tests and the model
+  /// cross-check). Both are bit-identical. Survives DeviceLost mid-batch:
+  /// completed volumes keep their results, the failing volume restores
+  /// from its snapshot and re-shards over the survivors, and the rest of
+  /// the batch continues on the reduced fleet.
+  ShardedBatchTiming execute_batch(std::span<const std::span<cxf>> volumes,
+                                   BatchMode mode = BatchMode::Pipelined);
+
+  /// FftPlan batch entry point: runs the Pipelined schedule; the rows are
+  /// duration sums across volumes and last_total_ms() is the overlapped
+  /// batch makespan.
+  std::vector<StepTiming> execute_batch_host(
+      std::span<const std::span<cxf>> volumes) override;
+
+  /// The decomposition the next run will prefer. The constructor seeds
+  /// it from choose_decomposition (planner.h) on peer-capable groups;
+  /// the setter exists for A/B studies (bench_topology) and tests.
+  [[nodiscard]] Decomposition decomposition() const { return decomp_; }
+  void set_decomposition(Decomposition d) { decomp_ = d; }
+
+ private:
   /// Extra staging volumes for the pipelined batch (slots 1..N-1 of the
   /// kPipelineContexts rotation; slot 0 is host_work_), so a volume's
   /// phase-1 downloads never land in a buffer an earlier volume's phase
@@ -353,15 +428,13 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
   /// Phase durations probed once on the first pipelined batch (member
   /// 0's spec) to pick the issue order from the replay model.
   std::optional<ShardPhases> probe_phases_;
-  ShardedTiming last_timing_{};
 };
 
 /// Sharded r2c/c2r cube over the split half-spectrum layout (real3d.h):
-/// the same Z-decimated schedule as ShardedFft3DPlan, but every staged
-/// plane is (n/2+1)*n complex elements (a contiguous (n/2)*n main span
-/// plus its n-element Nyquist tail row), so the host-staged all-to-all
-/// moves (n/2+1)/n (~half) of the complex exchange bytes — directly
-/// attacking the bridge bound that is ~40% of the complex makespan.
+/// every staged plane is (n/2+1)*n complex elements (an (n/2)*n main span
+/// plus its n-element Nyquist tail row), so the all-to-all moves
+/// (n/2+1)/n (~half) of the complex exchange bytes — directly attacking
+/// the bridge bound that is ~40% of the complex makespan.
 ///
 /// Forward phase 1 runs the registry-obtained real slab plan (fused r2c
 /// X fine + coarse Y/local-Z ranks) per residue; phase 2 is the usual
@@ -369,74 +442,25 @@ class ShardedFft3DPlan final : public PlanBaseT<float> {
 /// fine pass in phase 1 (the Z axis is still decimated), so phase 1 runs
 /// only the coarse Y/local-Z ranks (run_real_coarse_slab) and phase 2
 /// finishes pencil Z + the fused c2r kernel, which folds the full
-/// normalization — a true inverse, like RealFft3DT. Decimation
-/// arithmetic depends only on `shards`, so results are bit-identical
-/// across device counts and spec mixes.
-class ShardedRealFft3DPlan final : public PlanBaseT<float> {
+/// normalization — a true inverse, like RealFft3DT. The plan always runs
+/// the slab decomposition, and its batch runs volumes back to back.
+class ShardedRealFft3DPlan final : public ShardedExecutor {
  public:
-  /// Same divisibility constraints as ShardedFft3DPlan, plus the real
-  /// X-fine constraint n >= 32 (power of two).
+  /// The decimation rules of ShardedFft3DPlan (any group size works),
+  /// plus the real X-fine constraint: n a power of two >= 32.
   ShardedRealFft3DPlan(sim::DeviceGroup& group, std::size_t n,
                        std::size_t shards, Direction dir,
                        TuneConfig tune = {});
 
-  /// Transform a host-resident split-layout volume ((n/2+1)*n*n complex
-  /// elements, pack_real_volume layout) in place.
-  ShardedTiming execute(std::span<cxf> host_data);
-  /// Re-expose the device-resident entry point the span overload hides.
-  using FftPlanT<float>::execute;
-
-  /// Unsupported: the volume is distributed, never on one card.
-  std::vector<StepTiming> execute_impl(DeviceBuffer<cxf>& data) override;
-
-  /// The FftPlan host entry point (phase rows summed across devices).
-  std::vector<StepTiming> execute_host(std::span<cxf> data) override;
-
-  /// Half-spectrum volumes run back-to-back (the base-class batch would
-  /// route through the unsupported device-buffer execute()).
-  std::vector<StepTiming> execute_batch_host(
-      std::span<const std::span<cxf>> volumes) override;
-
-  [[nodiscard]] std::size_t buffer_elements() const override {
-    return (n_ / 2 + 1) * n_ * n_;
-  }
-
-  /// Two slab staging buffers per member device.
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return group_->size() * 2 * (n_ / 2 + 1) * n_ *
-           std::max(n_ / shards_, shards_) * sizeof(cxf);
-  }
-
-  [[nodiscard]] sim::DeviceGroup& group() const { return *group_; }
-  [[nodiscard]] std::size_t n() const { return n_; }
-  [[nodiscard]] std::size_t shards() const { return shards_; }
-
-  /// Breakdown of the last execute()/execute_host().
-  [[nodiscard]] const ShardedTiming& last_timing() const {
-    return last_timing_;
-  }
-
  private:
-  /// One full run over the device subset `members` (indices into the
-  /// group) with the resolved `layout` (always Slab — the split real
-  /// layout's per-plane tail rows make pencil Y-splitting not worth the
-  /// scatter); re-invoked on the survivors after a device loss.
-  ShardedTiming run_on(const std::vector<std::size_t>& members,
-                       const ShardLayout& layout, std::span<cxf> host_data);
+  void phase1_transform(std::size_t d, DeviceBuffer<cxf>& slab,
+                        sim::Stream& s, double& ms) override;
+  void phase2_epilogue(std::size_t e, DeviceBuffer<cxf>& group,
+                       sim::Stream& s, double& ms) override;
 
-  sim::DeviceGroup* group_;
-  TuneConfig opt_;
-  std::size_t n_;
-  std::size_t shards_;
-  Shape3 slab_shape_;         ///< logical real slab (n, n, n/shards)
-  /// Forward only: one registry real slab plan per device.
-  std::vector<std::shared_ptr<FftPlan>> slab_plans_;
   /// Inverse only: per-device c2r twiddle tables (n/2 stages, n pack).
   std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_half_;
   std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_full_;
-  std::vector<cxf> host_work_;
-  sim::DeviceGroup::HostStagingLease staging_lease_;
-  ShardedTiming last_timing_{};
 };
 
 ShardPhases probe_shard_phases(const sim::GpuSpec& spec, std::size_t n,

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "gpufft/registry.h"
@@ -358,6 +362,50 @@ TEST(BatchSharded, RegistryFrontDoorServesBatchShardedPlans) {
   auto again = reg.get_or_create(desc);
   EXPECT_EQ(plan.get(), again.get());
   EXPECT_GE(reg.hits(), 1u);
+}
+
+TEST(ZDecimation, EveryPlanRejectsBadDecimationNamingNAndS) {
+  // One rule for every Z-decimated plan: S divides n and is a
+  // power-of-two small-FFT factor. A violation raises a typed Error that
+  // names both numbers.
+  sim::DeviceGroup group(2, sim::geforce_8800_gts());
+  Device dev(sim::geforce_8800_gts());
+  const Direction fwd = Direction::Forward;
+  struct Plan {
+    const char* name;
+    std::function<void(std::size_t, std::size_t)> make;
+  };
+  const Plan plans[] = {
+      {"out-of-core",
+       [&](std::size_t n, std::size_t s) { OutOfCoreFft3D(dev, n, s, fwd); }},
+      {"sharded",
+       [&](std::size_t n, std::size_t s) {
+         ShardedFft3DPlan(group, n, s, fwd);
+       }},
+      {"sharded real",
+       [&](std::size_t n, std::size_t s) {
+         ShardedRealFft3DPlan(group, n, s, fwd);
+       }},
+      {"batch-sharded",
+       [&](std::size_t n, std::size_t s) {
+         BatchShardedFft3DPlan(group, n, s, fwd);
+       }},
+  };
+  const std::pair<std::size_t, std::size_t> bad[] = {{64, 3}, {63, 4}};
+  for (const Plan& p : plans) {
+    for (const auto& [n, s] : bad) {
+      try {
+        p.make(n, s);
+        ADD_FAILURE() << p.name << " accepted n=" << n << " S=" << s;
+      } catch (const Error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("n=" + std::to_string(n)), std::string::npos)
+            << p.name << ": " << msg;
+        EXPECT_NE(msg.find("S=" + std::to_string(s)), std::string::npos)
+            << p.name << ": " << msg;
+      }
+    }
+  }
 }
 
 }  // namespace
