@@ -15,7 +15,6 @@
 // results stay bit-identical to the undisturbed run.
 #include "bench_util.h"
 #include "common/check.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "gpufft/outofcore.h"
 #include "gpufft/sharded.h"
@@ -108,8 +107,8 @@ int main(int argc, char** argv) {
     std::cout << "\n";
 
     // ---- Part B: what recovery costs when faults actually fire ----
-    const RecoveryCounters before = recovery_counters();
     Run faulty{"", 0.0, input};
+    std::uint64_t retries = 0;
     if (sharded) {
       sim::DeviceGroup group(2, sim::geforce_8800_gts());
       gpufft::ShardedFft3DPlan plan(group, n, splits,
@@ -117,6 +116,7 @@ int main(int argc, char** argv) {
       group.faults(1).arm(FaultKind::TransferTransient, 3, 2);
       faulty.makespan_ms =
           plan.execute(std::span<cxf>(faulty.data)).makespan_ms;
+      retries = group.device(1).health().transient_retries;
     } else {
       gpufft::Device dev(sim::geforce_8800_gts());
       gpufft::OutOfCoreFft3D plan(dev, n, splits,
@@ -124,9 +124,8 @@ int main(int argc, char** argv) {
       dev.faults().arm(FaultKind::TransferTransient, 3, 2);
       faulty.makespan_ms =
           plan.execute(std::span<cxf>(faulty.data)).makespan_ms;
+      retries = dev.health().transient_retries;
     }
-    const std::uint64_t retries =
-        recovery_counters().transient_retries - before.transient_retries;
     REPRO_CHECK_MSG(identical(faulty.data, base.data),
                     "recovered run is not bit-identical");
     std::cout << "with 2 transient PCIe faults: makespan "

@@ -104,8 +104,7 @@ int main(int argc, char** argv) {
           plan.execute_batch(spans, gpufft::BatchMode::Pipelined);
       const double gain = serial.makespan_ms / piped.makespan_ms;
       const double model = gpufft::sharded_batch_model_ms(
-          phases, group.device(0).spec(), n, shards, nd, b,
-          gpufft::BatchMode::Pipelined);
+          phases, group.device(0).spec(), n, shards, nd, b);
       const double err = 100.0 * (piped.makespan_ms / model - 1.0);
       t.row({std::to_string(b), TextTable::fmt(serial.makespan_ms, 1),
              TextTable::fmt(piped.makespan_ms, 1),

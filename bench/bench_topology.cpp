@@ -21,7 +21,6 @@
 #include <memory>
 
 #include "bench_util.h"
-#include "common/metrics.h"
 #include "gpufft/registry.h"
 #include "gpufft/sharded.h"
 #include "sim/fault.h"
@@ -134,11 +133,10 @@ int main(int argc, char** argv) {
     sim::DeviceGroup mesh(4, card, std::make_shared<sim::PeerMeshTopology>(4));
     gpufft::ShardedFft3DPlan plan(mesh, fn, fshards,
                                   gpufft::Direction::Forward);
-    const std::uint64_t failovers0 = recovery_counters().device_lost_failovers;
     mesh.faults(1).arm(sim::FaultKind::DeviceLost, ops / 2);
     const auto timing = plan.execute(std::span<cxf>(fvolume));
     const std::uint64_t failovers =
-        recovery_counters().device_lost_failovers - failovers0;
+        mesh.device(1).health().device_lost_failovers;
     TextTable t;
     t.header({"event", "value"});
     t.row({"failovers", std::to_string(failovers)});

@@ -31,14 +31,10 @@
 
 namespace {
 
-void report_recovery(const repro::RecoveryCounters& before) {
-  const repro::RecoveryCounters& c = repro::recovery_counters();
-  std::cout << "\nrecovery: "
-            << (c.transient_retries - before.transient_retries)
-            << " transient retries, "
-            << (c.corruption_restages - before.corruption_restages)
-            << " corruption re-stages, "
-            << (c.device_lost_failovers - before.device_lost_failovers)
+void report_recovery(const repro::sim::DeviceHealth& c) {
+  std::cout << "\nrecovery: " << c.transient_retries
+            << " transient retries, " << c.corruption_restages
+            << " corruption re-stages, " << c.device_lost_failovers
             << " device-lost failovers\n";
 }
 
@@ -77,7 +73,6 @@ int main(int argc, char** argv) {
       n = std::strtoull(argv[i], nullptr, 10);
     }
   }
-  const RecoveryCounters counters_before = recovery_counters();
   const Shape3 shape = cube(n);
   const std::size_t splits = 8;
 
@@ -118,7 +113,7 @@ int main(int argc, char** argv) {
     t.row({"phase 2: receive", TextTable::fmt(timing.d2h2_ms)});
     t.row({"total", TextTable::fmt(timing.total_ms())});
     t.print(std::cout);
-    if (faults) report_recovery(counters_before);
+    if (faults) report_recovery(dev.health());
     return verify(data, input, shape);
   }
 
@@ -168,7 +163,7 @@ int main(int argc, char** argv) {
                "its device; only the host-staged all-to-all crosses "
                "PCIe.\n";
   if (faults) {
-    report_recovery(counters_before);
+    report_recovery(group.health_sum());
     std::cout << "surviving cards: " << group.alive_count() << " of "
               << devices << "\n";
   }

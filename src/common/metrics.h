@@ -1,12 +1,12 @@
 // Numerical-accuracy metrics used by tests and the verification paths of the
-// examples (relative L2 error, max absolute error), plus the process-wide
-// recovery counters the fault-recovery policies report through.
+// examples (relative L2 error, max absolute error), plus the latency
+// percentiles serving reports quote. Recovery actions are counted per
+// device, in sim::DeviceHealth (sim/health.h).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -14,68 +14,6 @@
 #include "common/complex.h"
 
 namespace repro {
-
-/// How often each recovery policy had to act. Process-wide running totals
-/// (the simulator is single-threaded): the staging layer counts transient
-/// re-stages and checksum-failure re-stages, the registry/cache count
-/// watermark and out-of-memory evictions and post-eviction retries, and
-/// the sharded plans count device-lost failovers. Tests read deltas around
-/// the operation under test; reset() re-zeroes everything.
-struct RecoveryCounters {
-  std::uint64_t transient_retries = 0;      ///< re-stages after a transient
-  std::uint64_t corruption_restages = 0;    ///< re-stages after bad checksum
-  std::uint64_t oom_evictions = 0;          ///< plans/blocks evicted on OOM
-  std::uint64_t oom_retries = 0;            ///< allocations retried post-evict
-  std::uint64_t watermark_evictions = 0;    ///< evictions to hold a watermark
-  std::uint64_t device_lost_failovers = 0;  ///< sharded re-shard recoveries
-  std::uint64_t verify_failures = 0;        ///< ABFT result checks failed
-  std::uint64_t verify_recomputes = 0;      ///< bounded recomputes after those
-
-  void reset() { *this = RecoveryCounters{}; }
-
-  /// Field-wise difference (this - base); both sides must come from the
-  /// same monotonic stream (the process-wide instance).
-  [[nodiscard]] RecoveryCounters minus(const RecoveryCounters& base) const {
-    RecoveryCounters d;
-    d.transient_retries = transient_retries - base.transient_retries;
-    d.corruption_restages = corruption_restages - base.corruption_restages;
-    d.oom_evictions = oom_evictions - base.oom_evictions;
-    d.oom_retries = oom_retries - base.oom_retries;
-    d.watermark_evictions = watermark_evictions - base.watermark_evictions;
-    d.device_lost_failovers =
-        device_lost_failovers - base.device_lost_failovers;
-    d.verify_failures = verify_failures - base.verify_failures;
-    d.verify_recomputes = verify_recomputes - base.verify_recomputes;
-    return d;
-  }
-};
-
-/// The process-wide counter instance.
-inline RecoveryCounters& recovery_counters() {
-  static RecoveryCounters counters;
-  return counters;
-}
-
-/// Scoped snapshot/delta view over the process-wide recovery counters.
-/// The counters are monotonic totals, so code that reports "recoveries
-/// during this operation" must difference around the operation — and with
-/// pipelined/batched runs several volume contexts are in flight at once,
-/// so each caller needs its own anchor rather than a shared reset().
-/// Construct a scope before the operation, read delta() after; rebase()
-/// re-anchors the same scope for the next window.
-class RecoveryScope {
- public:
-  RecoveryScope() : base_(recovery_counters()) {}
-
-  /// Counters accrued since construction (or the last rebase()).
-  [[nodiscard]] RecoveryCounters delta() const {
-    return recovery_counters().minus(base_);
-  }
-  void rebase() { base_ = recovery_counters(); }
-
- private:
-  RecoveryCounters base_;
-};
 
 /// Order statistic of `samples` (copied: the input is left unsorted).
 /// `q` in [0, 1]; linear interpolation between ranks, so q=0.5 on an even

@@ -21,9 +21,6 @@ class Batch1DFftT final : public PlanBaseT<T> {
 
   std::vector<StepTiming> execute_impl(DeviceBuffer<cx<T>>& data) override;
 
-  /// No ping-pong buffer: the fine kernel exchanges through shared memory.
-  [[nodiscard]] std::size_t workspace_bytes() const override { return 0; }
-
   [[nodiscard]] std::size_t n() const { return this->desc_.shape.nx; }
   [[nodiscard]] std::size_t count() const { return this->desc_.shape.ny; }
 

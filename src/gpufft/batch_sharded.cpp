@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/metrics.h"
 #include "gpufft/registry.h"
 
 namespace repro::gpufft {
@@ -93,10 +92,10 @@ BatchDealTiming BatchShardedFft3DPlan::execute_batch(
           bt.volume_member[k] = static_cast<int>(d);
           bt.volume_done_ms[k] = group_->device(d).elapsed_ms() - t0;
           break;
-        } catch (const sim::DeviceLostError&) {
+        } catch (const sim::DeviceLostError& e) {
           alive = group_->schedulable_members();
           if (alive.empty() || snapshot.empty()) throw;
-          ++recovery_counters().device_lost_failovers;
+          ++group_->device(e.device()).health().device_lost_failovers;
           std::copy(snapshot.begin(), snapshot.end(), data.begin());
           // Re-deal this volume to the next survivor in rotation.
         }
@@ -141,7 +140,7 @@ double batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
 BatchChoice choose_batch_strategy(const ShardPhases& p,
                                   const sim::GpuSpec& spec, std::size_t n,
                                   std::size_t shards, std::size_t devices,
-                                  std::size_t batch, BatchMode mode) {
+                                  std::size_t batch) {
   BatchChoice c;
   c.deal_ms = batch_model_ms(p, spec, n, shards, devices, batch);
   // The sharded plan falls back to the largest member prefix dividing
@@ -151,7 +150,7 @@ BatchChoice choose_batch_strategy(const ShardPhases& p,
          (shards % usable != 0 || (n / shards) % usable != 0)) {
     --usable;
   }
-  c.shard_ms = sharded_batch_model_ms(p, spec, n, shards, usable, batch, mode);
+  c.shard_ms = sharded_batch_model_ms(p, spec, n, shards, usable, batch);
   c.strategy =
       c.deal_ms <= c.shard_ms ? BatchStrategy::Deal : BatchStrategy::Shard;
   return c;
@@ -161,14 +160,13 @@ BatchChoice choose_batch_strategy(const ShardPhases& p,
                                   const sim::GpuSpec& spec,
                                   const sim::Topology& topo, Direction dir,
                                   std::size_t n, std::size_t shards,
-                                  std::size_t devices, std::size_t batch,
-                                  BatchMode mode) {
+                                  std::size_t devices, std::size_t batch) {
   const ShardLayout lay =
       shard_layout(topo, n, shards, devices, Decomposition::Pencil);
   if (lay.exchange == Exchange::HostStaged) {
     // No peer path: the host-staged models (including the exact
     // pipelined replay) already describe this fabric.
-    return choose_batch_strategy(p, spec, n, shards, devices, batch, mode);
+    return choose_batch_strategy(p, spec, n, shards, devices, batch);
   }
   BatchChoice c;
   c.deal_ms = batch_model_ms(p, spec, n, shards, devices, batch);

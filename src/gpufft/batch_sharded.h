@@ -81,12 +81,6 @@ class BatchShardedFft3DPlan final : public PlanBaseT<float> {
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
-  /// Two slab staging buffers per member device.
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return group_->size() * 2 * n_ * n_ * std::max(n_ / shards_, shards_) *
-           sizeof(cxf);
-  }
-
   [[nodiscard]] sim::DeviceGroup& group() const { return *group_; }
   [[nodiscard]] std::size_t n() const { return n_; }
   [[nodiscard]] std::size_t shards() const { return shards_; }
@@ -136,13 +130,11 @@ struct BatchChoice {
 /// of `devices` cards, from the closed-form models alone (no execution).
 /// `p` must be probed on the bridge-derated member spec. The sharded side
 /// uses the largest member prefix that divides both phase extents (the
-/// same fallback the sharded plan applies), and `mode` selects its serial
-/// or pipelined batch model.
+/// same fallback the sharded plan applies) with the pipelined batch model.
 BatchChoice choose_batch_strategy(const ShardPhases& p,
                                   const sim::GpuSpec& spec, std::size_t n,
                                   std::size_t shards, std::size_t devices,
-                                  std::size_t batch,
-                                  BatchMode mode = BatchMode::Pipelined);
+                                  std::size_t batch);
 
 /// Topology-aware variant: when the fabric resolves a peer layout, the
 /// shard side is modeled with topology_model_ms over the decomposition
@@ -156,7 +148,6 @@ BatchChoice choose_batch_strategy(const ShardPhases& p,
                                   const sim::GpuSpec& spec,
                                   const sim::Topology& topo, Direction dir,
                                   std::size_t n, std::size_t shards,
-                                  std::size_t devices, std::size_t batch,
-                                  BatchMode mode = BatchMode::Pipelined);
+                                  std::size_t devices, std::size_t batch);
 
 }  // namespace repro::gpufft

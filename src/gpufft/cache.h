@@ -25,9 +25,10 @@
 // watermark the cache evicts its idle resources (unleased arena blocks,
 // twiddle tables no live plan references) instead of growing, and any
 // allocation that still lands on OutOfDeviceMemory triggers one
-// evict-and-retry before the error propagates. With the watermark off
-// (the default) the arena behaves exactly as before — grow-in-place,
-// never shrink — so existing peak statistics are undisturbed.
+// evict-and-retry before the error propagates; both are counted on the
+// device's DeviceHealth ledger. With the watermark off (the default) the
+// arena behaves exactly as before — grow-in-place, never shrink — so
+// existing peak statistics are undisturbed.
 #pragma once
 
 #include <algorithm>
@@ -37,7 +38,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
 #include "gpufft/plan_desc.h"
 #include "gpufft/smallfft.h"
 #include "gpufft/types.h"
@@ -91,12 +91,9 @@ class ResourceCache {
       return it->second;
     }
     ++twiddle_uploads_;
-    if (watermark_ != 0 &&
-        dev_.allocated_bytes() + n * sizeof(cx<T>) > watermark_) {
-      recovery_counters().watermark_evictions += trim_idle().items;
-    }
+    make_room(n * sizeof(cx<T>));
     auto table = std::make_shared<const DeviceBuffer<cx<T>>>(
-        upload_roots_with_retry<T>(n, dir));
+        with_oom_retry([&] { return upload_roots<T>(dev_, n, dir); }));
     map.emplace(key, table);
     return table;
   }
@@ -282,16 +279,8 @@ class ResourceCache {
     }
     if (best != nullptr) return *best;
 
-    auto alloc_with_recovery = [&] {
-      try {
-        return dev_.alloc<cx<T>>(count);
-      } catch (const sim::OutOfDeviceMemory&) {
-        const TrimResult t = trim_idle();
-        if (t.items == 0) throw;
-        recovery_counters().oom_evictions += t.items;
-        ++recovery_counters().oom_retries;
-        return dev_.alloc<cx<T>>(count);  // a second failure propagates
-      }
+    const auto alloc = [&] {
+      return with_oom_retry([&] { return dev_.alloc<cx<T>>(count); });
     };
 
     if (largest_free != nullptr) {
@@ -304,11 +293,9 @@ class ResourceCache {
         // Under a watermark, free the stale buffer before growing so the
         // transient footprint never holds old + new at once.
         block->buf = DeviceBuffer<cx<T>>();
-        if (dev_.allocated_bytes() + count * sizeof(cx<T>) > watermark_) {
-          recovery_counters().watermark_evictions += trim_idle().items;
-        }
+        make_room(count * sizeof(cx<T>));
       }
-      block->buf = alloc_with_recovery();
+      block->buf = alloc();
       ++workspace_allocs_;
       if (std::find(pool.begin(), pool.end(), block) == pool.end()) {
         pool.push_back(block);  // a trim dropped it; re-adopt
@@ -316,27 +303,34 @@ class ResourceCache {
       return block;
     }
 
-    if (watermark_ != 0 &&
-        dev_.allocated_bytes() + count * sizeof(cx<T>) > watermark_) {
-      recovery_counters().watermark_evictions += trim_idle().items;
-    }
+    make_room(count * sizeof(cx<T>));
     auto block = std::make_shared<Block<T>>();
-    block->buf = alloc_with_recovery();
+    block->buf = alloc();
     ++workspace_allocs_;
     pool.push_back(block);
     return block;
   }
 
-  template <typename T>
-  DeviceBuffer<cx<T>> upload_roots_with_retry(std::size_t n, Direction dir) {
+  /// Under an armed watermark, evict idle resources before an allocation
+  /// of `bytes` would push the device past it.
+  void make_room(std::size_t bytes) {
+    if (watermark_ != 0 && dev_.allocated_bytes() + bytes > watermark_) {
+      dev_.health().watermark_evictions += trim_idle().items;
+    }
+  }
+
+  /// Run the allocation `alloc`; on OutOfDeviceMemory evict idle
+  /// resources and retry once (a second failure propagates).
+  template <typename Alloc>
+  auto with_oom_retry(Alloc&& alloc) {
     try {
-      return upload_roots<T>(dev_, n, dir);
+      return alloc();
     } catch (const sim::OutOfDeviceMemory&) {
       const TrimResult t = trim_idle();
       if (t.items == 0) throw;
-      recovery_counters().oom_evictions += t.items;
-      ++recovery_counters().oom_retries;
-      return upload_roots<T>(dev_, n, dir);
+      dev_.health().oom_evictions += t.items;
+      ++dev_.health().oom_retries;
+      return alloc();
     }
   }
 

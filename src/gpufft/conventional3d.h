@@ -72,10 +72,6 @@ class ConventionalFft3D final : public PlanBaseT<float> {
 
   std::vector<StepTiming> execute_impl(DeviceBuffer<cxf>& data) override;
 
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return desc_.shape.volume() * sizeof(cxf);
-  }
-
   [[nodiscard]] Shape3 shape() const { return desc_.shape; }
 
  private:

@@ -124,11 +124,6 @@ class Convolution3D final : public PlanBaseT<float> {
   [[nodiscard]] Shape3 shape() const { return desc_.shape; }
   [[nodiscard]] Layout layout() const { return desc_.layout; }
 
-  /// Resident filter spectrum + signal staging + argmax partials.
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return (2 * desc_.buffer_elements() + grid_) * sizeof(cxf);
-  }
-
  private:
   /// Shared pipeline: leaves the score volume in signal_.
   void correlate_on_device(std::span<const cxf> signal);

@@ -1,6 +1,6 @@
 #include "gpufft/fft_plan.h"
 
-#include <cstring>
+#include <algorithm>
 #include <utility>
 
 #include "gpufft/cache.h"
@@ -36,69 +36,13 @@ void finish_accumulation(std::vector<StepTiming>& total,
 template <typename T>
 std::vector<StepTiming> FftPlanT<T>::execute(DeviceBuffer<cx<T>>& data) {
   if (policy_.verify == VerifyPolicy::Off) return execute_impl(data);
-  return execute_verified(data);
-}
-
-template <typename T>
-std::vector<StepTiming> FftPlanT<T>::execute_verified(
-    DeviceBuffer<cx<T>>& data) {
+  // The retained input is restored with a real (timed) re-upload.
   Device& dev = device();
-  const PlanDesc& d = desc();
   const std::size_t elems = std::min(this->buffer_elements(), data.size());
-  // Retain the input host-side so a failed check can recompute; the
-  // restore below is a real (timed) re-upload of the caller's data.
-  const std::vector<cx<T>> input(data.data(), data.data() + elems);
-  const auto spec = parseval_spec(d);
-  double e_in = 0.0;
-  if (policy_.verify == VerifyPolicy::Parseval && spec.has_value()) {
-    e_in = side_energy<T>(input.data(), d, spec->in_hermitian);
-  }
-  const std::size_t points = d.shape.volume();
-  auto restore = [&] { dev.h2d(data, std::span<const cx<T>>(input)); };
-
-  for (int attempt = 1;; ++attempt) {
-    std::vector<StepTiming> steps;
-    double expected = 0.0;
-    double observed = 0.0;
-    const char* failed_check;
-    try {
-      steps = execute_impl(data);
-      if (policy_.verify == VerifyPolicy::Parseval) {
-        // A plan without a closed-form invariant passes trivially.
-        if (!spec.has_value()) return steps;
-        expected = spec->scale * e_in;
-        observed = side_energy<T>(data.data(), d, spec->out_hermitian);
-        if (parseval_ok<T>(expected, observed, points)) return steps;
-        failed_check = "parseval";
-      } else {
-        // Full: run it again from the retained input and require the two
-        // outputs to agree bitwise. Twice the time, total certainty.
-        const std::vector<cx<T>> first(data.data(), data.data() + elems);
-        restore();
-        execute_impl(data);
-        if (std::memcmp(first.data(), data.data(),
-                        elems * sizeof(cx<T>)) == 0) {
-          return steps;
-        }
-        failed_check = "full-recompute";
-      }
-    } catch (const sim::ResultVerificationError&) {
-      // A per-pass check deep in a streamed pipeline already failed and
-      // attributed the incident; recompute from the retained input.
-      if (attempt >= policy_.verify_attempts) throw;
-      ++recovery_counters().verify_recomputes;
-      restore();
-      continue;
-    }
-    ++dev.health().verify_failures;
-    ++recovery_counters().verify_failures;
-    if (attempt >= policy_.verify_attempts) {
-      throw sim::ResultVerificationError(dev.device_ref(), failed_check,
-                                         expected, observed, attempt);
-    }
-    ++recovery_counters().verify_recomputes;
-    restore();
-  }
+  return verified_span_run<T>(
+      dev, policy_, desc(), std::span<cx<T>>(data.data(), elems),
+      [&] { return execute_impl(data); },
+      [&](std::span<const cx<T>> input) { dev.h2d(data, input); });
 }
 
 template <typename T>

@@ -124,9 +124,6 @@ class FftPlanT {
     return desc().buffer_elements();
   }
 
-  /// Workspace bytes one execute() leases from the cache arena.
-  [[nodiscard]] virtual std::size_t workspace_bytes() const = 0;
-
   /// Total simulated milliseconds of the last execute()/execute_batch().
   [[nodiscard]] virtual double last_total_ms() const = 0;
 
@@ -137,7 +134,6 @@ class FftPlanT {
   virtual std::vector<StepTiming> execute_impl(DeviceBuffer<cx<T>>& data) = 0;
 
  private:
-  std::vector<StepTiming> execute_verified(DeviceBuffer<cx<T>>& data);
   std::vector<StepTiming> execute_batch_host_impl(
       std::span<const std::span<cx<T>>> volumes);
 

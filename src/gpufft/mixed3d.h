@@ -36,10 +36,6 @@ class MixedFft3DT final : public PlanBaseT<T> {
   /// callers always hand over (and get back) a dense volume.
   std::vector<StepTiming> execute_host(std::span<cx<T>> data) override;
 
-  /// Per-line working state lives in thread-local storage; no global
-  /// workspace is leased.
-  [[nodiscard]] std::size_t workspace_bytes() const override { return 0; }
-
   /// Element pitch between consecutive X rows (the tuned layout).
   [[nodiscard]] std::size_t row_pitch() const { return this->desc_.row_pitch(); }
 

@@ -96,10 +96,6 @@ class NaiveFft3D final : public PlanBaseT<float> {
 
   std::vector<StepTiming> execute_impl(DeviceBuffer<cxf>& data) override;
 
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return desc_.shape.volume() * sizeof(cxf);
-  }
-
  private:
   unsigned grid_;
 };

@@ -171,11 +171,6 @@ class OutOfCoreFft3D final : public PlanBaseT<float> {
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
-  /// Two slab staging buffers (double-buffered) leased during execute.
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return 2 * n_ * n_ * std::max(n_ / splits_, splits_) * sizeof(cxf);
-  }
-
   [[nodiscard]] std::size_t n() const { return n_; }
   [[nodiscard]] std::size_t splits() const { return splits_; }
 

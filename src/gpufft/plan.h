@@ -79,11 +79,6 @@ class BandwidthFft3DT final : public PlanBaseT<T> {
   /// Returns per-step timings (Table 7 rows).
   std::vector<StepTiming> execute_impl(DeviceBuffer<cx<T>>& data) override;
 
-  /// One full-volume ping-pong buffer, leased during execute().
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return this->desc_.shape.volume() * sizeof(cx<T>);
-  }
-
   [[nodiscard]] Shape3 shape() const { return this->desc_.shape; }
   [[nodiscard]] Direction direction() const { return this->desc_.dir; }
 

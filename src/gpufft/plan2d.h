@@ -28,10 +28,6 @@ class BandwidthFft2DT final : public PlanBaseT<T> {
   /// Transform one field (natural x-fastest layout) in place.
   std::vector<StepTiming> execute_impl(DeviceBuffer<cx<T>>& data) override;
 
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return this->desc_.shape.volume() * sizeof(cx<T>);
-  }
-
   [[nodiscard]] Shape2 shape() const {
     return Shape2{this->desc_.shape.nx, this->desc_.shape.ny};
   }

@@ -83,11 +83,6 @@ class RealFft3DT final : public PlanBaseT<T> {
   /// at least buffer_elements() == (nx/2+1)*ny*nz complex elements.
   std::vector<StepTiming> execute_impl(DeviceBuffer<cx<T>>& data) override;
 
-  /// One half-spectrum ping-pong buffer, leased during execute().
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return this->desc_.buffer_elements() * sizeof(cx<T>);
-  }
-
   [[nodiscard]] Shape3 shape() const { return this->desc_.shape; }
   [[nodiscard]] Direction direction() const { return this->desc_.dir; }
 

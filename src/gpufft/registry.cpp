@@ -271,7 +271,7 @@ std::shared_ptr<FftPlanT<T>> PlanRegistry::build_plan(const PlanDesc& desc) {
         e.add_context("while building plan [" + desc.to_string() + "]");
         throw;
       }
-      ++recovery_counters().oom_retries;
+      ++dev_.health().oom_retries;
     }
   }
 }
@@ -326,10 +326,11 @@ bool PlanRegistry::evict_for_memory(bool watermark_driven) {
   // so its tables are now reclaimable.
   trim_caches(trimmed);
   const std::size_t items = trimmed.items + (dropped_plan ? 1 : 0);
+  // A group registry charges its evictions to its primary device.
   if (watermark_driven) {
-    recovery_counters().watermark_evictions += items;
+    dev_.health().watermark_evictions += items;
   } else {
-    recovery_counters().oom_evictions += items;
+    dev_.health().oom_evictions += items;
   }
   return dropped_plan || trimmed.items != 0;
 }

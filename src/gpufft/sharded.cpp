@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "common/metrics.h"
 #include "fft/factor.h"
 #include "gpufft/cache.h"
 #include "gpufft/real3d.h"
@@ -232,10 +231,10 @@ ShardedTiming ShardedExecutor::execute(std::span<cxf> host_data) {
           for (;;) {
             try {
               return run_on(r.members, r.layout, host_data);
-            } catch (const sim::DeviceLostError&) {
+            } catch (const sim::DeviceLostError& e) {
               ResolvedShard next = resolve();
               if (next.members.empty() || snapshot.empty()) throw;
-              ++recovery_counters().device_lost_failovers;
+              ++group_->device(e.device()).health().device_lost_failovers;
               std::copy(snapshot.begin(), snapshot.end(), host_data.begin());
               r = std::move(next);
             }
@@ -865,10 +864,10 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
           bt.volume_done_ms.push_back(c.max_tail_ms() - t0);
           ++p2;
         }
-      } catch (const sim::DeviceLostError&) {
+      } catch (const sim::DeviceLostError& e) {
         ResolvedShard next = resolve(group_->schedulable_members());
         if (next.members.empty() || (!do_p1 && snapshot.empty())) throw;
-        ++recovery_counters().device_lost_failovers;
+        ++group_->device(e.device()).health().device_lost_failovers;
         // The lost card's streams are dead; drop every context (RAII
         // folds the surviving timelines) and rebuild on the survivors.
         for (auto& c : ctx) c.reset();
@@ -1077,11 +1076,10 @@ double sharded_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
 
 double sharded_batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
                               std::size_t n, std::size_t shards,
-                              std::size_t devices, std::size_t batch,
-                              BatchMode mode) {
-  const double m1 = sharded_model_ms(p, spec, n, shards, devices);
-  if (mode == BatchMode::Serial || batch <= 1) {
-    return static_cast<double>(batch) * m1;
+                              std::size_t devices, std::size_t batch) {
+  if (batch <= 1) {
+    return static_cast<double>(batch) *
+           sharded_model_ms(p, spec, n, shards, devices);
   }
   // Every candidate issue order (phase-1 lookahead 0..contexts-1)
   // replayed through the scheduler's queueing discipline; the scheduler

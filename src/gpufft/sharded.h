@@ -289,12 +289,6 @@ class ShardedExecutor : public PlanBaseT<float> {
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
-  /// Two slab staging buffers per member device.
-  [[nodiscard]] std::size_t workspace_bytes() const override {
-    return group_->size() * 2 * planes_.plane() *
-           std::max(n_ / shards_, shards_) * sizeof(cxf);
-  }
-
   [[nodiscard]] sim::DeviceGroup& group() const { return *group_; }
   [[nodiscard]] std::size_t n() const { return n_; }
   [[nodiscard]] std::size_t shards() const { return shards_; }
@@ -397,11 +391,11 @@ class ShardedFft3DPlan final : public ShardedExecutor {
 
   /// Many volumes through the fleet. Pipelined (the default) overlaps
   /// volume k's exchange + phase 2 with volume k+1's phase 1; Serial is
-  /// the back-to-back schedule (kept for A/B tests and the model
-  /// cross-check). Both are bit-identical. Survives DeviceLost mid-batch:
-  /// completed volumes keep their results, the failing volume restores
-  /// from its snapshot and re-shards over the survivors, and the rest of
-  /// the batch continues on the reduced fleet.
+  /// the back-to-back schedule (the bit-identity reference, and the path
+  /// verified batches take). Both are bit-identical. Survives DeviceLost
+  /// mid-batch: completed volumes keep their results, the failing volume
+  /// restores from its snapshot and re-shards over the survivors, and the
+  /// rest of the batch continues on the reduced fleet.
   ShardedBatchTiming execute_batch(std::span<const std::span<cxf>> volumes,
                                    BatchMode mode = BatchMode::Pipelined);
 
@@ -478,19 +472,18 @@ double sharded_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
                         std::size_t n, std::size_t shards,
                         std::size_t devices);
 
-/// Closed-form makespan of `batch` volumes through the sharded schedule
-/// on a homogeneous group. Serial: batch x the single-volume model.
-/// Pipelined: every candidate issue order (phase-1 lookahead 0 — whole
-/// volumes back to back — through kPipelineContexts-1 volumes of
-/// phase 1 issued ahead of the oldest pending exchange) is replayed
-/// through the engine scheduler's queueing discipline and the minimum is
-/// returned — the scheduler picks its order from the same replays, so
-/// the minimum is what actually runs. Cross-checked against the
-/// scheduler by bench_sharded and the batch tests.
+/// Closed-form makespan of `batch` volumes through the pipelined sharded
+/// schedule on a homogeneous group: every candidate issue order (phase-1
+/// lookahead 0 — whole volumes back to back — through
+/// kPipelineContexts-1 volumes of phase 1 issued ahead of the oldest
+/// pending exchange) is replayed through the engine scheduler's queueing
+/// discipline and the minimum is returned — the scheduler picks its
+/// order from the same replays, so the minimum is what actually runs.
+/// Cross-checked against the scheduler by bench_sharded and the batch
+/// tests.
 double sharded_batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
                               std::size_t n, std::size_t shards,
-                              std::size_t devices, std::size_t batch,
-                              BatchMode mode = BatchMode::Pipelined);
+                              std::size_t devices, std::size_t batch);
 
 /// Closed-form makespan of the topology-aware sharded schedule for
 /// `devices` homogeneous cards on `topo`, preferring `decomp`. Resolves

@@ -28,9 +28,9 @@
 // (ExecPolicy::verify_attempts, StagePolicy-style) before surfacing a
 // typed sim::ResultVerificationError; a recovered run's results are
 // bit-identical to an undisturbed run (the simulator is deterministic).
-// Failures and recomputes are attributed to the executing device's
-// DeviceHealth (sim/health.h) — the quarantine sweep's raw material — and
-// to the process-wide recovery_counters().
+// Failures and recomputes are counted once, on the executing device's
+// DeviceHealth ledger (sim/health.h) — the quarantine sweep's raw
+// material. Every entry point runs the same loop, verified_span_run.
 //
 // Why energy catches the injected corruption reliably: KernelCorrupt
 // scales one element by 2^40 (sim/kernel.h), an energy excursion of ~2^80
@@ -259,22 +259,23 @@ double span_energy(std::span<const cx<T>> data) {
 [[noreturn]] inline void fail_pass_check(Device& dev, const char* check,
                                          double expected, double observed) {
   ++dev.health().verify_failures;
-  ++recovery_counters().verify_failures;
   throw sim::ResultVerificationError(dev.device_ref(), check, expected,
                                      observed, 1);
 }
 
-/// The ExecPolicy verify/recompute loop for host-span plan entry points
-/// (out-of-core, sharded) — the span-side twin of the device-buffer
-/// wrapper in FftPlanT::execute. `run` executes the plan body over `data`
-/// in place and returns its timing object. Restoring the input is a host
-/// copy (zero simulated time — the rerun re-stages it through the timed
-/// transfer path itself). `dev` takes the attribution when the failure
-/// was not already pinned to a specific member by a per-pass check.
-template <typename T, typename Run>
+/// The one ExecPolicy verify/recompute loop, shared by every plan entry
+/// point. `run` executes the plan body over `data` in place and returns
+/// its timing object; `restore(input)` puts the retained input back into
+/// the plan's input — a timed re-upload for a device buffer
+/// (FftPlanT::execute), a host copy for a host span (out-of-core,
+/// sharded: the rerun re-stages it through the timed transfer path
+/// itself). `dev` takes the attribution when the failure was not already
+/// pinned to a specific member by a per-pass check, and is charged every
+/// recompute.
+template <typename T, typename Run, typename Restore>
 auto verified_span_run(Device& dev, const ExecPolicy& policy,
-                       const PlanDesc& desc, std::span<cx<T>> data, Run&& run)
-    -> std::invoke_result_t<Run&> {
+                       const PlanDesc& desc, std::span<cx<T>> data, Run&& run,
+                       Restore&& restore) -> std::invoke_result_t<Run&> {
   if (policy.verify == VerifyPolicy::Off) return run();
   const std::vector<cx<T>> input(data.begin(), data.end());
   const auto spec = parseval_spec(desc);
@@ -283,8 +284,9 @@ auto verified_span_run(Device& dev, const ExecPolicy& policy,
     e_in = side_energy<T>(input.data(), desc, spec->in_hermitian);
   }
   const std::size_t points = desc.shape.volume();
-  const auto restore = [&] {
-    std::copy(input.begin(), input.end(), data.begin());
+  const auto recompute = [&] {
+    ++dev.health().verify_recomputes;
+    restore(std::span<const cx<T>>(input));
   };
 
   for (int attempt = 1;; ++attempt) {
@@ -301,33 +303,41 @@ auto verified_span_run(Device& dev, const ExecPolicy& policy,
         if (parseval_ok<T>(expected, observed, points)) return result;
         failed_check = "parseval";
       } else {
-        // Full: run again from the retained input, require bitwise
-        // agreement.
+        // Full: run it again from the retained input and require the two
+        // outputs to agree bitwise. Twice the time, total certainty.
         const std::vector<cx<T>> first(data.begin(), data.end());
-        restore();
+        restore(std::span<const cx<T>>(input));
         run();
-        if (std::memcmp(first.data(), data.data(),
-                        data.size() * sizeof(cx<T>)) == 0) {
+        if (std::memcmp(first.data(), data.data(), data.size_bytes()) == 0) {
           return result;
         }
         failed_check = "full-recompute";
       }
     } catch (const sim::ResultVerificationError&) {
-      // A per-pass check already failed and attributed the incident.
+      // A per-pass check deep in a streamed pipeline already failed and
+      // attributed the incident; recompute from the retained input.
       if (attempt >= policy.verify_attempts) throw;
-      ++recovery_counters().verify_recomputes;
-      restore();
+      recompute();
       continue;
     }
     ++dev.health().verify_failures;
-    ++recovery_counters().verify_failures;
     if (attempt >= policy.verify_attempts) {
       throw sim::ResultVerificationError(dev.device_ref(), failed_check,
                                          expected, observed, attempt);
     }
-    ++recovery_counters().verify_recomputes;
-    restore();
+    recompute();
   }
+}
+
+/// verified_span_run over a host span, restored by host copy.
+template <typename T, typename Run>
+auto verified_span_run(Device& dev, const ExecPolicy& policy,
+                       const PlanDesc& desc, std::span<cx<T>> data, Run&& run)
+    -> std::invoke_result_t<Run&> {
+  return verified_span_run<T>(
+      dev, policy, desc, data, run, [data](std::span<const cx<T>> input) {
+        std::copy(input.begin(), input.end(), data.begin());
+      });
 }
 
 }  // namespace repro::gpufft

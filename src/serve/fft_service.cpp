@@ -105,8 +105,7 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
       // the fabric (peer layouts shard wider and skip the bridge).
       const gpufft::BatchChoice choice = gpufft::choose_batch_strategy(
           phases_for(desc), group_.device(0).spec(), group_.topo(), desc.dir,
-          n, desc.splits, group_.schedulable_count(), batch.size(),
-          cfg_.mode);
+          n, desc.splits, group_.schedulable_count(), batch.size());
       strategy = choice.strategy;
       if (choice.strategy == BatchStrategy::Deal) {
         auto plan = std::dynamic_pointer_cast<gpufft::BatchShardedFft3DPlan>(
@@ -120,7 +119,7 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
             reg.get_or_create(desc));
         REPRO_CHECK(plan != nullptr);
         plan->set_exec_policy(cfg_.exec);
-        done = plan->execute_batch(spans, cfg_.mode).volume_done_ms;
+        done = plan->execute_batch(spans).volume_done_ms;
       }
     } else {
       REPRO_FAIL(
@@ -238,10 +237,9 @@ ServiceReport FftService::run() {
   rep.rejected_bytes = rejected_bytes_;
   rep.max_queue_depth = peak_queue_depth_;
   const double t_begin = group_.elapsed_ms();
-  // Scoped counter deltas: pipelined/batched executions bump the
-  // process-wide counters from interleaved recovery paths, so the report
-  // must difference a snapshot, never read absolutes.
-  const RecoveryScope scope;
+  // The members' ledgers accrue over the group's lifetime; this run's
+  // counts are their difference around it.
+  const sim::DeviceHealth health0 = group_.health_sum();
   const std::uint64_t quarantines0 = group_.quarantines_total();
   const std::uint64_t reinstatements0 = group_.reinstatements_total();
 
@@ -296,10 +294,12 @@ ServiceReport FftService::run() {
     if (!any_quarantined) break;
     sweep_and_probe();
   }
-  const RecoveryCounters delta = scope.delta();
-  rep.device_lost_failovers = delta.device_lost_failovers;
-  rep.verify_failures = delta.verify_failures;
-  rep.verify_recomputes = delta.verify_recomputes;
+  const sim::DeviceHealth health = group_.health_sum();
+  rep.device_lost_failovers =
+      health.device_lost_failovers - health0.device_lost_failovers;
+  rep.verify_failures = health.verify_failures - health0.verify_failures;
+  rep.verify_recomputes =
+      health.verify_recomputes - health0.verify_recomputes;
   rep.quarantines = group_.quarantines_total() - quarantines0;
   rep.reinstatements = group_.reinstatements_total() - reinstatements0;
   rep.member_health.reserve(group_.size());

@@ -64,8 +64,6 @@ struct ServiceConfig {
   std::size_t byte_watermark = 0;
   /// Most volumes fused into one batch execution.
   std::size_t max_batch = 8;
-  /// Schedule for sharded batches (Pipelined overlaps the all-to-all).
-  gpufft::BatchMode mode = gpufft::BatchMode::Pipelined;
   /// Execution policy applied to every plan the service runs: the ABFT
   /// verification mode plus the staging retry budget. Validated at
   /// construction (sim::InvalidPolicyError names the bad field).

@@ -20,26 +20,13 @@ std::vector<GpuSpec> replicate(std::size_t count, const GpuSpec& spec) {
   return std::vector<GpuSpec>(count, spec);
 }
 
-/// Wrap the legacy aggregate-bandwidth struct into the tree topology it
-/// always described (the Topology base checks positivity).
-std::shared_ptr<Topology> wrap_legacy(const GroupTopology& topo,
-                                      std::size_t n) {
-  return std::make_shared<PcieTreeTopology>(n, topo.aggregate_h2d_gbs,
-                                            topo.aggregate_d2h_gbs);
-}
-
 }  // namespace
 
-DeviceGroup::DeviceGroup(std::vector<GpuSpec> specs, GroupTopology topo) {
-  REPRO_CHECK(!specs.empty());
-  REPRO_CHECK(topo.aggregate_h2d_gbs > 0.0 && topo.aggregate_d2h_gbs > 0.0);
-  interconnect_ = wrap_legacy(topo, specs.size());
-  build(std::move(specs));
-}
+DeviceGroup::DeviceGroup(std::vector<GpuSpec> specs)
+    : DeviceGroup(specs, std::make_shared<PcieTreeTopology>(specs.size())) {}
 
-DeviceGroup::DeviceGroup(std::size_t count, const GpuSpec& spec,
-                         GroupTopology topo)
-    : DeviceGroup(replicate(count, spec), topo) {}
+DeviceGroup::DeviceGroup(std::size_t count, const GpuSpec& spec)
+    : DeviceGroup(replicate(count, spec)) {}
 
 DeviceGroup::DeviceGroup(std::vector<GpuSpec> specs,
                          std::shared_ptr<Topology> topo)
@@ -48,16 +35,6 @@ DeviceGroup::DeviceGroup(std::vector<GpuSpec> specs,
   REPRO_CHECK(interconnect_ != nullptr);
   REPRO_CHECK_MSG(interconnect_->size() == specs.size(),
                   "topology size must match the device count");
-  build(std::move(specs));
-}
-
-DeviceGroup::DeviceGroup(std::size_t count, const GpuSpec& spec,
-                         std::shared_ptr<Topology> topo)
-    : DeviceGroup(replicate(count, spec), std::move(topo)) {}
-
-void DeviceGroup::build(std::vector<GpuSpec> specs) {
-  topo_ = {interconnect_->aggregate_h2d_gbs(),
-           interconnect_->aggregate_d2h_gbs()};
   devices_.reserve(specs.size());
   for (const GpuSpec& s : specs) {
     devices_.push_back(
@@ -66,6 +43,10 @@ void DeviceGroup::build(std::vector<GpuSpec> specs) {
   }
   member_health_.resize(devices_.size());
 }
+
+DeviceGroup::DeviceGroup(std::size_t count, const GpuSpec& spec,
+                         std::shared_ptr<Topology> topo)
+    : DeviceGroup(replicate(count, spec), std::move(topo)) {}
 
 double DeviceGroup::elapsed_ms() const {
   double ms = 0.0;
@@ -186,6 +167,12 @@ void DeviceGroup::note_failed_probe(std::size_t i) {
   REPRO_CHECK_MSG(st.quarantined, "probe verdict for a healthy member");
   st.clean_probes = 0;
   st.window_start = devices_[i]->health();
+}
+
+DeviceHealth DeviceGroup::health_sum() const {
+  DeviceHealth sum;
+  for (const auto& d : devices_) sum += d->health();
+  return sum;
 }
 
 std::size_t DeviceGroup::peak_bytes_in_flight() const {

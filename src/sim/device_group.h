@@ -59,25 +59,6 @@ struct HealthPolicy {
   std::uint64_t clean_probes_to_reinstate = 2;
 };
 
-/// Host-side interconnect shared by the members of a group: the chipset's
-/// aggregate PCIe throughput per direction, split evenly across members.
-struct GroupTopology {
-  double aggregate_h2d_gbs{12.8};  ///< bridge-wide host-to-device GB/s
-  double aggregate_d2h_gbs{12.8};  ///< bridge-wide device-to-host GB/s
-
-  /// A 2008-era PCIe 2.0 chipset: 32 lanes of usable upstream capacity,
-  /// ~12.8 GB/s sustained per direction shared by all slots.
-  [[nodiscard]] static GroupTopology pcie2_chipset() { return {}; }
-
-  /// No shared-bridge contention: every card keeps its full link rate
-  /// regardless of group size (an idealized topology for A/B studies).
-  /// kUnconstrainedGBs makes min(card rate, aggregate/N) always pick
-  /// the card's own rate without overflowing downstream arithmetic.
-  [[nodiscard]] static GroupTopology unshared() {
-    return {kUnconstrainedGBs, kUnconstrainedGBs};
-  }
-};
-
 /// Simulated duration of an on-device (cudaMemcpyDeviceToDevice) copy:
 /// the payload crosses DRAM twice (read + write) at the card's effective
 /// stream bandwidth. Used for the self-legs of a peer exchange, where a
@@ -100,14 +81,13 @@ struct PeerLeg {
 
 class DeviceGroup {
  public:
-  /// One Device per spec, PCIe rates derated against `topo`. Specs may be
+  /// One Device per spec behind the default PcieTreeTopology (a PCIe 2.0
+  /// chipset: ~12.8 GB/s per direction shared by all slots). Specs may be
   /// mixed (e.g. an 8800 GT next to an 8800 GTX).
-  explicit DeviceGroup(std::vector<GpuSpec> specs,
-                       GroupTopology topo = GroupTopology::pcie2_chipset());
+  explicit DeviceGroup(std::vector<GpuSpec> specs);
 
   /// Homogeneous convenience: `count` copies of `spec`.
-  DeviceGroup(std::size_t count, const GpuSpec& spec,
-              GroupTopology topo = GroupTopology::pcie2_chipset());
+  DeviceGroup(std::size_t count, const GpuSpec& spec);
 
   /// Pluggable-interconnect constructors: the topology must span exactly
   /// the group's device count. Host-bridge derating goes through
@@ -128,11 +108,13 @@ class DeviceGroup {
     REPRO_CHECK(i < devices_.size());
     return *devices_[i];
   }
-  [[nodiscard]] const GroupTopology& topology() const { return topo_; }
+  /// The member a typed error names (by its group ordinal).
+  [[nodiscard]] Device& device(const DeviceRef& ref) {
+    return device(static_cast<std::size_t>(ref.ordinal));
+  }
 
-  /// The interconnect model (never null; legacy GroupTopology ctors wrap
-  /// into a PcieTreeTopology). Mutable because link-FIFO reservations are
-  /// timing state, like the engine FIFOs inside Device.
+  /// The interconnect model (never null). Mutable because link-FIFO
+  /// reservations are timing state, like the engine FIFOs inside Device.
   [[nodiscard]] Topology& topo() { return *interconnect_; }
   [[nodiscard]] const Topology& topo() const { return *interconnect_; }
 
@@ -255,6 +237,10 @@ class DeviceGroup {
   bool note_clean_probe(std::size_t i);
   void note_failed_probe(std::size_t i);
 
+  /// Every member's recovery ledger summed: the group's recovery actions
+  /// and incidents, each counted once on the member that acted.
+  [[nodiscard]] DeviceHealth health_sum() const;
+
   /// Lifetime totals across sweeps, exported through ServiceReport.
   [[nodiscard]] std::uint64_t quarantines_total() const {
     return quarantines_total_;
@@ -362,9 +348,6 @@ class DeviceGroup {
     std::uint64_t clean_probes = 0;
   };
 
-  void build(std::vector<GpuSpec> specs);
-
-  GroupTopology topo_;  ///< legacy aggregate view, mirrors interconnect_
   std::shared_ptr<Topology> interconnect_;
   // unique_ptr: Device is pinned (streams and buffers hold raw pointers).
   std::vector<std::unique_ptr<Device>> devices_;

@@ -1,4 +1,4 @@
-// Shared-bridge PCIe tree: the PR 3 GroupTopology, now as a Topology.
+// Shared-bridge PCIe tree: the default DeviceGroup interconnect.
 #pragma once
 
 #include "sim/topology/topology.h"
@@ -7,8 +7,8 @@ namespace repro::sim {
 
 /// All cards hang off one host chipset; there are no peer links, so
 /// every exchange stages through host memory and the bridge derates
-/// each card to aggregate/N.  This is the behavior-preserving wrap of
-/// the legacy GroupTopology struct (same 12.8 GB/s PCIe 2.0 default).
+/// each card to aggregate/N. DeviceGroup(specs) and DeviceGroup(count,
+/// spec) build it with the 12.8 GB/s PCIe 2.0 default.
 class PcieTreeTopology final : public Topology {
  public:
   explicit PcieTreeTopology(std::size_t size, double aggregate_h2d_gbs = 12.8,

@@ -11,7 +11,6 @@
 #include <string>
 #include <utility>
 
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "gpufft/registry.h"
 #include "gpufft/sharded.h"
@@ -156,8 +155,8 @@ TEST(BatchSharded, BatchModelTracksPipelinedScheduler) {
       auto data = make_volumes(4, n, 404);
       auto spans = spans_of(data);
       const auto bt = plan.execute_batch(spans, BatchMode::Pipelined);
-      const double model = sharded_batch_model_ms(
-          phases, derated, n, shards, devices, 4, BatchMode::Pipelined);
+      const double model =
+          sharded_batch_model_ms(phases, derated, n, shards, devices, 4);
       const double err =
           std::abs(model - bt.makespan_ms) / bt.makespan_ms;
       EXPECT_LT(err, 0.05) << spec.name << " x" << devices
@@ -297,12 +296,14 @@ TEST(BatchSharded, PipelinedBatchSurvivesMidStreamDeviceLost) {
   sim::DeviceGroup fresh(4, sim::geforce_8800_gts());
   fresh.faults(2).arm(sim::FaultKind::DeviceLost, total / 2);
   ShardedFft3DPlan fplan(fresh, n, shards, Direction::Forward);
-  const auto before = recovery_counters().device_lost_failovers;
   auto data = inputs;
   auto spans = spans_of(data);
   const auto bt = fplan.execute_batch(spans, BatchMode::Pipelined);
   EXPECT_EQ(bt.volume_done_ms.size(), 4u);
-  EXPECT_GT(recovery_counters().device_lost_failovers, before);
+  // Charged to the lost member, not to the survivors.
+  EXPECT_GT(fresh.device(2).health().device_lost_failovers, 0u);
+  EXPECT_EQ(fresh.health_sum().device_lost_failovers,
+            fresh.device(2).health().device_lost_failovers);
   EXPECT_EQ(fresh.alive_count(), 3u);
   for (std::size_t k = 0; k < data.size(); ++k) {
     EXPECT_TRUE(bit_identical(data[k], ref[k])) << "volume=" << k;
@@ -326,11 +327,11 @@ TEST(BatchSharded, DealtBatchSurvivesMidStreamDeviceLost) {
   sim::DeviceGroup fresh(2, sim::geforce_8800_gts());
   fresh.faults(1).arm(sim::FaultKind::DeviceLost, total / 2);
   BatchShardedFft3DPlan fplan(fresh, n, shards, Direction::Forward);
-  const auto before = recovery_counters().device_lost_failovers;
   auto data = inputs;
   auto spans = spans_of(data);
   const auto bt = fplan.execute_batch(spans);
-  EXPECT_GT(recovery_counters().device_lost_failovers, before);
+  EXPECT_GT(fresh.device(1).health().device_lost_failovers, 0u);
+  EXPECT_EQ(fresh.device(0).health().device_lost_failovers, 0u);
   EXPECT_EQ(fresh.alive_count(), 1u);
   for (std::size_t k = 0; k < data.size(); ++k) {
     EXPECT_TRUE(bit_identical(data[k], ref[k])) << "volume=" << k;

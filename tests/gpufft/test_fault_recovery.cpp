@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "gpufft/cache.h"
 #include "gpufft/outofcore.h"
@@ -52,11 +51,11 @@ void expect_recovered_bit_identical(const PlanDesc& desc,
 
   Device dev(sim::geforce_8800_gts());
   auto plan = PlanRegistry::of(dev).get_or_create(desc);
-  const RecoveryCounters before = recovery_counters();
+  const sim::DeviceHealth before = dev.health();
   dev.faults().arm(kind, nth, count);
   std::vector<cxf> data = input;
   plan->execute_host(std::span<cxf>(data));
-  const RecoveryCounters after = recovery_counters();
+  const sim::DeviceHealth after = dev.health();
 
   EXPECT_TRUE(bit_identical(data, ref)) << desc.to_string();
   EXPECT_EQ(dev.faults().fired(kind), count) << desc.to_string();
@@ -113,17 +112,18 @@ TEST(FaultRecovery, ShardedTransientAndCorruptionAreBitIdentical) {
 
   sim::DeviceGroup group(2, sim::geforce_8800_gts());
   ShardedFft3DPlan plan(group, n, shards, Direction::Forward);
-  const RecoveryCounters before = recovery_counters();
   group.faults(1).arm(FaultKind::TransferTransient, 3, 3);
   group.faults(0).arm(FaultKind::TransferCorrupt, 2, 1);
   std::vector<cxf> data = input;
   plan.execute(std::span<cxf>(data));
-  const RecoveryCounters after = recovery_counters();
 
+  // Each recovery lands on the member whose link faulted.
   EXPECT_TRUE(bit_identical(data, ref));
-  EXPECT_EQ(after.transient_retries - before.transient_retries, 3u);
-  EXPECT_EQ(after.corruption_restages - before.corruption_restages, 1u);
-  EXPECT_EQ(after.device_lost_failovers, before.device_lost_failovers);
+  EXPECT_EQ(group.device(1).health().transient_retries, 3u);
+  EXPECT_EQ(group.device(0).health().transient_retries, 0u);
+  EXPECT_EQ(group.device(0).health().corruption_restages, 1u);
+  EXPECT_EQ(group.device(1).health().corruption_restages, 0u);
+  EXPECT_EQ(group.health_sum().device_lost_failovers, 0u);
 }
 
 TEST(FaultRecovery, ShardedRealTransientIsBitIdentical) {
@@ -178,15 +178,14 @@ TEST(FaultRecovery, DeviceLostAtAnyPhaseYieldsBitIdenticalResult) {
   for (const std::uint64_t nth : {std::uint64_t{1}, ops / 2, ops}) {
     sim::DeviceGroup group(2, sim::geforce_8800_gts());
     ShardedFft3DPlan plan(group, n, shards, Direction::Forward);
-    const RecoveryCounters before = recovery_counters();
     group.faults(1).arm(FaultKind::DeviceLost, nth);
     std::vector<cxf> data = input;
     const ShardedTiming t = plan.execute(std::span<cxf>(data));
-    const RecoveryCounters after = recovery_counters();
 
     EXPECT_TRUE(bit_identical(data, ref)) << "nth=" << nth;
-    EXPECT_EQ(after.device_lost_failovers - before.device_lost_failovers,
-              1u);
+    // The failover is charged to the lost member, and only to it.
+    EXPECT_EQ(group.device(1).health().device_lost_failovers, 1u);
+    EXPECT_EQ(group.device(0).health().device_lost_failovers, 0u);
     EXPECT_TRUE(group.device(1).lost());
     EXPECT_EQ(group.alive_count(), 1u);
     // The recovered run kept per-ordinal reporting: the survivor's rows
@@ -257,15 +256,12 @@ TEST(FaultRecovery, DeviceLostReshardsOverPeerMeshExchange) {
     sim::DeviceGroup mesh(4, sim::geforce_8800_gts(),
                           std::make_shared<sim::PeerMeshTopology>(4));
     ShardedFft3DPlan plan(mesh, n, shards, Direction::Forward);
-    const RecoveryCounters before = recovery_counters();
     mesh.faults(1).arm(FaultKind::DeviceLost, nth);
     std::vector<cxf> data = input;
     const ShardedTiming t = plan.execute(std::span<cxf>(data));
-    const RecoveryCounters after = recovery_counters();
 
     EXPECT_TRUE(bit_identical(data, ref)) << "nth=" << nth;
-    EXPECT_GE(after.device_lost_failovers - before.device_lost_failovers,
-              1u);
+    EXPECT_GE(mesh.device(1).health().device_lost_failovers, 1u);
     EXPECT_TRUE(mesh.device(1).lost());
     // The rerun still used direct legs over the surviving pair — not a
     // silent host-staged downgrade.
@@ -311,6 +307,82 @@ TEST(FaultRecovery, AllDevicesLostPropagatesTypedError) {
   std::vector<cxf> data = input;
   EXPECT_THROW(plan.execute(std::span<cxf>(data)), sim::DeviceLostError);
   EXPECT_EQ(group.alive_count(), 0u);
+}
+
+// ---- The per-device recovery ledger ----
+
+/// Every field of a ledger, so a zero check cannot miss a counter.
+std::vector<std::uint64_t> ledger_fields(const sim::DeviceHealth& h) {
+  return {h.verify_failures,       h.corruption_restages,
+          h.transient_retries,     h.verify_recomputes,
+          h.device_lost_failovers, h.oom_evictions,
+          h.oom_retries,           h.watermark_evictions};
+}
+
+TEST(FaultRecovery, LedgerChargesTheActingMemberAndStaysInItsGroup) {
+  // Two 2-card groups in one process run the same three plans; only
+  // group A takes faults. Each recovery must land on the member that
+  // acted, and none may leak into group B's ledgers.
+  const std::size_t n = 32;
+  const std::size_t shards = 4;
+  const auto input = random_complex<float>(n * n * n, 114);
+  const auto run = [&](sim::DeviceGroup& group, bool faulty) {
+    std::vector<std::vector<cxf>> out;
+    ShardedFft3DPlan plan(group, n, shards, Direction::Forward);
+
+    // A sharded execute through a burst of three transients on member 1.
+    if (faulty) group.faults(1).arm(FaultKind::TransferTransient, 3, 3);
+    out.push_back(input);
+    plan.execute(std::span<cxf>(out.back()));
+    if (faulty) group.faults(1).disarm_all();
+
+    // A Parseval-verified execute that one silent corruption disturbs.
+    ExecPolicy verified;
+    verified.verify = VerifyPolicy::Parseval;
+    verified.verify_attempts = 3;
+    plan.set_exec_policy(verified);
+    if (faulty) {
+      group.faults(0).reset_counters();
+      group.faults(0).arm(FaultKind::KernelCorrupt, 2, 1);
+    }
+    out.push_back(input);
+    plan.execute(std::span<cxf>(out.back()));
+    if (faulty) group.faults(0).disarm_all();
+
+    // A pipelined batch that loses member 1.
+    plan.set_exec_policy(ExecPolicy{});
+    if (faulty) {
+      group.faults(1).reset_counters();
+      group.faults(1).arm(FaultKind::DeviceLost, 1);
+    }
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      out.push_back(random_complex<float>(n * n * n, 115 + k));
+    }
+    std::vector<std::span<cxf>> spans(out.end() - 3, out.end());
+    plan.execute_batch(spans, BatchMode::Pipelined);
+    return out;
+  };
+
+  sim::DeviceGroup a(2, sim::geforce_8800_gts());
+  sim::DeviceGroup b(2, sim::geforce_8800_gts());
+  const auto out_a = run(a, true);
+  const auto out_b = run(b, false);
+  for (std::size_t k = 0; k < out_a.size(); ++k) {
+    EXPECT_TRUE(bit_identical(out_a[k], out_b[k])) << "run " << k;
+  }
+
+  EXPECT_TRUE(a.device(1).lost());
+  EXPECT_EQ(a.device(1).health().transient_retries, 3u);
+  EXPECT_GE(a.device(1).health().device_lost_failovers, 1u);
+  EXPECT_EQ(a.device(0).health().device_lost_failovers, 0u);
+  EXPECT_GE(a.health_sum().verify_failures, 1u);
+  EXPECT_GE(a.health_sum().verify_recomputes, 1u);
+
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    for (const std::uint64_t v : ledger_fields(b.device(i).health())) {
+      EXPECT_EQ(v, 0u) << "group B member " << i;
+    }
+  }
 }
 
 // ---- RAII hygiene: a throwing execute leaks nothing ----
@@ -367,7 +439,6 @@ TEST(FaultRecovery, WatermarkEvictsInsteadOfGrowing) {
   reg.set_byte_watermark(budget);
   EXPECT_EQ(ResourceCache::of(dev).byte_watermark(), budget);
 
-  const RecoveryCounters before = recovery_counters();
   const auto input = random_complex<float>(64 * 64 * 64, 112);
   for (int round = 0; round < 2; ++round) {
     for (const std::size_t n : {16u, 32u, 64u}) {
@@ -380,9 +451,8 @@ TEST(FaultRecovery, WatermarkEvictsInsteadOfGrowing) {
       }
     }
   }
-  const RecoveryCounters after = recovery_counters();
   EXPECT_LE(dev.peak_allocated_bytes(), budget);
-  EXPECT_GT(after.watermark_evictions, before.watermark_evictions);
+  EXPECT_GT(dev.health().watermark_evictions, 0u);
 
   // Still correct under the budget.
   auto plan = reg.get_or_create(
@@ -426,13 +496,11 @@ TEST(FaultRecovery, GroupWatermarkBoundsPeakBytesInFlight) {
   sim::DeviceGroup group(2, sim::geforce_8800_gts());
   auto& reg = PlanRegistry::of(group);
   reg.set_byte_watermark(budget);
-  const RecoveryCounters before = recovery_counters();
   stress(reg);
-  const RecoveryCounters after = recovery_counters();
 
   EXPECT_LE(group.peak_bytes_in_flight(), budget);
   EXPECT_GT(reg.byte_evictions(), 0u);
-  EXPECT_GT(after.watermark_evictions, before.watermark_evictions);
+  EXPECT_GT(group.health_sum().watermark_evictions, 0u);
 
   // Evicted-and-rebuilt plans still agree with a fresh fleet.
   auto plan = reg.get_or_create(

@@ -4,15 +4,13 @@
 // recompute to bit-identical results, surfaces a typed
 // ResultVerificationError when the corruption outlasts the recompute
 // budget, and costs nothing — in results or timeline — when the policy
-// is Off. Policy validation and the RecoveryScope reporting helpers ride
-// along.
+// is Off. Policy validation rides along.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "gpufft/outofcore.h"
 #include "gpufft/registry.h"
@@ -69,16 +67,14 @@ TEST(Verify, ParsevalHasNoFalsePositivesOnAnyPlanKind) {
     ExecPolicy policy;
     policy.verify = VerifyPolicy::Parseval;
     plan->set_exec_policy(policy);
-    const RecoveryScope scope;
     std::vector<cxf> data = input;
     plan->execute_host(std::span<cxf>(data));
 
     // A legitimate run passes first try — no recomputes, no failures —
     // and verification never perturbs the data path.
     EXPECT_TRUE(bit_identical(data, ref)) << desc.to_string();
-    EXPECT_EQ(scope.delta().verify_failures, 0u) << desc.to_string();
-    EXPECT_EQ(scope.delta().verify_recomputes, 0u) << desc.to_string();
     EXPECT_EQ(dev.health().verify_failures, 0u) << desc.to_string();
+    EXPECT_EQ(dev.health().verify_recomputes, 0u) << desc.to_string();
   }
 }
 
@@ -98,19 +94,17 @@ void expect_corrupt_repaired(const PlanDesc& desc, std::uint64_t nth,
   policy.verify = VerifyPolicy::Parseval;
   policy.verify_attempts = 3;
   plan->set_exec_policy(policy);
-  const RecoveryScope scope;
   dev.faults().arm(FaultKind::KernelCorrupt, nth, count);
   std::vector<cxf> data = input;
   plan->execute_host(std::span<cxf>(data));
-  const RecoveryCounters delta = scope.delta();
 
   EXPECT_TRUE(bit_identical(data, ref)) << desc.to_string();
   EXPECT_EQ(dev.faults().fired(FaultKind::KernelCorrupt), count)
       << desc.to_string();
-  EXPECT_GE(delta.verify_failures, 1u) << desc.to_string();
-  EXPECT_GE(delta.verify_recomputes, 1u) << desc.to_string();
-  // The incident is the quarantine sweep's raw material.
+  // The incident is the quarantine sweep's raw material; the recompute
+  // is charged to the same device.
   EXPECT_GE(dev.health().verify_failures, 1u) << desc.to_string();
+  EXPECT_GE(dev.health().verify_recomputes, 1u) << desc.to_string();
 }
 
 TEST(Verify, ParsevalRepairsKernelCorruptOnSingleCardPlans) {
@@ -142,14 +136,13 @@ TEST(Verify, ParsevalRepairsKernelCorruptOnShardedPlans) {
   policy.verify = VerifyPolicy::Parseval;
   policy.verify_attempts = 3;
   plan.set_exec_policy(policy);
-  const RecoveryScope scope;
   group.faults(1).arm(FaultKind::KernelCorrupt, 2, 1);
   std::vector<cxf> data = input;
   plan.execute(std::span<cxf>(data));
 
   EXPECT_TRUE(bit_identical(data, ref));
   EXPECT_EQ(group.faults(1).fired(FaultKind::KernelCorrupt), 1u);
-  EXPECT_GE(scope.delta().verify_failures, 1u);
+  EXPECT_GE(group.health_sum().verify_failures, 1u);
   // Attribution lands on the member that ran the corrupted pass.
   EXPECT_GE(group.device(1).health().verify_failures, 1u);
   EXPECT_EQ(group.device(0).health().verify_failures, 0u);
@@ -173,7 +166,6 @@ TEST(Verify, ParsevalRepairsKernelCorruptOnBatchShardedPlans) {
   policy.verify = VerifyPolicy::Parseval;
   policy.verify_attempts = 3;
   plan->set_exec_policy(policy);
-  const RecoveryScope scope;
   group.faults(0).arm(FaultKind::KernelCorrupt, 2, 1);
   std::vector<cxf> da = a;
   std::vector<cxf> db = b;
@@ -182,7 +174,8 @@ TEST(Verify, ParsevalRepairsKernelCorruptOnBatchShardedPlans) {
 
   EXPECT_TRUE(bit_identical(da, ref_a));
   EXPECT_TRUE(bit_identical(db, ref_b));
-  EXPECT_GE(scope.delta().verify_failures, 1u);
+  // The dealt volume verified inside member 0's own plan.
+  EXPECT_GE(group.device(0).health().verify_failures, 1u);
 }
 
 // ---- Off costs nothing ----
@@ -295,40 +288,6 @@ TEST(Verify, InvalidPolicyErrorsNameTheOffendingField) {
       PlanDesc::bandwidth3d(cube(16), Direction::Forward, Precision::F32));
   EXPECT_THROW(plan->set_exec_policy(bad_verify), sim::InvalidPolicyError);
   EXPECT_EQ(plan->exec_policy().verify_attempts, 2);
-}
-
-// ---- RecoveryScope / counters reporting ----
-
-TEST(Verify, RecoveryScopeDeltasAndRebases) {
-  const RecoveryScope outer;
-  RecoveryScope scope;
-  ++recovery_counters().verify_failures;
-  ++recovery_counters().verify_recomputes;
-  EXPECT_EQ(scope.delta().verify_failures, 1u);
-  EXPECT_EQ(scope.delta().verify_recomputes, 1u);
-  scope.rebase();
-  EXPECT_EQ(scope.delta().verify_failures, 0u);
-  ++recovery_counters().verify_failures;
-  EXPECT_EQ(scope.delta().verify_failures, 1u);
-  EXPECT_EQ(outer.delta().verify_failures, 2u);
-}
-
-TEST(Verify, RecoveryCountersResetZeroesEveryField) {
-  RecoveryCounters c;
-  c.transient_retries = 1;
-  c.corruption_restages = 2;
-  c.oom_evictions = 3;
-  c.oom_retries = 4;
-  c.watermark_evictions = 5;
-  c.device_lost_failovers = 6;
-  c.verify_failures = 7;
-  c.verify_recomputes = 8;
-  c.reset();
-  const RecoveryCounters zero;
-  EXPECT_EQ(c.minus(zero).verify_failures, 0u);
-  EXPECT_EQ(c.transient_retries, 0u);
-  EXPECT_EQ(c.device_lost_failovers, 0u);
-  EXPECT_EQ(c.verify_recomputes, 0u);
 }
 
 }  // namespace

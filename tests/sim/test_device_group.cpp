@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "sim/pcie.h"
+#include "sim/topology/pcie_tree.h"
 
 namespace repro::sim {
 namespace {
@@ -31,26 +33,43 @@ TEST(DeviceGroup, MixedSpecsKeepTheirIdentity) {
 
 TEST(DeviceGroup, BridgeDeratesPerCardPcieBandwidth) {
   const GpuSpec gts = geforce_8800_gts();  // 5.2 / 5.0 GB/s
-  const GroupTopology topo = GroupTopology::pcie2_chipset();  // 12.8 GB/s
+  // The PCIe-2.0 chipset tree, 12.8 GB/s: what the spec-only
+  // constructors build.
+  const auto tree = [](std::size_t n) {
+    return std::make_shared<PcieTreeTopology>(n, 12.8, 12.8);
+  };
 
   // One or two cards: each card's own link is the bottleneck.
   for (std::size_t n : {1u, 2u}) {
-    DeviceGroup group(n, gts, topo);
+    DeviceGroup group(n, gts, tree(n));
     for (std::size_t d = 0; d < n; ++d) {
       EXPECT_DOUBLE_EQ(group.device(d).spec().pcie.h2d_gbs, gts.pcie.h2d_gbs);
       EXPECT_DOUBLE_EQ(group.device(d).spec().pcie.d2h_gbs, gts.pcie.d2h_gbs);
     }
   }
   // Four and eight cards: the shared bridge is, at aggregate/N.
-  DeviceGroup four(4, gts, topo);
+  DeviceGroup four(4, gts, tree(4));
   EXPECT_DOUBLE_EQ(four.device(0).spec().pcie.h2d_gbs, 12.8 / 4.0);
   EXPECT_DOUBLE_EQ(four.device(0).spec().pcie.d2h_gbs, 12.8 / 4.0);
-  DeviceGroup eight(8, gts, topo);
+  DeviceGroup eight(8, gts, tree(8));
   EXPECT_DOUBLE_EQ(eight.device(0).spec().pcie.h2d_gbs, 12.8 / 8.0);
 
-  // An unshared topology never derates.
-  DeviceGroup ideal(8, gts, GroupTopology::unshared());
-  EXPECT_DOUBLE_EQ(ideal.device(0).spec().pcie.h2d_gbs, gts.pcie.h2d_gbs);
+  // The default constructor builds exactly that tree.
+  DeviceGroup deflt(4, gts);
+  EXPECT_EQ(deflt.topo().kind(), "pcie-tree");
+  EXPECT_DOUBLE_EQ(deflt.topo().aggregate_h2d_gbs(), 12.8);
+  EXPECT_DOUBLE_EQ(deflt.topo().aggregate_d2h_gbs(), 12.8);
+  EXPECT_DOUBLE_EQ(deflt.device(0).spec().pcie.h2d_gbs, 12.8 / 4.0);
+
+  // An unconstrained bridge never derates: every card keeps its full
+  // link rate regardless of group size.
+  for (std::size_t n : {4u, 8u}) {
+    DeviceGroup ideal(n, gts,
+                      std::make_shared<PcieTreeTopology>(
+                          n, kUnconstrainedGBs, kUnconstrainedGBs));
+    EXPECT_DOUBLE_EQ(ideal.device(0).spec().pcie.h2d_gbs, gts.pcie.h2d_gbs);
+    EXPECT_DOUBLE_EQ(ideal.device(0).spec().pcie.d2h_gbs, gts.pcie.d2h_gbs);
+  }
 }
 
 TEST(DeviceGroup, DeratedLinkSlowsSimulatedTransfers) {
@@ -156,7 +175,8 @@ TEST(DeviceGroup, GroupOfOneKeepsTheBareDeviceTimeline) {
 TEST(DeviceGroup, RejectsEmptyAndBadTopology) {
   EXPECT_THROW(DeviceGroup(std::vector<GpuSpec>{}), Error);
   EXPECT_THROW(DeviceGroup(0, geforce_8800_gt()), Error);
-  EXPECT_THROW(DeviceGroup(2, geforce_8800_gt(), GroupTopology{0.0, 1.0}),
+  EXPECT_THROW(DeviceGroup(2, geforce_8800_gt(),
+                           std::make_shared<PcieTreeTopology>(2, 0.0, 1.0)),
                Error);
 }
 
@@ -166,10 +186,20 @@ TEST(DeviceGroupHealth, SweepQuarantinesMembersPastTheWindowedThreshold) {
   DeviceGroup group(3, geforce_8800_gts());
   ASSERT_EQ(group.health_policy().quarantine_threshold, 3u);
 
+  // Recovery work is not an incident: a member that recomputed, failed
+  // over and evicted heavily, without misbehaving itself, stays in.
+  DeviceHealth& busy = group.device(2).health();
+  busy.verify_recomputes += 1000;
+  busy.device_lost_failovers += 1000;
+  busy.oom_evictions += 1000;
+  busy.oom_retries += 1000;
+  busy.watermark_evictions += 1000;
+
   // Two incidents inside one window: below the threshold, no action.
   group.device(1).health().verify_failures += 2;
   EXPECT_TRUE(group.sweep_health().empty());
   EXPECT_FALSE(group.quarantined(1));
+  EXPECT_FALSE(group.quarantined(2));
 
   // The sweep re-anchored the window, so two more still do not trip it —
   // old incidents age out instead of condemning a device forever.

@@ -102,22 +102,6 @@ TEST(Topology, LinkFifoSerializesConcurrentLegs) {
   EXPECT_DOUBLE_EQ(mesh.reserve_link(0, 1, 0.0, 1.0), 0.0);
 }
 
-TEST(Topology, LegacyGroupTopologyAndPcieTreeDerateIdentically) {
-  const GpuSpec gts = geforce_8800_gts();
-  DeviceGroup legacy(4, gts, GroupTopology::pcie2_chipset());
-  DeviceGroup tree(4, gts, std::make_shared<PcieTreeTopology>(4));
-  for (std::size_t d = 0; d < 4; ++d) {
-    EXPECT_DOUBLE_EQ(legacy.device(d).spec().pcie.h2d_gbs,
-                     tree.device(d).spec().pcie.h2d_gbs);
-    EXPECT_DOUBLE_EQ(legacy.device(d).spec().pcie.d2h_gbs,
-                     tree.device(d).spec().pcie.d2h_gbs);
-  }
-  EXPECT_EQ(tree.topo().kind(), "pcie-tree");
-  // The unshared() sentinel keeps full card rate.
-  DeviceGroup ideal(4, gts, GroupTopology::unshared());
-  EXPECT_DOUBLE_EQ(ideal.device(0).spec().pcie.h2d_gbs, gts.pcie.h2d_gbs);
-}
-
 TEST(Topology, MeshKeepsFullHostLinksPerCard) {
   const GpuSpec gts = geforce_8800_gts();
   DeviceGroup mesh(8, gts, std::make_shared<PeerMeshTopology>(8));
