@@ -15,8 +15,9 @@
 //     forwards through intermediate hops, so the planner keeps the
 //     coarser slab layout — the curve flattens where the mesh's pencil
 //     keeps climbing, exactly the bisection-ratio crossover.
-// "model" is topology_model_ms (the replayed schedule + bisection
-// floor); "err" must stay within 5% — that closed form is what
+// "model" is topology_model_ms (the layout's schedule replayed on
+// throwaway devices through the simulator's scheduler, plus the bisection
+// floor); "err" must stay within 5% — that model is what
 // choose_decomposition trusts at plan time.
 #include <memory>
 

@@ -68,19 +68,6 @@ double rel_l2_error(std::span<const cx<T>> a, std::span<const cx<T>> b) {
   return std::sqrt(num / den);
 }
 
-/// max_i |a_i - b_i| (complex modulus of the difference).
-template <typename T>
-double max_abs_error(std::span<const cx<T>> a, std::span<const cx<T>> b) {
-  REPRO_CHECK(a.size() == b.size());
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double dr = static_cast<double>(a[i].re) - b[i].re;
-    const double di = static_cast<double>(a[i].im) - b[i].im;
-    m = std::max(m, std::hypot(dr, di));
-  }
-  return m;
-}
-
 /// Error bound for an N-point FFT in precision T: c * sqrt(log2 N) * eps.
 /// Standard forward-error model for Cooley-Tukey style transforms.
 template <typename T>

@@ -12,10 +12,10 @@
 //
 // Which wins depends on (batch size, volume size, group): for B < N the
 // dealt schedule idles cards while sharding uses all of them; for B >= N
-// dealing saturates the fleet with zero exchange. batch_model_ms and
-// sharded_batch_model_ms are the closed-form sides of that comparison, and
-// choose_batch_strategy is the planner rule the FFT service applies per
-// request batch (cross-checked to a few percent by the batch tests).
+// dealing saturates the fleet with zero exchange. choose_batch_strategy
+// prices both sides with the sharded models and is the planner rule the
+// FFT service applies per request batch (cross-checked to a few percent
+// by the batch tests).
 //
 // Results are bit-identical to ShardedFft3DPlan of the same (n, shards,
 // dir): the dealt schedule per member IS the out-of-core schedule, and the
@@ -85,30 +85,15 @@ class BatchShardedFft3DPlan final : public PlanBaseT<float> {
   [[nodiscard]] std::size_t n() const { return n_; }
   [[nodiscard]] std::size_t shards() const { return shards_; }
 
-  /// Timing of the last execute_batch/execute_batch_host.
-  [[nodiscard]] const BatchDealTiming& last_batch() const {
-    return last_batch_;
-  }
-
  private:
   sim::DeviceGroup* group_;
   std::size_t n_;
   std::size_t shards_;
   /// One registry-shared out-of-core plan per member.
   std::vector<std::shared_ptr<FftPlan>> member_plans_;
-  BatchDealTiming last_batch_{};
   /// Out-of-core phase rows of the last batch, summed across volumes.
   std::vector<StepTiming> last_steps_;
 };
-
-/// Closed-form makespan of dealing `batch` volumes round-robin to
-/// `devices` members: the busiest member runs ceil(batch/devices)
-/// out-of-core volumes back-to-back, each at the single-card streamed
-/// model (sharded_model_ms with devices=1). Pass the group's
-/// bridge-derated spec and phases probed on it, as for sharded_model_ms.
-double batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
-                      std::size_t n, std::size_t shards, std::size_t devices,
-                      std::size_t batch);
 
 /// The deal-vs-shard decision for one batch.
 enum class BatchStrategy {
@@ -116,34 +101,20 @@ enum class BatchStrategy {
   Shard,  ///< every volume across the fleet (ShardedFft3DPlan batch)
 };
 
-inline const char* batch_strategy_name(BatchStrategy s) {
-  return s == BatchStrategy::Deal ? "deal" : "shard";
-}
-
 struct BatchChoice {
   BatchStrategy strategy{BatchStrategy::Deal};
-  double deal_ms{};   ///< batch_model_ms prediction
-  double shard_ms{};  ///< sharded_batch_model_ms prediction
+  double deal_ms{};   ///< modeled dealt batch makespan
+  double shard_ms{};  ///< modeled sharded batch makespan
 };
 
 /// Pick deal vs shard for `batch` volumes of n^3 on a homogeneous group
-/// of `devices` cards, from the closed-form models alone (no execution).
-/// `p` must be probed on the bridge-derated member spec. The sharded side
-/// uses the largest member prefix that divides both phase extents (the
-/// same fallback the sharded plan applies) with the pipelined batch model.
-BatchChoice choose_batch_strategy(const ShardPhases& p,
-                                  const sim::GpuSpec& spec, std::size_t n,
-                                  std::size_t shards, std::size_t devices,
-                                  std::size_t batch);
-
-/// Topology-aware variant: when the fabric resolves a peer layout, the
-/// shard side is modeled with topology_model_ms over the decomposition
-/// the planner would pick (slab or pencil, direct legs, bisection
-/// floor), as `batch` back-to-back volumes — an upper bound on the
-/// pipelined schedule, which can only overlap more, so a Shard verdict
-/// under it is safe. Host-staged fabrics delegate to the overload above
-/// (whose pipelined replay is exact). This is the rule the FFT service
-/// applies on peer-capable groups.
+/// of `devices` cards on `topo`, from the models alone (no execution);
+/// `p` must be probed on the bridge-derated member spec. Host-staged
+/// layouts price the shard side with the pipelined batch model. Peer
+/// layouts use topology_model_ms over the decomposition the planner
+/// would pick, as `batch` back-to-back volumes — an upper bound on the
+/// pipelined schedule, so a Shard verdict under it is safe. This is the
+/// rule the FFT service applies.
 BatchChoice choose_batch_strategy(const ShardPhases& p,
                                   const sim::GpuSpec& spec,
                                   const sim::Topology& topo, Direction dir,

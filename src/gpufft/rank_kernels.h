@@ -163,10 +163,6 @@ class MixedAxisKernelT final : public sim::Kernel {
   /// Lines this pass transforms (the axis' cross-section).
   [[nodiscard]] std::size_t lines() const { return lines_; }
 
-  /// Thread-index domain: lines() for the X pass; for Y/Z the x-major
-  /// walk spans the pitch, so pad slots are indexed but skipped.
-  [[nodiscard]] std::size_t line_slots() const { return slots_; }
-
  private:
   /// Element offset of line `li`'s first point, or SIZE_MAX when `li`
   /// addresses a pad slot (x >= nx) and the thread must idle.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
+#include <deque>
 #include <string>
 #include <utility>
 
@@ -655,6 +655,10 @@ double occupancy(const ShardedBatchTiming& bt,
 /// WAR-fenced contexts still overlap across the volume boundary), 1
 /// issues volume k+1's phase 1 before volume k's phase 2. Every member
 /// runs the same per-volume work, so one card's timeline is the group's.
+/// Frozen: the executor runs the lookahead these replays pick, and 44 of
+/// tier-1's 47 picks between two or more candidates are decided within
+/// 1e-13 relative, so re-associating this arithmetic moves pinned
+/// timelines.
 double replay_pipelined_ms(const ShardPhases& p, bool one_dma,
                            std::size_t residues, std::size_t groups,
                            std::size_t batch, std::size_t lookahead) {
@@ -706,7 +710,10 @@ double replay_pipelined_ms(const ShardPhases& p, bool one_dma,
 
 /// The issue order the pipelined batch runs: the argmin, with its
 /// replayed makespan, over every candidate phase-1 lookahead (lookahead L
-/// keeps at most L+1 contexts live, so L < kPipelineContexts).
+/// keeps at most L+1 contexts live, so L < kPipelineContexts). Frozen,
+/// tie rule included: service_mix keeps lookahead 0 where 1 ties exactly
+/// or loses by one ulp, while ZDecimTimeline.PipelinedBatchMesh4 takes 2
+/// because it wins by one ulp, so no tie rule keeps both pinned picks.
 std::pair<std::size_t, double> best_lookahead(const ShardPhases& p,
                                               bool one_dma,
                                               std::size_t residues,
@@ -1096,20 +1103,16 @@ double sharded_batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
 
 namespace {
 
-/// Pencil-geometry phase-2 durations (the slab probe covers everything
-/// else): the (n, n/py, shards) pencil kernel and one ny*n-row download.
-struct PencilPhases {
-  double fft2_ms{}, dn2_ms{};
-};
-
-PencilPhases probe_pencil_phases(const sim::GpuSpec& spec, std::size_t n,
-                                 std::size_t py, std::size_t shards,
-                                 Direction dir) {
+/// `p` with its phase-2 kernel and downloads re-probed for a pencil unit
+/// (the slab probe covers everything else): the (n, n/py, shards) pencil
+/// kernel and the unit's `shards` ny*n-row downloads.
+ShardPhases probe_pencil_phases(ShardPhases p, const sim::GpuSpec& spec,
+                                std::size_t n, std::size_t py,
+                                std::size_t shards, Direction dir) {
   Device dev(spec);
   const std::size_t ny = n / py;
   auto buf = dev.alloc<cxf>(shards * ny * n);
   std::vector<cxf> host(ny * n);
-  PencilPhases p;
   dev.reset_clock();
   ZPencilFftKernel fft(buf, Shape3{n, ny, shards}, dir,
                        default_grid_blocks(spec));
@@ -1117,7 +1120,7 @@ PencilPhases probe_pencil_phases(const sim::GpuSpec& spec, std::size_t n,
   p.fft2_ms = dev.elapsed_ms();
   dev.reset_clock();
   dev.d2h(std::span<cxf>(host), buf, 0);
-  p.dn2_ms = dev.elapsed_ms();
+  p.dn2_ms = static_cast<double>(shards) * dev.elapsed_ms();
   return p;
 }
 
@@ -1128,127 +1131,84 @@ double topology_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
                          std::size_t shards, std::size_t devices,
                          Decomposition decomp, Direction dir) {
   const ShardLayout lay = shard_layout(topo, n, shards, devices, decomp);
-  if (lay.exchange == Exchange::HostStaged) {
-    return sharded_model_ms(p, spec, n, shards, lay.members);
-  }
+  const bool peer = lay.exchange == Exchange::Peer;
   const std::size_t local_nz = n / shards;
   const std::size_t nm = lay.members;
   const std::size_t nm1 = lay.phase1_members;
-  const std::size_t plane = n * n;
-  const std::size_t gpd =
-      lay.decomp == Decomposition::Slab ? local_nz / nm : 0;
-  const std::size_t py = lay.y_blocks;
-  const std::size_t ny = n / py;
-  const double up1p = p.up1_ms / static_cast<double>(local_nz);
-  const double dn2p = p.dn2_ms / static_cast<double>(shards);
+  const ShardPhases q =
+      lay.decomp == Decomposition::Pencil
+          ? probe_pencil_phases(p, spec, n, lay.y_blocks, shards, dir)
+          : p;
 
-  // Deterministic replay of the exact enqueue order through the
-  // scheduler's start-at-max(stream tail, engine free, link free) rule:
-  // per-member double-buffered stream tails, one exchange-stream tail
-  // per ordinal (torus forwarders included), per-ordinal engine frees
-  // (1-DMA cards alias the two copy directions onto one engine, exactly
-  // as sim::Device maps them), and a private link-FIFO map.
-  const bool one_dma = spec.dma_engines == 1;
-  const std::size_t span = topo.size();
-  std::vector<std::array<double, 2>> tails(nm, {0.0, 0.0});
-  std::vector<double> ex(span, 0.0), comp(span, 0.0);
-  std::vector<double> up_free(span, 0.0), dn_free(span, 0.0);
-  std::map<std::pair<std::size_t, std::size_t>, double> link;
-  auto up_engine = [&](std::size_t d) -> double& { return up_free[d]; };
-  auto dn_engine = [&](std::size_t d) -> double& {
-    return one_dma ? up_free[d] : dn_free[d];
-  };
-  std::uint64_t fabric_bytes = 0;
-  auto send_payload = [&](std::size_t src, std::size_t dst, double& s,
-                          std::size_t bytes) {
-    fabric_bytes += bytes;
-    if (src == dst) {
-      double& eng = dn_engine(src);
-      const double start = std::max(s, eng);
-      s = start + sim::local_copy_ms(spec, bytes);
-      eng = s;
-      return;
-    }
-    const auto hops = topo.route(src, dst);
-    for (std::size_t h = 0; h + 1 < hops.size(); ++h) {
-      const std::size_t a = hops[h];
-      const std::size_t b = hops[h + 1];
-      double& ss = h == 0 ? s : ex[a];
-      const double dur = topo.leg_ms(a, b, bytes);
-      double& lf = link[{a, b}];
-      const double start = std::max({ss, dn_engine(a), lf});
-      lf = start + dur;
-      ss = start + dur;
-      dn_engine(a) = start + dur;
-      const double r0 = std::max({ex[b], start, up_engine(b)});
-      ex[b] = r0 + dur;
-      up_engine(b) = r0 + dur;
-    }
-  };
+  // Replay the executor's enqueue order through the real scheduler on
+  // throwaway devices, one per topology slot (torus forwarders included):
+  // member mi (ordinal mi: members are a prefix) owns streams 2mi and
+  // 2mi+1, every slot one exchange stream after them, and peer legs time
+  // through sim::time_transfer over a private link clock.
+  std::vector<std::unique_ptr<Device>> devs;
+  for (std::size_t d = 0; d < topo.size(); ++d) {
+    devs.push_back(std::make_unique<Device>(spec));
+  }
+  std::deque<sim::Stream> streams;
+  for (std::size_t i = 0; i < 2 * nm; ++i) streams.emplace_back(*devs[i / 2]);
+  std::vector<sim::Stream*> exch;
+  for (const auto& dev : devs) exch.push_back(&streams.emplace_back(*dev));
+  sim::LinkClock links;
 
-  // ---- Phase 1: per-plane uploads, lumped compute, ring sends ----
+  // ---- Phase 1: uploads, lumped compute, staged downloads or ring sends
   for (std::size_t residue = 0; residue < shards; ++residue) {
     const std::size_t mi = residue % nm1;
-    double& s = tails[mi][(residue / nm1) % 2];
-    for (std::size_t j = 0; j < local_nz; ++j) {
-      double& eng = up_engine(mi);
-      s = std::max(s, eng) + up1p;
-      eng = s;
+    Device& dev = *devs[mi];
+    sim::Stream& s = streams[2 * mi + (residue / nm1) % 2];
+    dev.submit_timed(s, sim::Engine::DmaH2D, q.up1_ms, "h2d1");
+    dev.submit_timed(s, sim::Engine::Compute, q.fft1_ms + q.twiddle_ms,
+                     "fft1");
+    if (!peer) {
+      dev.submit_timed(s, sim::Engine::DmaD2H, q.dn1_ms, "d2h1");
+      continue;
     }
-    s = std::max(s, comp[mi]) + p.fft1_ms + p.twiddle_ms;
-    comp[mi] = s;
-    for (std::size_t r = 0; r < nm; ++r) {
-      const std::size_t emi = (mi + r) % nm;
-      if (lay.decomp == Decomposition::Slab) {
-        for (std::size_t gl = 0; gl < gpd; ++gl) {
-          send_payload(mi, emi, s, plane * sizeof(cxf));
-        }
-      } else {
-        send_payload(mi, emi, s, ny * n * sizeof(cxf));
+    for (std::size_t ring = 0; ring < nm; ++ring) {
+      const std::size_t emi = (mi + ring) % nm;
+      for (std::size_t gl = 0; gl < phase2_unit(lay, local_nz, emi).groups;
+           ++gl) {
+        sim::time_transfer(topo, links, devs, mi, emi,
+                           n / lay.y_blocks * n * sizeof(cxf), s, exch);
       }
     }
   }
 
-  // ---- Per-member receive fence, then slab or pencil phase 2 ----
-  PencilPhases pp;
-  if (lay.decomp == Decomposition::Pencil) {
-    pp = probe_pencil_phases(spec, n, py, shards, dir);
+  // ---- Fence: host-staged on the latest tail, peer per member ----
+  double latest = 0.0;
+  for (const auto& st : streams) latest = std::max(latest, st.ready_ms());
+  for (std::size_t mi = 0; mi < nm; ++mi) {
+    sim::Stream& s0 = streams[2 * mi];
+    sim::Stream& s1 = streams[2 * mi + 1];
+    const double fence =
+        peer ? std::max({s0.ready_ms(), s1.ready_ms(), exch[mi]->ready_ms()})
+             : latest;
+    s0.wait_until_ms(fence);
+    s1.wait_until_ms(fence);
+  }
+
+  // ---- Phase 2: each member's unit, staged uploads on host layouts ----
+  for (std::size_t mi = 0; mi < nm; ++mi) {
+    Device& dev = *devs[mi];
+    for (std::size_t gl = 0; gl < phase2_unit(lay, local_nz, mi).groups;
+         ++gl) {
+      sim::Stream& s = streams[2 * mi + gl % 2];
+      if (!peer) dev.submit_timed(s, sim::Engine::DmaH2D, q.up2_ms, "h2d2");
+      dev.submit_timed(s, sim::Engine::Compute, q.fft2_ms, "fft2");
+      dev.submit_timed(s, sim::Engine::DmaD2H, q.dn2_ms, "d2h2");
+    }
   }
   double makespan = 0.0;
-  for (std::size_t mi = 0; mi < nm; ++mi) {
-    const double fence = std::max({tails[mi][0], tails[mi][1], ex[mi]});
-    tails[mi][0] = tails[mi][1] = fence;
-    if (lay.decomp == Decomposition::Slab) {
-      for (std::size_t gl = 0; gl < gpd; ++gl) {
-        double& s = tails[mi][gl % 2];
-        s = std::max(s, comp[mi]) + p.fft2_ms;
-        comp[mi] = s;
-        for (std::size_t k2 = 0; k2 < shards; ++k2) {
-          double& eng = dn_engine(mi);
-          s = std::max(s, eng) + dn2p;
-          eng = s;
-        }
-      }
-    } else {
-      double& s = tails[mi][0];
-      s = std::max(s, comp[mi]) + pp.fft2_ms;
-      comp[mi] = s;
-      for (std::size_t k2 = 0; k2 < shards; ++k2) {
-        double& eng = dn_engine(mi);
-        s = std::max(s, eng) + pp.dn2_ms;
-        eng = s;
-      }
-    }
-    makespan = std::max({makespan, tails[mi][0], tails[mi][1]});
-  }
-  for (std::size_t d = 0; d < span; ++d) {
-    makespan = std::max(makespan, ex[d]);
-  }
-  // Aggregate floor: half the fabric bytes must cross the worst even
-  // cut, whatever the schedule.
-  const double floor_ms = static_cast<double>(fabric_bytes) / 2.0 /
-                          (topo.bisection_gbs() * 1e6);
-  return std::max(makespan, floor_ms);
+  for (const auto& dev : devs) makespan = std::max(makespan, dev->elapsed_ms());
+  if (!peer) return makespan;
+  // Aggregate floor: the all-to-all moves the whole volume once, and half
+  // of it must cross the worst even cut, whatever the schedule.
+  const double volume_bytes = static_cast<double>(n * n * n * sizeof(cxf));
+  return std::max(makespan,
+                  volume_bytes / 2.0 / (topo.bisection_gbs() * 1e6));
 }
 
 }  // namespace repro::gpufft

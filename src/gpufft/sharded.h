@@ -457,6 +457,12 @@ class ShardedRealFft3DPlan final : public ShardedExecutor {
   std::vector<std::shared_ptr<const DeviceBuffer<cxf>>> tw_full_;
 };
 
+/// The seven phase durations of the sharded schedule for (n, shards) on
+/// `spec`, each measured serially on a scratch device. Frozen with the
+/// closed-form models below that read it: their verdicts sit on last-ulp
+/// differences between sums of these values and pinned timelines depend
+/// on which way each falls, so even a change in how a duration is summed
+/// needs a re-pin (DESIGN §12).
 ShardPhases probe_shard_phases(const sim::GpuSpec& spec, std::size_t n,
                                std::size_t shards, Direction dir);
 
@@ -467,7 +473,10 @@ ShardPhases probe_shard_phases(const sim::GpuSpec& spec, std::size_t n,
 /// upload queues behind this residue's download on the single copy
 /// engine); a 2-DMA card pipelines at the depth-2 double-buffered rate
 /// max(up, compute, down, chain/2). Cross-checked against the scheduler
-/// by bench_sharded (<= 5%).
+/// by bench_sharded (<= 5%). Frozen: it prices the deal side of every
+/// host-staged deal-vs-shard verdict, 17 of tier-1's 66 tree verdicts are
+/// decided at the last ulp, and pricing it with the scheduler replay
+/// flips some of them and with them the chaos soak's pinned schedule.
 double sharded_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
                         std::size_t n, std::size_t shards,
                         std::size_t devices);
@@ -480,25 +489,26 @@ double sharded_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
 /// discipline and the minimum is returned — the scheduler picks its
 /// order from the same replays, so the minimum is what actually runs.
 /// Cross-checked against the scheduler by bench_sharded and the batch
-/// tests.
+/// tests. Frozen: it prices the shard side of the host-staged
+/// deal-vs-shard verdicts, and its lookahead argmin is the issue order
+/// the executor runs, so its arithmetic is part of pinned timelines.
 double sharded_batch_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
                               std::size_t n, std::size_t shards,
                               std::size_t devices, std::size_t batch);
 
-/// Closed-form makespan of the topology-aware sharded schedule for
-/// `devices` homogeneous cards on `topo`, preferring `decomp`. Resolves
-/// the same ShardLayout the plan would (shard_layout); a host-staged
-/// layout delegates to sharded_model_ms, a peer layout replays the
-/// exact enqueue order — per-plane uploads, lumped compute, ring-ordered
-/// d2d legs through per-link FIFOs and both endpoints' DMA engines,
-/// per-member receive fences, pencil or slab phase 2 — through the
-/// scheduler's start-at-max(stream tail, engine free, link free) rule,
-/// then applies the aggregate bisection floor: half the exchanged bytes
-/// must cross the worst even cut, so makespan >= exchange_bytes / 2 /
-/// bisection_gbs(). Pass the probe for the *slab* geometry
-/// (probe_shard_phases); pencil-specific kernel times are probed
-/// internally. Cross-checked against the scheduler by bench_topology
-/// (<= 5%).
+/// Modeled makespan of the sharded schedule for `devices` homogeneous
+/// cards on `topo`, preferring `decomp`. Resolves the same ShardLayout
+/// the plan would (shard_layout) and replays that layout's enqueue order
+/// — staged downloads and uploads or ring-ordered peer legs, the phase
+/// fence, slab or pencil phase 2 — as timed ops on throwaway devices
+/// through the simulator's own scheduler; peer legs go through
+/// sim::time_transfer over a private link clock, as the executor's do.
+/// A peer layout then takes the aggregate bisection floor: half the
+/// exchanged bytes must cross the worst even cut, so makespan >=
+/// exchange_bytes / 2 / bisection_gbs(). Pass the probe for the *slab*
+/// geometry (probe_shard_phases); pencil-specific kernel times are
+/// probed internally. Cross-checked against the scheduler by
+/// bench_topology (<= 5%).
 double topology_model_ms(const ShardPhases& p, const sim::GpuSpec& spec,
                          const sim::Topology& topo, std::size_t n,
                          std::size_t shards, std::size_t devices,

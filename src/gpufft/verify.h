@@ -64,15 +64,6 @@ enum class VerifyPolicy {
   Full,      ///< duplicate execution + bitwise compare
 };
 
-inline const char* verify_policy_name(VerifyPolicy p) {
-  switch (p) {
-    case VerifyPolicy::Off: return "off";
-    case VerifyPolicy::Parseval: return "parseval";
-    case VerifyPolicy::Full: return "full";
-  }
-  return "?";
-}
-
 /// Per-execute options a caller (or serve::ServiceConfig) can set on any
 /// plan: the verification policy and the staging-retry policy. Carried on
 /// the plan object (FftPlanT::set_exec_policy), not the PlanDesc — two

@@ -216,8 +216,8 @@ class Device {
 
   /// Earliest time a new op could start on `e`, ignoring stream tails:
   /// the engine FIFO's free point joined with the submission clock.
-  /// DeviceGroup::d2d_async uses this to reserve topology links at the
-  /// moment the sending DMA engine can actually drive them.
+  /// sim::time_transfer uses this to reserve a fabric link at the moment
+  /// the sending DMA engine can actually drive it.
   [[nodiscard]] double next_free_ms(Engine e) const {
     double ns = clock_ns_;
     switch (e) {

@@ -22,6 +22,50 @@ std::vector<GpuSpec> replicate(std::size_t count, const GpuSpec& spec) {
 
 }  // namespace
 
+std::vector<PeerLeg> time_transfer(
+    const Topology& topo, LinkClock& links,
+    std::span<const std::unique_ptr<Device>> devices, std::size_t src,
+    std::size_t dst, std::size_t bytes, Stream& send_stream,
+    std::span<Stream* const> exch_streams) {
+  REPRO_CHECK(src < devices.size() && dst < devices.size());
+  std::vector<PeerLeg> legs;
+  if (src == dst) {
+    Device& dev = *devices[src];
+    if (dev.lost()) throw DeviceLostError(dev.device_ref());
+    const double dur = local_copy_ms(dev.spec(), bytes);
+    const double start =
+        dev.submit_timed(send_stream, Engine::DmaD2H, dur, "d2d local");
+    legs.push_back({src, dst, start, dur, start + dur});
+    return legs;
+  }
+  const std::vector<std::size_t> hops = topo.route(src, dst);
+  REPRO_CHECK_MSG(hops.size() >= 2,
+                  "topology has no peer path between these members");
+  legs.reserve(hops.size() - 1);
+  for (std::size_t h = 0; h + 1 < hops.size(); ++h) {
+    const std::size_t a = hops[h];
+    const std::size_t b = hops[h + 1];
+    Device& da = *devices[a];
+    Device& db = *devices[b];
+    if (da.lost()) throw DeviceLostError(da.device_ref());
+    if (db.lost()) throw DeviceLostError(db.device_ref());
+    REPRO_CHECK_MSG(b < exch_streams.size() && exch_streams[b] != nullptr,
+                    "exchange stream missing for route hop");
+    Stream& ss = h == 0 ? send_stream : *exch_streams[a];
+    Stream& rs = *exch_streams[b];
+    const double dur = topo.leg_ms(a, b, bytes);
+    const double ready =
+        std::max(ss.ready_ms(), da.next_free_ms(Engine::DmaD2H));
+    const double start = links.reserve(a, b, ready, dur);
+    ss.wait_until_ms(start);
+    const double s0 = da.submit_timed(ss, Engine::DmaD2H, dur, "d2d send");
+    rs.wait_until_ms(s0);
+    const double r0 = db.submit_timed(rs, Engine::DmaH2D, dur, "d2d recv");
+    legs.push_back({a, b, s0, dur, r0 + dur});
+  }
+  return legs;
+}
+
 DeviceGroup::DeviceGroup(std::vector<GpuSpec> specs)
     : DeviceGroup(specs, std::make_shared<PcieTreeTopology>(specs.size())) {}
 
@@ -29,7 +73,7 @@ DeviceGroup::DeviceGroup(std::size_t count, const GpuSpec& spec)
     : DeviceGroup(replicate(count, spec)) {}
 
 DeviceGroup::DeviceGroup(std::vector<GpuSpec> specs,
-                         std::shared_ptr<Topology> topo)
+                         std::shared_ptr<const Topology> topo)
     : interconnect_(std::move(topo)) {
   REPRO_CHECK(!specs.empty());
   REPRO_CHECK(interconnect_ != nullptr);
@@ -45,7 +89,7 @@ DeviceGroup::DeviceGroup(std::vector<GpuSpec> specs,
 }
 
 DeviceGroup::DeviceGroup(std::size_t count, const GpuSpec& spec,
-                         std::shared_ptr<Topology> topo)
+                         std::shared_ptr<const Topology> topo)
     : DeviceGroup(replicate(count, spec), std::move(topo)) {}
 
 double DeviceGroup::elapsed_ms() const {
@@ -60,7 +104,7 @@ void DeviceGroup::advance_to_ms(double ms) {
 
 void DeviceGroup::reset_clocks() {
   for (auto& d : devices_) d->reset_clock();
-  interconnect_->reset_links();
+  links_.reset();
 }
 
 void DeviceGroup::sync_all() {

@@ -10,7 +10,9 @@
 // d2h on the producer, host memory, an h2d on the consumer, each costed
 // through the per-card PCIe model), while the peer fabrics
 // (PeerMeshTopology, Torus2DTopology) route direct device-to-device legs
-// through d2d_async below.
+// through d2d_async below. The topology is only a description, shareable
+// between groups; the group owns its links' timing state (a LinkClock),
+// next to its members' engine clocks, and reset_clocks() clears both.
 //
 // The cards may share the host's chipset, and N concurrent PCIe links
 // cannot each sustain their full rate through one bridge. The topology's
@@ -30,10 +32,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
 #include <memory>
 #include <span>
 #include <typeindex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -69,7 +73,7 @@ inline double local_copy_ms(const GpuSpec& spec, std::size_t bytes) {
   return static_cast<double>(bytes) / (gbs * 1e6);
 }
 
-/// One timed hop of a d2d_async transfer, for callers that account per
+/// One timed hop of a routed transfer, for callers that account per
 /// device (ordinals are group ordinals; from == to marks a local copy).
 struct PeerLeg {
   std::size_t from{};
@@ -78,6 +82,47 @@ struct PeerLeg {
   double dur_ms{};    ///< wire time of this hop
   double done_ms{};   ///< when the receive engine has the payload
 };
+
+/// When each directed link of a fabric next goes idle: one FIFO per
+/// (from, to) pair, like the engine FIFOs inside sim::Device. Links are
+/// full duplex, so a->b and b->a queue independently. This is timing
+/// state, not wiring: a DeviceGroup owns one and reset_clocks() clears
+/// it, and a model replaying a schedule owns a private one.
+class LinkClock {
+ public:
+  /// A leg over link a->b that is ready at `ready_ms` starts once the
+  /// link is free and holds it for `dur_ms`. Returns the start time.
+  double reserve(std::size_t a, std::size_t b, double ready_ms,
+                 double dur_ms) {
+    double& free_ms = free_ms_[{a, b}];
+    const double start = ready_ms > free_ms ? ready_ms : free_ms;
+    free_ms = start + dur_ms;
+    return start;
+  }
+
+  /// Forget all link occupancy.
+  void reset() { free_ms_.clear(); }
+
+ private:
+  std::map<std::pair<std::size_t, std::size_t>, double> free_ms_;
+};
+
+/// Time one transfer of `bytes` from `devices[src]` to `devices[dst]`
+/// over `topo`, asynchronously on the participating streams; no data
+/// moves. DeviceGroup::d2d_async and the sharded planner's model both
+/// time their legs here. src == dst is a local copy: one D2H-engine op at
+/// DRAM copy rate on `send_stream`. Otherwise each hop of
+/// topo.route(src, dst) occupies the sender's D2H engine, the link (FIFO
+/// in `links`) and the receiver's H2D engine for the leg's wire time. The
+/// first hop sends on `send_stream`, so it orders after the data it
+/// carries; every hop receives, and a forwarder resends, on that device's
+/// `exch_streams` entry, so stream order gives store-and-forward for
+/// free. Throws DeviceLostError if any device on the route is lost.
+std::vector<PeerLeg> time_transfer(
+    const Topology& topo, LinkClock& links,
+    std::span<const std::unique_ptr<Device>> devices, std::size_t src,
+    std::size_t dst, std::size_t bytes, Stream& send_stream,
+    std::span<Stream* const> exch_streams);
 
 class DeviceGroup {
  public:
@@ -92,9 +137,10 @@ class DeviceGroup {
   /// Pluggable-interconnect constructors: the topology must span exactly
   /// the group's device count. Host-bridge derating goes through
   /// Topology::host_share_*; peer fabrics additionally enable d2d_async.
-  DeviceGroup(std::vector<GpuSpec> specs, std::shared_ptr<Topology> topo);
+  DeviceGroup(std::vector<GpuSpec> specs,
+              std::shared_ptr<const Topology> topo);
   DeviceGroup(std::size_t count, const GpuSpec& spec,
-              std::shared_ptr<Topology> topo);
+              std::shared_ptr<const Topology> topo);
 
   DeviceGroup(const DeviceGroup&) = delete;
   DeviceGroup& operator=(const DeviceGroup&) = delete;
@@ -113,31 +159,16 @@ class DeviceGroup {
     return device(static_cast<std::size_t>(ref.ordinal));
   }
 
-  /// The interconnect model (never null). Mutable because link-FIFO
-  /// reservations are timing state, like the engine FIFOs inside Device.
-  [[nodiscard]] Topology& topo() { return *interconnect_; }
+  /// The interconnect description (never null).
   [[nodiscard]] const Topology& topo() const { return *interconnect_; }
 
-  /// Direct device-to-device copy of `count` elements over the fabric,
-  /// asynchronous on the participating streams.
-  ///
-  /// The route comes from topo().route(src, dst); each hop occupies the
-  /// sender's D2H DMA engine and the receiver's H2D DMA engine for the
-  /// leg's wire time, serialized through the per-link FIFO
-  /// (Topology::reserve_link) so concurrent legs over one wire queue.
-  /// The first hop sends on `send_stream` (the caller's producing
-  /// stream, so the leg orders after the data it carries); forwarding
-  /// hops send on the intermediate device's entry in `exch_streams`
-  /// (indexed by group ordinal). Because a forwarder's receive of hop i
-  /// and send of hop i+1 land on the same exchange stream, stream FIFO
-  /// order gives store-and-forward fencing for free.
-  ///
-  /// src == dst is a local on-device copy (one D2H-engine op at DRAM
-  /// copy rate, no link crossed). Functionally the payload moves once,
-  /// on the final hop; intermediate hops carry timed occupancy only.
-  /// Throws DeviceLostError if any device on the route is lost — legs
-  /// are not injector occurrence points themselves; aliveness is
-  /// checked so failover re-routes around dead forwarders.
+  /// The group's directed-link FIFOs: timing state, reset with the
+  /// engine clocks by reset_clocks().
+  [[nodiscard]] LinkClock& links() { return links_; }
+
+  /// Direct device-to-device copy of `count` elements over the fabric:
+  /// the legs time_transfer schedules on the group's devices and link
+  /// clock, then the copy. Legs are not injector occurrence points.
   template <typename T>
   std::vector<PeerLeg> d2d_async(std::size_t src, std::size_t dst,
                                  const DeviceBuffer<T>& sbuf,
@@ -145,47 +176,11 @@ class DeviceGroup {
                                  std::size_t doff, std::size_t count,
                                  Stream& send_stream,
                                  std::span<Stream* const> exch_streams) {
-    REPRO_CHECK(src < size() && dst < size());
     REPRO_CHECK(soff + count <= sbuf.size());
     REPRO_CHECK(doff + count <= dbuf.size());
-    const std::size_t bytes = count * sizeof(T);
-    std::vector<PeerLeg> legs;
-    if (src == dst) {
-      Device& dev = device(src);
-      if (dev.lost()) throw DeviceLostError(dev.device_ref());
-      const double dur = local_copy_ms(dev.spec(), bytes);
-      const double start =
-          dev.submit_timed(send_stream, Engine::DmaD2H, dur, "d2d local");
-      std::copy(sbuf.data() + soff, sbuf.data() + soff + count,
-                dbuf.data() + doff);
-      legs.push_back({src, dst, start, dur, start + dur});
-      return legs;
-    }
-    const std::vector<std::size_t> hops = interconnect_->route(src, dst);
-    REPRO_CHECK_MSG(hops.size() >= 2,
-                    "topology has no peer path between these members");
-    legs.reserve(hops.size() - 1);
-    for (std::size_t h = 0; h + 1 < hops.size(); ++h) {
-      const std::size_t a = hops[h];
-      const std::size_t b = hops[h + 1];
-      Device& da = device(a);
-      Device& db = device(b);
-      if (da.lost()) throw DeviceLostError(da.device_ref());
-      if (db.lost()) throw DeviceLostError(db.device_ref());
-      REPRO_CHECK_MSG(b < exch_streams.size() && exch_streams[b] != nullptr,
-                      "exchange stream missing for route hop");
-      Stream& ss = h == 0 ? send_stream : *exch_streams[a];
-      Stream& rs = *exch_streams[b];
-      const double dur = interconnect_->leg_ms(a, b, bytes);
-      const double ready =
-          std::max(ss.ready_ms(), da.next_free_ms(Engine::DmaD2H));
-      const double start = interconnect_->reserve_link(a, b, ready, dur);
-      ss.wait_until_ms(start);
-      const double s0 = da.submit_timed(ss, Engine::DmaD2H, dur, "d2d send");
-      rs.wait_until_ms(s0);
-      const double r0 = db.submit_timed(rs, Engine::DmaH2D, dur, "d2d recv");
-      legs.push_back({a, b, s0, dur, r0 + dur});
-    }
+    std::vector<PeerLeg> legs =
+        time_transfer(*interconnect_, links_, devices_, src, dst,
+                      count * sizeof(T), send_stream, exch_streams);
     std::copy(sbuf.data() + soff, sbuf.data() + soff + count,
               dbuf.data() + doff);
     return legs;
@@ -348,7 +343,8 @@ class DeviceGroup {
     std::uint64_t clean_probes = 0;
   };
 
-  std::shared_ptr<Topology> interconnect_;
+  std::shared_ptr<const Topology> interconnect_;
+  LinkClock links_;
   // unique_ptr: Device is pinned (streams and buffers hold raw pointers).
   std::vector<std::unique_ptr<Device>> devices_;
   std::size_t host_staging_bytes_ = 0;

@@ -24,9 +24,8 @@ class Event {
   /// Whether record() has captured a timeline position yet.
   [[nodiscard]] bool recorded() const { return recorded_; }
 
-  /// Timeline position (simulated ns / ms) of the last record(). Only
+  /// Timeline position (simulated ms) of the last record(). Only
   /// meaningful when recorded().
-  [[nodiscard]] double time_ns() const { return time_ns_; }
   [[nodiscard]] double time_ms() const { return time_ns_ * 1e-6; }
 
   /// False when the recording stream was poisoned at record time

@@ -55,11 +55,7 @@ struct StreamOp {
   double start_ns{};
   double end_ns{};
 
-  [[nodiscard]] double duration_ms() const {
-    return (end_ns - start_ns) * 1e-6;
-  }
   [[nodiscard]] double start_ms() const { return start_ns * 1e-6; }
-  [[nodiscard]] double end_ms() const { return end_ns * 1e-6; }
 };
 
 class Stream {

@@ -6,18 +6,16 @@
 // per-link rate/latency of that fabric, and a closed-form bisection
 // bandwidth that the planner uses to pick a decomposition.
 //
-// Topologies are *timing* models only.  Functional data movement stays
-// host-backed (DeviceBuffer memcpy); DeviceGroup::d2d_async turns a
-// route from here into timed DMA-engine occupancy on the endpoint
-// devices plus a per-link FIFO (reserve_link) so concurrent legs over
-// the same wire queue behind each other, exactly like the per-engine
-// FIFOs inside sim::Device.
+// A Topology is an immutable description, so one instance can back any
+// number of groups and models. Functional data movement stays
+// host-backed (DeviceBuffer memcpy). Link occupancy is timing state, not
+// wiring: it lives in a LinkClock next to the engine clocks, and
+// sim::time_transfer (device_group.h) turns a route from here into
+// DMA-engine occupancy on the endpoint devices plus that link FIFO.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -114,26 +112,10 @@ class Topology {
   /// concrete topology documents its derivation.
   [[nodiscard]] virtual double bisection_gbs() const = 0;
 
-  /// Per-link FIFO, mirroring the per-engine FIFOs in sim::Device: a
-  /// leg that is ready at `ready_ms` starts once the (directed) link
-  /// a->b is free, and occupies it for `dur_ms`.  Returns the start
-  /// time.  Links are full duplex: a->b and b->a queue independently.
-  double reserve_link(std::size_t a, std::size_t b, double ready_ms,
-                      double dur_ms) {
-    double& free_ms = link_free_ms_[{a, b}];
-    const double start = ready_ms > free_ms ? ready_ms : free_ms;
-    free_ms = start + dur_ms;
-    return start;
-  }
-
-  /// Forget all link occupancy (paired with DeviceGroup::reset_clocks).
-  void reset_links() { link_free_ms_.clear(); }
-
  private:
   std::size_t size_;
   double aggregate_h2d_gbs_;
   double aggregate_d2h_gbs_;
-  std::map<std::pair<std::size_t, std::size_t>, double> link_free_ms_;
 };
 
 }  // namespace repro::sim

@@ -27,9 +27,6 @@ class Torus2DTopology final : public Topology {
     REPRO_CHECK_MSG(link_gbs_ > 0.0, "torus link rate must be positive");
   }
 
-  [[nodiscard]] std::size_t rows() const { return rows_; }
-  [[nodiscard]] std::size_t cols() const { return cols_; }
-
   [[nodiscard]] std::string kind() const override { return "torus2d"; }
   [[nodiscard]] bool peer_capable() const override { return size() > 1; }
 

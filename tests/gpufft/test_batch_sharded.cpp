@@ -192,7 +192,8 @@ TEST(BatchSharded, ModelPredictsDealVsShardCrossover) {
     const auto dealt = deal_plan.execute_batch(deal_spans);
 
     const BatchChoice c =
-        choose_batch_strategy(phases, derated, n, shards, devices, batch);
+        choose_batch_strategy(phases, derated, group.topo(),
+                              Direction::Forward, n, shards, devices, batch);
     const double deal_err =
         std::abs(c.deal_ms - dealt.makespan_ms) / dealt.makespan_ms;
     const double shard_err =
@@ -245,7 +246,8 @@ TEST(BatchSharded, DealWinsWhenShardingCannotUseEveryCard) {
     const auto dealt = deal_plan.execute_batch(deal_spans);
 
     const BatchChoice c =
-        choose_batch_strategy(phases, derated, n, shards, devices, batch);
+        choose_batch_strategy(phases, derated, group.topo(),
+                              Direction::Forward, n, shards, devices, batch);
     EXPECT_LT(std::abs(c.deal_ms - dealt.makespan_ms) / dealt.makespan_ms,
               0.05)
         << "batch=" << batch;

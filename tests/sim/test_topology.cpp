@@ -1,6 +1,6 @@
-// Interconnect topologies: routing, bisection arithmetic, the per-link
-// FIFO, and DeviceGroup::d2d_async timing/functional behavior on top of
-// them.
+// Interconnect topologies: routing, bisection arithmetic, the group's
+// per-link FIFOs, and DeviceGroup::d2d_async timing/functional behavior
+// on top of them.
 #include "sim/topology/topology.h"
 
 #include <gtest/gtest.h>
@@ -90,16 +90,42 @@ TEST(Topology, TorusBisectionArithmetic) {
 }
 
 TEST(Topology, LinkFifoSerializesConcurrentLegs) {
-  PeerMeshTopology mesh(2);
+  // The group owns its link time: one FIFO per directed link.
+  DeviceGroup group(2, geforce_8800_gts(),
+                    std::make_shared<PeerMeshTopology>(2));
+  LinkClock& links = group.links();
   // Two legs ready at t=0 over the same directed wire queue back to back.
-  const double s0 = mesh.reserve_link(0, 1, 0.0, 1.0);
-  const double s1 = mesh.reserve_link(0, 1, 0.0, 1.0);
+  const double s0 = links.reserve(0, 1, 0.0, 1.0);
+  const double s1 = links.reserve(0, 1, 0.0, 1.0);
   EXPECT_DOUBLE_EQ(s0, 0.0);
   EXPECT_DOUBLE_EQ(s1, 1.0);
   // Full duplex: the reverse direction is independent.
-  EXPECT_DOUBLE_EQ(mesh.reserve_link(1, 0, 0.0, 1.0), 0.0);
-  mesh.reset_links();
-  EXPECT_DOUBLE_EQ(mesh.reserve_link(0, 1, 0.0, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(links.reserve(1, 0, 0.0, 1.0), 0.0);
+  links.reset();
+  EXPECT_DOUBLE_EQ(links.reserve(0, 1, 0.0, 1.0), 0.0);
+}
+
+TEST(Topology, GroupsSharingATopologyKeepTheirOwnLinkClocks) {
+  // A topology is a description: two groups built over one instance must
+  // not queue behind each other's legs.
+  const auto mesh = std::make_shared<PeerMeshTopology>(2);
+  DeviceGroup a(2, geforce_8800_gts(), mesh);
+  DeviceGroup b(2, geforce_8800_gts(), mesh);
+  const std::size_t count = (std::size_t{4} << 20) / sizeof(float);  // 4 MB
+  const auto first_leg = [count](DeviceGroup& g) {
+    auto src = g.device(0).alloc<float>(count);
+    auto dst = g.device(1).alloc<float>(count);
+    Stream s0(g.device(0));
+    Stream s1(g.device(1));
+    std::vector<Stream*> exch{&s0, &s1};
+    return g.d2d_async(0, 1, src, 0, dst, 0, count, s0,
+                       std::span<Stream* const>(exch))
+        .front();
+  };
+  const PeerLeg leg_a = first_leg(a);
+  EXPECT_DOUBLE_EQ(leg_a.start_ms, 0.0);
+  EXPECT_GT(leg_a.dur_ms, 0.25);  // the leg really occupies A's link
+  EXPECT_DOUBLE_EQ(first_leg(b).start_ms, 0.0);
 }
 
 TEST(Topology, MeshKeepsFullHostLinksPerCard) {
@@ -217,10 +243,10 @@ TEST(Topology, D2dAsyncThrowsWhenARouteDeviceIsLost) {
 TEST(Topology, GroupResetClocksClearsLinkFifos) {
   DeviceGroup group(2, geforce_8800_gts(),
                     std::make_shared<PeerMeshTopology>(2));
-  EXPECT_DOUBLE_EQ(group.topo().reserve_link(0, 1, 0.0, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(group.topo().reserve_link(0, 1, 0.0, 5.0), 5.0);
+  EXPECT_DOUBLE_EQ(group.links().reserve(0, 1, 0.0, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(group.links().reserve(0, 1, 0.0, 5.0), 5.0);
   group.reset_clocks();
-  EXPECT_DOUBLE_EQ(group.topo().reserve_link(0, 1, 0.0, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(group.links().reserve(0, 1, 0.0, 5.0), 0.0);
 }
 
 }  // namespace
