@@ -103,10 +103,7 @@ std::vector<StepTiming> FftPlanT<T>::execute_batch_host_impl(
   const std::size_t count = volumes[0].size();
   for (const auto& v : volumes) REPRO_CHECK(v.size() == count);
 
-  // Two staging buffers, two streams: the classic double-buffered offload
-  // pipeline (Section 4.4). Buffer reuse is ordered by the stream itself:
-  // job i+2's upload is enqueued after job i's download on the same
-  // stream, so the lease cannot be overwritten early on the timeline.
+  // Two staging buffers, two streams, one slot per job parity.
   auto& cache = ResourceCache::of(dev);
   auto lease0 = cache.template lease<T>(count);
   auto lease1 = cache.template lease<T>(jobs > 1 ? count : std::size_t{1});
@@ -115,23 +112,23 @@ std::vector<StepTiming> FftPlanT<T>::execute_batch_host_impl(
   sim::Stream stream1(dev);
   sim::Stream* streams[2] = {&stream0, &stream1};
 
-  auto upload = [&](std::size_t i) {
-    staged_h2d(dev, *staging[i % 2],
-               std::span<const cx<T>>(volumes[i].data(), count),
-               streams[i % 2], /*dst_offset=*/0, policy_.staging);
-  };
-
   std::vector<StepTiming> total;
   std::vector<double> traffic;
-  upload(0);
-  if (jobs > 1) upload(1);
-  for (std::size_t i = 0; i < jobs; ++i) {
-    accumulate_steps(total, traffic,
-                     execute_async(*staging[i % 2], *streams[i % 2]));
-    staged_d2h(dev, volumes[i], *staging[i % 2], streams[i % 2],
-               /*src_offset=*/0, policy_.staging);
-    if (i + 2 < jobs) upload(i + 2);
-  }
+  issue_double_buffered(
+      jobs,
+      [&](std::size_t i) {
+        staged_h2d(dev, *staging[i % 2],
+                   std::span<const cx<T>>(volumes[i].data(), count),
+                   streams[i % 2], /*dst_offset=*/0, policy_.staging);
+      },
+      [&](std::size_t i) {
+        accumulate_steps(total, traffic,
+                         execute_async(*staging[i % 2], *streams[i % 2]));
+      },
+      [&](std::size_t i) {
+        staged_d2h(dev, volumes[i], *staging[i % 2], streams[i % 2],
+                   /*src_offset=*/0, policy_.staging);
+      });
   finish_accumulation(total, traffic);
   // Leaving scope destroys the streams, which folds their timelines into
   // the device clock (implicit synchronize).

@@ -22,6 +22,7 @@
 //                       card's engines allow (Section 4.4's suggestion)
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -45,6 +46,23 @@ auto with_plan_context(const PlanDesc& desc, F&& fn) {
   } catch (sim::SimError& e) {
     e.add_context("plan[" + desc.to_string() + "]");
     throw;
+  }
+}
+
+/// Section 4.4's double-buffered offload pipeline, the one issue order
+/// every host batch runs: job i uses stream and staging slot i % 2, and
+/// the order is up(0), up(1), then run(i), down(i), up(i + 2) for each
+/// job. Job i + 2's upload follows job i's download on the same stream, so
+/// the stream itself orders the slot's reuse. Copy engines are FIFOs, so
+/// this order also decides which transfer a shared engine serves first.
+template <typename Up, typename Run, typename Down>
+void issue_double_buffered(std::size_t jobs, Up&& up, Run&& run,
+                           Down&& down) {
+  for (std::size_t i = 0; i < std::min<std::size_t>(jobs, 2); ++i) up(i);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    run(i);
+    down(i);
+    if (i + 2 < jobs) up(i + 2);
   }
 }
 

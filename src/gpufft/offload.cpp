@@ -1,79 +1,28 @@
 #include "gpufft/offload.h"
 
-#include <algorithm>
-
 #include "sim/stream.h"
 
 namespace repro::gpufft {
 
-OffloadTiming offload_pipeline(double h2d_ms, double fft_ms, double d2h_ms,
-                               std::size_t jobs) {
-  OffloadTiming t;
-  t.h2d_ms = h2d_ms;
-  t.fft_ms = fft_ms;
-  t.d2h_ms = d2h_ms;
-  t.jobs = jobs;
-  if (jobs == 0) return t;  // nothing to fill or drain: all totals zero
-  const double n = static_cast<double>(jobs);
-  t.sync_ms = n * (h2d_ms + fft_ms + d2h_ms);
-
-  // Single copy engine: per steady-state job the engine must move one
-  // volume up and one down; compute runs concurrently. Fill (first upload)
-  // and drain (last download) are exposed.
-  const double copy = h2d_ms + d2h_ms;
-  t.overlap_1dma_ms =
-      h2d_ms + std::max(copy, fft_ms) * std::max(0.0, n - 1.0) +
-      std::max(fft_ms, d2h_ms) + d2h_ms;
-
-  // Dual copy engines: the bottleneck is the slowest single stage.
-  const double stage = std::max({h2d_ms, fft_ms, d2h_ms});
-  t.overlap_2dma_ms = h2d_ms + fft_ms + stage * std::max(0.0, n - 1.0) +
-                      d2h_ms;
-  // Overlap can never be slower than the serial schedule (at jobs == 1
-  // this clamps both schedules to exactly the serial sum: a single job
-  // has no overlap partner).
-  t.overlap_1dma_ms = std::min(t.overlap_1dma_ms, t.sync_ms);
-  t.overlap_2dma_ms = std::min(t.overlap_2dma_ms, t.overlap_1dma_ms);
-  return t;
-}
-
 double schedule_offload(double h2d_ms, double fft_ms, double d2h_ms,
                         std::size_t jobs, int dma_engines) {
-  if (jobs == 0) return 0.0;
   // Throwaway device: only the engine topology matters for a purely timed
   // replay, so the default spec with the requested copy-engine count does.
   sim::GpuSpec spec;
   spec.name = "offload-replay";
   spec.dma_engines = dma_engines;
   Device dev(spec);
-
-  // Three streams, round-robin: depth-3 software pipelining. Depth 2 binds
-  // on a dual-engine card whenever the two non-bottleneck stages together
-  // exceed the bottleneck; at depth 3 they never can (each is <= the
-  // bottleneck), so the steady-state rate reaches the engine bound for any
-  // (h2d, fft, d2h) mix on either engine topology.
   sim::Stream s0(dev);
   sim::Stream s1(dev);
-  sim::Stream s2(dev);
-  sim::Stream* ring[3] = {&s0, &s1, &s2};
-
-  // Submission order matters: each engine is a FIFO, so uploads are staged
-  // breadth-first ahead of the jobs that reuse their buffers to avoid
-  // head-of-line blocking on a shared copy engine.
-  const std::size_t depth = std::min<std::size_t>(3, jobs);
-  for (std::size_t i = 0; i < depth; ++i) {
-    dev.submit_timed(*ring[i % 3], sim::Engine::DmaH2D, h2d_ms, "h2d");
-  }
-  for (std::size_t i = 0; i < jobs; ++i) {
-    sim::Stream& s = *ring[i % 3];
-    dev.submit_timed(s, sim::Engine::Compute, fft_ms, "fft");
-    dev.submit_timed(s, sim::Engine::DmaD2H, d2h_ms, "d2h");
-    // Job i+3 reuses this stream (and, conceptually, its staging buffer),
-    // so its upload is ordered after job i's download.
-    if (i + 3 < jobs) {
-      dev.submit_timed(s, sim::Engine::DmaH2D, h2d_ms, "h2d");
-    }
-  }
+  sim::Stream* streams[2] = {&s0, &s1};
+  const auto op = [&](sim::Engine engine, double ms, const char* name) {
+    return [&, engine, ms, name](std::size_t i) {
+      dev.submit_timed(*streams[i % 2], engine, ms, name);
+    };
+  };
+  issue_double_buffered(jobs, op(sim::Engine::DmaH2D, h2d_ms, "h2d"),
+                        op(sim::Engine::Compute, fft_ms, "fft"),
+                        op(sim::Engine::DmaD2H, d2h_ms, "d2h"));
   dev.sync_all();
   return dev.elapsed_ms();
 }
@@ -94,12 +43,17 @@ OffloadTiming measure_offload(Device& dev, Shape3 shape, std::size_t jobs) {
   const double fft = fft_end - h2d;
   const double d2h = total - fft_end;
 
-  OffloadTiming t = offload_pipeline(h2d, fft, d2h, jobs);
+  OffloadTiming t;
+  t.h2d_ms = h2d;
+  t.fft_ms = fft;
+  t.d2h_ms = d2h;
+  t.jobs = jobs;
+  t.sync_ms = static_cast<double>(jobs) * (h2d + fft + d2h);
 
   // Replay the job stream through the real scheduler for both engine
-  // topologies. Large batches would not double-buffer on a 512 MB card as
-  // real allocations, so the replay is purely timed (submit_timed) — the
-  // schedule is identical to one with live buffers.
+  // topologies. The replay is purely timed (submit_timed): the schedule
+  // is the one live buffers with these phase times would get, without
+  // running 3 * jobs transforms per topology.
   t.sched_1dma_ms = schedule_offload(h2d, fft, d2h, jobs, 1);
   t.sched_2dma_ms = schedule_offload(h2d, fft, d2h, jobs, 2);
   if (jobs > 0) {
