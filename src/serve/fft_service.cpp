@@ -90,24 +90,26 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
         plan->execute(s);
         done.push_back(group_.elapsed_ms() - t0);
       }
-    } else if (desc.kind == PlanKind::OutOfCore ||
-               desc.kind == PlanKind::BatchSharded3D) {
-      // Single-card volumes: deal them to the members round-robin.
-      strategy = BatchStrategy::Deal;
-      auto plan = std::dynamic_pointer_cast<gpufft::BatchShardedFft3DPlan>(
-          reg.get_or_create(
-              PlanDesc::batch_sharded3d(n, desc.splits, desc.dir)));
-      REPRO_CHECK(plan != nullptr);
-      plan->set_exec_policy(cfg_.exec);
-      done = plan->execute_batch(spans).volume_done_ms;
-    } else if (desc.kind == PlanKind::Sharded3D) {
-      // Complex fleet volumes: the modeled deal-vs-shard choice, keyed on
-      // the fabric (peer layouts shard wider and skip the bridge).
-      const gpufft::BatchChoice choice = gpufft::choose_batch_strategy(
-          phases_for(desc), group_.device(0).spec(), group_.topo(), desc.dir,
-          n, desc.splits, group_.schedulable_count(), batch.size());
-      strategy = choice.strategy;
-      if (choice.strategy == BatchStrategy::Deal) {
+    } else {
+      if (desc.kind == PlanKind::Sharded3D) {
+        // Complex fleet volumes: the modeled deal-vs-shard choice, keyed
+        // on the fabric (peer layouts shard wider and skip the bridge).
+        strategy = gpufft::choose_batch_strategy(
+                       phases_for(desc), group_.device(0).spec(),
+                       group_.topo(), desc.dir, n, desc.splits,
+                       group_.schedulable_count(), batch.size())
+                       .strategy;
+      } else if (desc.kind == PlanKind::OutOfCore ||
+                 desc.kind == PlanKind::BatchSharded3D) {
+        // Single-card volumes: deal them to the members round-robin.
+        strategy = BatchStrategy::Deal;
+      } else {
+        REPRO_FAIL(
+            "FftService serves Sharded3D, BatchSharded3D and OutOfCore "
+            "descriptions; got " +
+            desc.to_string());
+      }
+      if (strategy == BatchStrategy::Deal) {
         auto plan = std::dynamic_pointer_cast<gpufft::BatchShardedFft3DPlan>(
             reg.get_or_create(
                 PlanDesc::batch_sharded3d(n, desc.splits, desc.dir)));
@@ -121,11 +123,6 @@ void FftService::run_batch(const std::vector<FftRequest>& batch,
         plan->set_exec_policy(cfg_.exec);
         done = plan->execute_batch(spans).volume_done_ms;
       }
-    } else {
-      REPRO_FAIL(
-          "FftService serves Sharded3D, BatchSharded3D and OutOfCore "
-          "descriptions; got " +
-          desc.to_string());
     }
   } catch (const sim::SimError&) {
     // The fused execution died after its own recovery layers gave up.
@@ -152,6 +149,12 @@ void FftService::run_salvage(const std::vector<FftRequest>& batch,
                              const std::vector<std::vector<cxf>>& snapshot,
                              BatchStrategy strategy, ServiceReport& rep) {
   const PlanDesc& desc = batch.front().desc;
+  // Sharded descriptions re-run on their own plan, even when the batch was
+  // dealt; single-card ones on the deal plan, one volume per call.
+  const PlanDesc salvage =
+      desc.kind == PlanKind::Sharded3D
+          ? desc
+          : PlanDesc::batch_sharded3d(desc.shape.nx, desc.splits, desc.dir);
   auto& reg = PlanRegistry::of(group_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     // Restore the pristine input: the fused attempt may have left this
@@ -160,28 +163,9 @@ void FftService::run_salvage(const std::vector<FftRequest>& batch,
     // data path), just later on the clock.
     std::copy(snapshot[i].begin(), snapshot[i].end(), batch[i].data.begin());
     try {
-      if (desc.kind == PlanKind::Sharded3D &&
-          desc.layout == gpufft::Layout::RealHalfSpectrum) {
-        auto plan = std::dynamic_pointer_cast<gpufft::ShardedRealFft3DPlan>(
-            reg.get_or_create(desc));
-        REPRO_CHECK(plan != nullptr);
-        plan->set_exec_policy(cfg_.exec);
-        plan->execute(batch[i].data);
-      } else if (desc.kind == PlanKind::Sharded3D) {
-        auto plan = std::dynamic_pointer_cast<gpufft::ShardedFft3DPlan>(
-            reg.get_or_create(desc));
-        REPRO_CHECK(plan != nullptr);
-        plan->set_exec_policy(cfg_.exec);
-        plan->execute(batch[i].data);
-      } else {
-        auto plan = std::dynamic_pointer_cast<gpufft::BatchShardedFft3DPlan>(
-            reg.get_or_create(PlanDesc::batch_sharded3d(
-                desc.shape.nx, desc.splits, desc.dir)));
-        REPRO_CHECK(plan != nullptr);
-        plan->set_exec_policy(cfg_.exec);
-        const std::span<cxf> one[] = {batch[i].data};
-        plan->execute_batch(one);
-      }
+      auto plan = reg.get_or_create(salvage);
+      plan->set_exec_policy(cfg_.exec);
+      plan->execute_host(batch[i].data);
       CompletionRecord c;
       c.id = batch[i].id;
       c.done_ms = group_.elapsed_ms();
