@@ -48,10 +48,8 @@ std::vector<StepTiming> Batch1DFftT<T>::execute_impl(DeviceBuffer<cx<T>>& data) 
   const auto r = this->dev_.launch(k);
 
   std::vector<StepTiming> steps;
-  steps.push_back(StepTiming{
-      "batch1d (fine)", r.total_ms,
-      2.0 * static_cast<double>(n * count) * sizeof(cx<T>) /
-          (r.total_ms * 1e6)});
+  steps.push_back(StepTiming{"batch1d (fine)", r.total_ms,
+                             useful_gbs(n * count, r.total_ms, sizeof(cx<T>))});
   this->finish(steps);
   return steps;
 }

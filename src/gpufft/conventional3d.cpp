@@ -3,13 +3,6 @@
 #include "gpufft/cache.h"
 
 namespace repro::gpufft {
-namespace {
-
-double useful_gbs(std::size_t volume, double ms) {
-  return 2.0 * static_cast<double>(volume) * sizeof(cxf) / (ms * 1e6);
-}
-
-}  // namespace
 
 TransposeKernel::TransposeKernel(DeviceBuffer<cxf>& in, DeviceBuffer<cxf>& out,
                                  Shape3 in_shape, unsigned grid_blocks,
@@ -143,8 +136,8 @@ std::vector<StepTiming> ConventionalFft3D::execute_impl(DeviceBuffer<cxf>& data)
   const auto [nx, ny, nz] = shape;
   std::vector<StepTiming> steps;
   auto record = [&](const char* name, const LaunchResult& r) {
-    steps.push_back(
-        StepTiming{name, r.total_ms, useful_gbs(shape.volume(), r.total_ms)});
+    steps.push_back(StepTiming{
+        name, r.total_ms, useful_gbs(shape.volume(), r.total_ms, sizeof(cxf))});
   };
 
   auto fft_lines = [&](DeviceBuffer<cxf>& in, DeviceBuffer<cxf>& out,

@@ -206,9 +206,8 @@ std::vector<StepTiming> Convolution3D::execute_impl(DeviceBuffer<cxf>& data) {
   REPRO_CHECK(data.size() >= elems);
   std::vector<StepTiming> steps;
   auto record = [&](const char* name, const LaunchResult& r) {
-    const double gbs =
-        2.0 * static_cast<double>(elems) * sizeof(cxf) / (r.total_ms * 1e6);
-    steps.push_back(StepTiming{name, r.total_ms, gbs});
+    steps.push_back(StepTiming{name, r.total_ms,
+                               useful_gbs(elems, r.total_ms, sizeof(cxf))});
   };
 
   for (const auto& s : fwd_->execute(data)) {

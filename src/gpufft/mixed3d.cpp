@@ -11,11 +11,6 @@
 namespace repro::gpufft {
 namespace {
 
-double useful_gbs(std::size_t volume, double ms, std::size_t esize) {
-  return 2.0 * static_cast<double>(volume) * static_cast<double>(esize) /
-         (ms * 1e6);
-}
-
 constexpr Precision precision_of(bool fp64) {
   return fp64 ? Precision::F64 : Precision::F32;
 }

@@ -6,13 +6,6 @@
 #include "gpufft/cache.h"
 
 namespace repro::gpufft {
-namespace {
-
-double useful_gbs(std::size_t volume, double ms) {
-  return 2.0 * static_cast<double>(volume) * sizeof(cxf) / (ms * 1e6);
-}
-
-}  // namespace
 
 Naive1DFftKernel::Naive1DFftKernel(DeviceBuffer<cxf>& in,
                                    DeviceBuffer<cxf>& out, std::size_t n,
@@ -233,8 +226,8 @@ std::vector<StepTiming> NaiveFft3D::execute_impl(DeviceBuffer<cxf>& data) {
   auto& work = ws.buffer();
   std::vector<StepTiming> steps;
   auto record = [&](const std::string& name, const LaunchResult& r) {
-    steps.push_back(
-        StepTiming{name, r.total_ms, useful_gbs(shape.volume(), r.total_ms)});
+    steps.push_back(StepTiming{
+        name, r.total_ms, useful_gbs(shape.volume(), r.total_ms, sizeof(cxf))});
   };
 
   // X axis: batched shared-memory FFT over contiguous lines (in place).

@@ -3,13 +3,6 @@
 #include "gpufft/fine_kernel.h"
 
 namespace repro::gpufft {
-namespace {
-
-double useful_gbs(std::size_t elems, double ms) {
-  return 2.0 * static_cast<double>(elems) * sizeof(cxf) / (ms * 1e6);
-}
-
-}  // namespace
 
 XAxisPassAKernel::XAxisPassAKernel(DeviceBuffer<cxf>& in,
                                    DeviceBuffer<cxf>& out, std::size_t n,
@@ -161,21 +154,21 @@ XAxisAblationResult run_x_axis_variant(Device& dev, DeviceBuffer<cxf>& data,
     const auto r = dev.launch(k);
     result.steps.push_back(
         StepTiming{"X shared-memory", r.total_ms,
-                   useful_gbs(n * count, r.total_ms)});
+                   useful_gbs(n * count, r.total_ms, sizeof(cxf))});
   } else {
     auto scratch = dev.alloc<cxf>(n * count);
     XAxisPassAKernel a(data, scratch, n, count, dir, grid);
     const auto ra = dev.launch(a);
-    result.steps.push_back(StepTiming{"X pass A (16-pt, coalesced)",
-                                      ra.total_ms,
-                                      useful_gbs(n * count, ra.total_ms)});
+    result.steps.push_back(
+        StepTiming{"X pass A (16-pt, coalesced)", ra.total_ms,
+                   useful_gbs(n * count, ra.total_ms, sizeof(cxf))});
     XAxisPassBKernel b(scratch, data, n, count, dir, mode, grid);
     const auto rb = dev.launch(b);
     result.steps.push_back(StepTiming{
         mode == ExchangeMode::TextureMemory
             ? "X pass B (16-pt, texture gather)"
             : "X pass B (16-pt, non-coalesced gather)",
-        rb.total_ms, useful_gbs(n * count, rb.total_ms)});
+        rb.total_ms, useful_gbs(n * count, rb.total_ms, sizeof(cxf))});
   }
   for (const auto& s : result.steps) result.total_ms += s.ms;
   return result;

@@ -100,9 +100,10 @@ void SlabTwiddleKernel::run_block(sim::BlockCtx& ctx) {
   });
 }
 
-std::vector<StepTiming> table12_rows(const ShardTiming& t, double bytes) {
+std::vector<StepTiming> table12_rows(const ShardTiming& t, std::size_t elems) {
   auto row = [&](const char* name, double ms) {
-    return StepTiming{name, ms, ms > 0.0 ? 2.0 * bytes / (ms * 1e6) : 0.0};
+    return StepTiming{name, ms,
+                      ms > 0.0 ? useful_gbs(elems, ms, sizeof(cxf)) : 0.0};
   };
   return {
       row("phase1 send", t.h2d1_ms),    row("phase1 slab FFT", t.fft1_ms),
@@ -260,7 +261,7 @@ std::vector<StepTiming> OutOfCoreFft3D::execute_host(std::span<cxf> data) {
   // The rows report the schedule-independent Table 12 sums; the cost of
   // the run is the overlapped makespan the stream scheduler resolved.
   last_total_ms_ = t.makespan_ms;
-  return table12_rows(t, static_cast<double>(n_ * n_ * n_) * sizeof(cxf));
+  return table12_rows(t, n_ * n_ * n_);
 }
 
 std::vector<StepTiming> OutOfCoreFft3D::execute_batch_host(

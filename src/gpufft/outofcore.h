@@ -124,9 +124,10 @@ struct OutOfCoreTiming : ShardTiming {
   [[nodiscard]] double total_ms() const { return busy_ms(); }
 };
 
-/// The seven Table 12 rows of `t`. Each phase touches `bytes` once in each
-/// direction, so a row's bandwidth is 2 * bytes over its time.
-std::vector<StepTiming> table12_rows(const ShardTiming& t, double bytes);
+/// The seven Table 12 rows of `t`. Each phase touches `elems` complex
+/// elements once in each direction (useful_gbs); a zero-time row reports
+/// zero bandwidth.
+std::vector<StepTiming> table12_rows(const ShardTiming& t, std::size_t elems);
 
 /// The Z-decimation factor S of a plan over an n^3 volume: the TuneConfig
 /// slab-depth knob overrides `requested` when set. Throws Error naming n

@@ -7,16 +7,6 @@
 #include "gpufft/cache.h"
 
 namespace repro::gpufft {
-namespace {
-
-/// The paper reports per-step bandwidth as useful traffic (one read + one
-/// write of the volume) over elapsed time.
-double useful_gbs(std::size_t volume, double ms, std::size_t elem_bytes) {
-  const double bytes = 2.0 * static_cast<double>(volume * elem_bytes);
-  return bytes / (ms * 1e6);  // bytes/ns == GB/s
-}
-
-}  // namespace
 
 template <typename T>
 BandwidthFft3DT<T>::BandwidthFft3DT(Device& dev, Shape3 shape, Direction dir,

@@ -42,9 +42,8 @@ std::vector<StepTiming> BandwidthFft2DT<T>::execute_impl(
   const auto [f1, f2] = sy_;
   std::vector<StepTiming> steps;
   auto record = [&](const char* name, const LaunchResult& r) {
-    const double gbs = 2.0 * static_cast<double>(area) * sizeof(cx<T>) /
-                       (r.total_ms * 1e6);
-    steps.push_back(StepTiming{name, r.total_ms, gbs});
+    steps.push_back(StepTiming{name, r.total_ms,
+                               useful_gbs(area, r.total_ms, sizeof(cx<T>))});
   };
 
   RankKernelParams p;

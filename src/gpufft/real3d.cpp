@@ -7,17 +7,6 @@
 #include "gpufft/cache.h"
 
 namespace repro::gpufft {
-namespace {
-
-/// Per-step bandwidth as useful traffic (one read + one write of the
-/// padded buffer) over elapsed time — same metric as the complex plan,
-/// just over the smaller half-spectrum footprint.
-double useful_gbs(std::size_t elems, double ms, std::size_t elem_bytes) {
-  const double bytes = 2.0 * static_cast<double>(elems * elem_bytes);
-  return bytes / (ms * 1e6);  // bytes/ns == GB/s
-}
-
-}  // namespace
 
 template <typename T>
 std::vector<cx<T>> pack_real_volume(std::span<const T> real, Shape3 shape) {

@@ -248,8 +248,7 @@ std::vector<StepTiming> ShardedExecutor::execute_host(std::span<cxf> data) {
   // The rows are schedule-independent duration sums across the fleet; the
   // cost of the run is the overlapped group makespan.
   last_total_ms_ = t.makespan_ms;
-  return table12_rows(
-      t.sum(), static_cast<double>(buffer_elements()) * sizeof(cxf));
+  return table12_rows(t.sum(), buffer_elements());
 }
 
 std::vector<StepTiming> ShardedExecutor::execute_batch_host(
@@ -912,10 +911,7 @@ std::vector<StepTiming> ShardedFft3DPlan::execute_batch_host(
   // The rows are duration sums across the batch; the cost of the run is
   // the overlapped (pipelined) batch makespan.
   last_total_ms_ = bt.makespan_ms;
-  return table12_rows(bt.total.sum(),
-                      static_cast<double>(volumes.size()) *
-                          static_cast<double>(buffer_elements()) *
-                          sizeof(cxf));
+  return table12_rows(bt.total.sum(), volumes.size() * buffer_elements());
 }
 
 ShardedRealFft3DPlan::ShardedRealFft3DPlan(sim::DeviceGroup& group,

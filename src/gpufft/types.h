@@ -51,6 +51,13 @@ struct StepTiming {
   double gbs{};  ///< useful bytes (2 * volume) / time, the paper's metric
 };
 
+/// The paper's per-step bandwidth: useful traffic, one read and one write
+/// of `elems` elements of `elem_bytes` each, over `ms` (bytes/ns == GB/s).
+inline double useful_gbs(std::size_t elems, double ms, std::size_t elem_bytes) {
+  return 2.0 * static_cast<double>(elems) * static_cast<double>(elem_bytes) /
+         (ms * 1e6);
+}
+
 /// Grid sizing used throughout the paper's experiments: 3 blocks per SM
 /// (42 blocks on the 14-SM GT, 48 on the 16-SM GTS/GTX).
 inline unsigned default_grid_blocks(const sim::GpuSpec& gpu) {
