@@ -6,7 +6,7 @@
 // exchange — host-staged, as the 2008 cards have no peer-to-peer — becomes
 // the bound and efficiency falls. The "model" column is the closed-form
 // pipeline model (sharded_model_ms) the scheduler is cross-checked
-// against, the bench_async_overlap pattern; "err" must stay within 5%.
+// against; "err" must stay within 5%.
 #include "bench_util.h"
 #include "gpufft/sharded.h"
 

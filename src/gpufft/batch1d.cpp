@@ -1,7 +1,5 @@
 #include "gpufft/batch1d.h"
 
-#include <algorithm>
-
 #include "fft/factor.h"
 
 namespace repro::gpufft {
@@ -9,12 +7,7 @@ namespace repro::gpufft {
 template <typename T>
 Batch1DFftT<T>::Batch1DFftT(Device& dev, std::size_t n, std::size_t count,
                             Direction dir, BandwidthPlanOptions options)
-    : PlanBaseT<T>(dev,
-                   PlanDesc::batch1d(n, count, dir,
-                                     std::is_same_v<T, float>
-                                         ? Precision::F32
-                                         : Precision::F64)),
-      opt_(options),
+    : FftPlanT<T>(dev, PlanDesc::batch1d(n, count, dir), options),
       tw_(ResourceCache::of(dev).twiddles<T>(n, dir)) {
   REPRO_CHECK_MSG(is_pow2(n) && n >= 16 && n <= 512,
                   "batched lines run the fine radix-4/2 kernel, so the "
@@ -22,11 +15,6 @@ Batch1DFftT<T>::Batch1DFftT(Device& dev, std::size_t n, std::size_t count,
                       fft::describe_size(n) +
                       " — the host fft::PlanBatch1D accepts any size");
   REPRO_CHECK(count > 0);
-  REPRO_CHECK_MSG(options.executable_patterns(),
-                  "only the paper's read-D/write-A coarse pattern pairing "
-                  "is implemented; other pairs are model-only knobs");
-  this->desc_.tune = options;
-  opt_.grid_blocks = opt_.grid_for(dev.spec());
 }
 
 template <typename T>
@@ -34,22 +22,13 @@ std::vector<StepTiming> Batch1DFftT<T>::execute_impl(DeviceBuffer<cx<T>>& data) 
   const std::size_t n = this->n();
   const std::size_t count = this->count();
   REPRO_CHECK(data.size() >= n * count);
-
-  FineKernelParams p;
-  p.n = n;
-  p.count = count;
-  p.dir = this->desc_.dir;
-  p.twiddles = opt_.fine_twiddles;
-  p.grid_blocks = opt_.grid_blocks;
-  p.threads_per_block = static_cast<unsigned>(
-      std::max<std::size_t>(n / 4, opt_.threads_per_block));
-  p.shmem_pad_words = opt_.shmem_pad_words;
-  FineFftKernelT<T> k(data, data, p, tw_.get());
-  const auto r = this->dev_.launch(k);
-
-  std::vector<StepTiming> steps;
-  steps.push_back(StepTiming{"batch1d (fine)", r.total_ms,
-                             useful_gbs(n * count, r.total_ms, sizeof(cx<T>))});
+  FineFftKernelT<T> k(data, data,
+                      FineKernelParams::tuned(this->desc_.tune,
+                                              this->dev_.spec(), n, count,
+                                              this->desc_.dir),
+                      tw_.get());
+  const std::vector<StepTiming> steps{
+      step_row<T>("batch1d (fine)", this->dev_.launch(k).total_ms, n * count)};
   this->finish(steps);
   return steps;
 }

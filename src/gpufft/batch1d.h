@@ -14,7 +14,7 @@ namespace repro::gpufft {
 /// In-place batched 1-D transform of `count` contiguous n-point lines
 /// (n a power of two in [16, 512]).
 template <typename T>
-class Batch1DFftT final : public PlanBaseT<T> {
+class Batch1DFftT final : public FftPlanT<T> {
  public:
   Batch1DFftT(Device& dev, std::size_t n, std::size_t count, Direction dir,
               BandwidthPlanOptions options = {});
@@ -25,7 +25,6 @@ class Batch1DFftT final : public PlanBaseT<T> {
   [[nodiscard]] std::size_t count() const { return this->desc_.shape.ny; }
 
  private:
-  BandwidthPlanOptions opt_;
   std::shared_ptr<const DeviceBuffer<cx<T>>> tw_;
 };
 

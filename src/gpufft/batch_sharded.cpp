@@ -41,7 +41,7 @@ BatchShardedFft3DPlan::BatchShardedFft3DPlan(sim::DeviceGroup& group,
                                              std::size_t n,
                                              std::size_t shards,
                                              Direction dir, TuneConfig tune)
-    : PlanBaseT<float>(group.device(0),
+    : FftPlanT<float>(group.device(0),
                        PlanDesc::batch_sharded3d(
                            n, checked_decimation(n, shards, tune), dir)),
       group_(&group),

@@ -58,7 +58,7 @@ struct BatchDealTiming {
 /// Survives DeviceLost mid-batch: the failing volume restores from its
 /// snapshot (taken only while faults are armed) and re-deals to a
 /// survivor; completed volumes keep their results.
-class BatchShardedFft3DPlan final : public PlanBaseT<float> {
+class BatchShardedFft3DPlan final : public FftPlanT<float> {
  public:
   BatchShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
                         std::size_t shards, Direction dir,

@@ -114,54 +114,44 @@ void TiledTransposeKernel::run_block(sim::BlockCtx& ctx) {
 ConventionalFft3D::ConventionalFft3D(Device& dev, Shape3 shape, Direction dir,
                                      TuneConfig tune,
                                      TransposeStrategy transpose)
-    : PlanBaseT<float>(dev,
-                       PlanDesc::conventional3d(shape, dir, transpose)),
-      opt_(tune),
-      grid_(tune.grid_for(dev.spec())),
-      transpose_(transpose),
+    : FftPlanT<float>(dev, PlanDesc::conventional3d(shape, dir, transpose),
+                      tune),
       tw_x_(ResourceCache::of(dev).twiddles<float>(shape.nx, dir)),
       tw_y_(ResourceCache::of(dev).twiddles<float>(shape.ny, dir)),
-      tw_z_(ResourceCache::of(dev).twiddles<float>(shape.nz, dir)) {
-  REPRO_CHECK_MSG(tune.executable_patterns(),
-                  "only the paper's read-D/write-A coarse pattern pairing "
-                  "is implemented; other pairs are model-only knobs");
-  desc_.tune = tune;
-}
+      tw_z_(ResourceCache::of(dev).twiddles<float>(shape.nz, dir)) {}
 
 std::vector<StepTiming> ConventionalFft3D::execute_impl(DeviceBuffer<cxf>& data) {
   const Shape3 shape = desc_.shape;
+  const TuneConfig& tune = desc_.tune;
+  const unsigned grid = tune.grid_for(dev_.spec());
   REPRO_CHECK(data.size() >= shape.volume());
   auto ws = ResourceCache::of(dev_).lease<float>(shape.volume());
   auto& work = ws.buffer();
   const auto [nx, ny, nz] = shape;
   std::vector<StepTiming> steps;
   auto record = [&](const char* name, const LaunchResult& r) {
-    steps.push_back(StepTiming{
-        name, r.total_ms, useful_gbs(shape.volume(), r.total_ms, sizeof(cxf))});
+    steps.push_back(step_row<float>(name, r.total_ms, shape.volume()));
   };
 
   auto fft_lines = [&](DeviceBuffer<cxf>& in, DeviceBuffer<cxf>& out,
                        std::size_t n, const DeviceBuffer<cxf>& tw,
                        const char* name) {
-    FineKernelParams p;
-    p.n = n;
-    p.count = shape.volume() / n;
-    p.dir = desc_.dir;
-    p.grid_blocks = grid_;
-    p.threads_per_block = static_cast<unsigned>(
-        std::max<std::size_t>(n / 4, opt_.threads_per_block));
-    p.shmem_pad_words = opt_.shmem_pad_words;
+    auto p = FineKernelParams::tuned(tune, dev_.spec(), n,
+                                     shape.volume() / n, desc_.dir);
+    // The baseline reads its twiddles through texture whatever the tuned
+    // fine source; only the grid, block size and pad follow the config.
+    p.twiddles = TwiddleSource::Texture;
     FineFftKernel k(in, out, p, &tw);
     record(name, dev_.launch(k));
   };
   auto transpose = [&](DeviceBuffer<cxf>& in, DeviceBuffer<cxf>& out,
                        Shape3 s, const char* name) {
-    if (transpose_ == TransposeStrategy::Tiled) {
+    if (desc_.transpose == TransposeStrategy::Tiled) {
       // The tiled kernel's 16x16 tiles hard-require 64-thread blocks.
-      TiledTransposeKernel k(in, out, s, grid_);
+      TiledTransposeKernel k(in, out, s, grid);
       record(name, dev_.launch(k));
     } else {
-      TransposeKernel k(in, out, s, grid_, opt_.threads_per_block);
+      TransposeKernel k(in, out, s, grid, tune.threads_per_block);
       record(name, dev_.launch(k));
     }
   };

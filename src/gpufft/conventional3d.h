@@ -64,7 +64,7 @@ class TiledTransposeKernel final : public sim::Kernel {
 /// The six-step plan (TransposeStrategy selects the transpose kernel; the
 /// enum lives in plan_desc.h). Twiddles come shared from the
 /// ResourceCache; the ping-pong buffer is leased per execute.
-class ConventionalFft3D final : public PlanBaseT<float> {
+class ConventionalFft3D final : public FftPlanT<float> {
  public:
   ConventionalFft3D(Device& dev, Shape3 shape, Direction dir,
                     TuneConfig tune = {},
@@ -75,9 +75,6 @@ class ConventionalFft3D final : public PlanBaseT<float> {
   [[nodiscard]] Shape3 shape() const { return desc_.shape; }
 
  private:
-  TuneConfig opt_;
-  unsigned grid_;
-  TransposeStrategy transpose_;
   std::shared_ptr<const DeviceBuffer<cxf>> tw_x_;
   std::shared_ptr<const DeviceBuffer<cxf>> tw_y_;
   std::shared_ptr<const DeviceBuffer<cxf>> tw_z_;

@@ -165,7 +165,7 @@ void ArgmaxPackedRealKernel::run_block(sim::BlockCtx& ctx) {
 }
 
 Convolution3D::Convolution3D(Device& dev, Shape3 shape, Layout layout)
-    : PlanBaseT<float>(dev, PlanDesc::convolution(shape, layout)),
+    : FftPlanT<float>(dev, PlanDesc::convolution(shape, layout)),
       grid_(default_grid_blocks(dev.spec())),
       filter_hat_(dev.alloc<cxf>(desc_.buffer_elements())),
       signal_(dev.alloc<cxf>(desc_.buffer_elements())),
@@ -206,8 +206,7 @@ std::vector<StepTiming> Convolution3D::execute_impl(DeviceBuffer<cxf>& data) {
   REPRO_CHECK(data.size() >= elems);
   std::vector<StepTiming> steps;
   auto record = [&](const char* name, const LaunchResult& r) {
-    steps.push_back(StepTiming{name, r.total_ms,
-                               useful_gbs(elems, r.total_ms, sizeof(cxf))});
+    steps.push_back(step_row<float>(name, r.total_ms, elems));
   };
 
   for (const auto& s : fwd_->execute(data)) {

@@ -93,7 +93,7 @@ struct BestMatch {
 /// inverse is a true inverse). Use the *_real entry points; the product
 /// of two Hermitian half-spectra is Hermitian, so the conjugate multiply
 /// needs only the stored (nx/2+1)*ny*nz bins.
-class Convolution3D final : public PlanBaseT<float> {
+class Convolution3D final : public FftPlanT<float> {
  public:
   Convolution3D(Device& dev, Shape3 shape, Layout layout = Layout::Complex);
 

@@ -1,4 +1,6 @@
-// The abstract plan/executor seam every transform implements.
+// The one base class every transform derives from: it holds the plan's
+// description, device and last-run total and implements the shared entry
+// points below; a concrete plan supplies its body (execute_impl).
 //
 // A plan is described by a PlanDesc (shape, direction, precision,
 // algorithm — see plan_desc.h) and executed against caller-owned device
@@ -109,8 +111,9 @@ class FftPlanT {
                                                 sim::Stream& stream);
 
   /// Run every volume through this one plan's resources back-to-back.
-  /// Returned steps carry per-step times summed across the batch.
-  virtual std::vector<StepTiming> execute_batch(
+  /// Returned steps carry per-step times summed across the batch, and
+  /// last_total_ms() is their sum.
+  std::vector<StepTiming> execute_batch(
       std::span<DeviceBuffer<cx<T>>* const> volumes);
 
   /// Transform a host-resident volume: upload into a leased staging
@@ -130,26 +133,45 @@ class FftPlanT {
       std::span<const std::span<cx<T>>> volumes);
 
   /// The description this plan was built from.
-  [[nodiscard]] virtual const PlanDesc& desc() const = 0;
+  [[nodiscard]] const PlanDesc& desc() const { return desc_; }
 
   /// Device the plan executes on.
-  [[nodiscard]] virtual Device& device() const = 0;
+  [[nodiscard]] Device& device() const { return dev_; }
 
   /// Elements of the complex device buffer execute() expects — the plan's
   /// layout made first-class: shape.volume() for Complex plans, the
   /// padded (nx/2+1)*ny*nz rows for RealHalfSpectrum plans.
-  [[nodiscard]] virtual std::size_t buffer_elements() const {
-    return desc().buffer_elements();
+  [[nodiscard]] std::size_t buffer_elements() const {
+    return desc_.buffer_elements();
   }
 
-  /// Total simulated milliseconds of the last execute()/execute_batch().
-  [[nodiscard]] virtual double last_total_ms() const = 0;
+  /// Total simulated milliseconds of the last execute or batch.
+  [[nodiscard]] double last_total_ms() const { return last_total_ms_; }
 
  protected:
+  FftPlanT(Device& dev, const PlanDesc& desc) : dev_(dev), desc_(desc) {}
+
+  /// Base of the plans that launch the paper's kernels under `tune`:
+  /// `desc` takes T's precision and carries `tune`. Throws unless `tune`
+  /// pairs the coarse patterns read-D/write-A, the only pairing the rank
+  /// kernels implement (the others are model-only knobs).
+  FftPlanT(Device& dev, PlanDesc desc, const TuneConfig& tune);
+
   /// The plan body: one unverified in-place transform. Concrete plans
   /// override this (not execute()); the public entry point applies the
   /// ExecPolicy around it.
   virtual std::vector<StepTiming> execute_impl(DeviceBuffer<cx<T>>& data) = 0;
+
+  /// Sum `steps` into last_total_ms_ and return it.
+  double finish(const std::vector<StepTiming>& steps) {
+    last_total_ms_ = 0.0;
+    for (const auto& s : steps) last_total_ms_ += s.ms;
+    return last_total_ms_;
+  }
+
+  Device& dev_;
+  PlanDesc desc_;
+  double last_total_ms_ = 0.0;
 
  private:
   std::vector<StepTiming> execute_batch_host_impl(
@@ -162,51 +184,5 @@ using FftPlan = FftPlanT<float>;
 
 extern template class FftPlanT<float>;
 extern template class FftPlanT<double>;
-
-/// Shared boilerplate of the concrete plans: description, device, and the
-/// last-execute timing accumulator.
-template <typename T>
-class PlanBaseT : public FftPlanT<T> {
- public:
-  std::vector<StepTiming> execute_batch(
-      std::span<DeviceBuffer<cx<T>>* const> volumes) override {
-    auto steps = FftPlanT<T>::execute_batch(volumes);
-    finish(steps);
-    return steps;
-  }
-
-  std::vector<StepTiming> execute_batch_host(
-      std::span<const std::span<cx<T>>> volumes) override {
-    // The steps sum per-kernel durations; the batch's cost is the
-    // overlapped makespan the stream scheduler resolved.
-    const double t0 = dev_.elapsed_ms();
-    auto steps = FftPlanT<T>::execute_batch_host(volumes);
-    last_total_ms_ = dev_.elapsed_ms() - t0;
-    return steps;
-  }
-
-  [[nodiscard]] const PlanDesc& desc() const override { return desc_; }
-  [[nodiscard]] Device& device() const override { return dev_; }
-  [[nodiscard]] double last_total_ms() const override {
-    return last_total_ms_;
-  }
-
- protected:
-  PlanBaseT(Device& dev, const PlanDesc& desc) : dev_(dev), desc_(desc) {}
-
-  /// Sum `steps` into last_total_ms_ and return it.
-  double finish(const std::vector<StepTiming>& steps) {
-    last_total_ms_ = 0.0;
-    for (const auto& s : steps) last_total_ms_ += s.ms;
-    return last_total_ms_;
-  }
-
-  Device& dev_;
-  PlanDesc desc_;
-  double last_total_ms_ = 0.0;
-};
-
-extern template class PlanBaseT<float>;
-extern template class PlanBaseT<double>;
 
 }  // namespace repro::gpufft

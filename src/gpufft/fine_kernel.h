@@ -14,6 +14,8 @@
 // compute step of the conventional six-step baseline.
 #pragma once
 
+#include <algorithm>
+
 #include "gpufft/smallfft.h"
 #include "gpufft/stage_engine.h"
 #include "gpufft/tuning.h"
@@ -30,6 +32,24 @@ struct FineKernelParams {
   unsigned threads_per_block{kDefaultThreadsPerBlock};
   /// Shared-exchange pad stride in words (TuneConfig knob; 0 = none).
   unsigned shmem_pad_words{kDefaultShmemPadWords};
+
+  /// Step 5's launch over `count` n-point lines under `tune` on `gpu`. A
+  /// block holds whole transform groups of n/4 threads, so 512-point
+  /// lines raise the tuned block size to 128 threads.
+  static FineKernelParams tuned(const TuneConfig& tune,
+                                const sim::GpuSpec& gpu, std::size_t n,
+                                std::size_t count, Direction dir) {
+    FineKernelParams p;
+    p.n = n;
+    p.count = count;
+    p.dir = dir;
+    p.twiddles = tune.fine_twiddles;
+    p.grid_blocks = tune.grid_for(gpu);
+    p.threads_per_block = static_cast<unsigned>(
+        std::max<std::size_t>(n / 4, tune.threads_per_block));
+    p.shmem_pad_words = tune.shmem_pad_words;
+    return p;
+  }
 };
 
 /// Cooperative n-point FFT over `count` contiguous lines; in-place when

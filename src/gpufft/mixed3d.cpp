@@ -5,24 +5,13 @@
 #include <vector>
 
 #include "fft/factor.h"
-#include "gpufft/cache.h"
-#include "gpufft/staging.h"
 
 namespace repro::gpufft {
-namespace {
-
-constexpr Precision precision_of(bool fp64) {
-  return fp64 ? Precision::F64 : Precision::F32;
-}
-
-}  // namespace
 
 template <typename T>
 MixedFft3DT<T>::MixedFft3DT(Device& dev, Shape3 shape, Direction dir,
                             const TuneConfig& options)
-    : PlanBaseT<T>(
-          dev, PlanDesc::mixed3d(shape, dir,
-                                 precision_of(std::is_same_v<T, double>))),
+    : FftPlanT<T>(dev, PlanDesc::mixed3d(shape, dir, precision_of<T>)),
       tx_(MixedAxisTablesT<T>::make(shape.nx, dir)),
       ty_(MixedAxisTablesT<T>::make(shape.ny, dir)),
       tz_(MixedAxisTablesT<T>::make(shape.nz, dir)) {
@@ -31,7 +20,6 @@ MixedFft3DT<T>::MixedFft3DT(Device& dev, Shape3 shape, Direction dir,
       "Mixed3D needs a non-empty shape; got " + std::to_string(shape.nx) +
           "x" + std::to_string(shape.ny) + "x" + std::to_string(shape.nz));
   desc_.tune = options;
-  grid_ = options.grid_for(dev.spec());
 }
 
 template <typename T>
@@ -43,10 +31,11 @@ std::vector<StepTiming> MixedFft3DT<T>::execute_impl(DeviceBuffer<cx<T>>& data) 
                       std::string(pitch_mode_name(desc_.tune.pitch)) +
                       " layout needs " +
                       std::to_string(desc_.buffer_elements()) + " elements");
+  const unsigned grid = desc_.tune.grid_for(dev_.spec());
   std::vector<StepTiming> steps;
   const auto run_axis = [&](MixedAxis axis, const MixedAxisTablesT<T>& tb) {
     if (tb.n <= 1) return;  // a length-1 axis is the identity
-    MixedAxisKernelT<T> k(data, shape, pitch, axis, tb, desc_.dir, grid_,
+    MixedAxisKernelT<T> k(data, shape, pitch, axis, tb, desc_.dir, grid,
                           desc_.tune.threads_per_block);
     const auto r = dev_.launch(k);
     const std::string name =
@@ -54,9 +43,7 @@ std::vector<StepTiming> MixedFft3DT<T>::execute_impl(DeviceBuffer<cx<T>>& data) 
         (tb.bluestein() ? " (Bluestein lines, m=" + std::to_string(tb.conv_n) +
                               ")"
                         : " (mixed-radix lines)");
-    steps.push_back(StepTiming{
-        name, r.total_ms,
-        useful_gbs(shape.volume(), r.total_ms, sizeof(cx<T>))});
+    steps.push_back(step_row<T>(name, r.total_ms, shape.volume()));
   };
   run_axis(MixedAxis::X, tx_);
   run_axis(MixedAxis::Y, ty_);
@@ -75,25 +62,20 @@ std::vector<StepTiming> MixedFft3DT<T>::execute_host(std::span<cx<T>> data) {
   REPRO_CHECK_MSG(data.size() == shape.volume(),
                   "padded Mixed3D plans take a dense host volume and "
                   "re-pitch it internally");
-  return with_plan_context(desc_, [&] {
-    std::vector<cx<T>> padded(desc_.buffer_elements(), cx<T>{0, 0});
-    const std::size_t rows = shape.ny * shape.nz;
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::copy_n(data.data() + r * shape.nx, shape.nx,
-                  padded.data() + r * pitch);
-    }
-    auto lease =
-        ResourceCache::of(dev_).template lease<T>(desc_.buffer_elements());
-    auto& staging = lease.buffer();
-    staged_h2d(dev_, staging, std::span<const cx<T>>(padded));
-    auto steps = this->execute(staging);
-    staged_d2h(dev_, std::span<cx<T>>(padded), staging);
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::copy_n(padded.data() + r * pitch, shape.nx,
-                  data.data() + r * shape.nx);
-    }
-    return steps;
-  });
+  // Stage the re-pitched copy through the base path, so the padded layout
+  // honours the ExecPolicy's staging bounds exactly as the dense one does.
+  std::vector<cx<T>> padded(desc_.buffer_elements(), cx<T>{0, 0});
+  const std::size_t rows = shape.ny * shape.nz;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy_n(data.data() + r * shape.nx, shape.nx,
+                padded.data() + r * pitch);
+  }
+  auto steps = FftPlanT<T>::execute_host(std::span<cx<T>>(padded));
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy_n(padded.data() + r * pitch, shape.nx,
+                data.data() + r * shape.nx);
+  }
+  return steps;
 }
 
 template class MixedFft3DT<float>;

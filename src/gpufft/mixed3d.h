@@ -24,7 +24,7 @@ namespace repro::gpufft {
 
 /// Arbitrary-size dense 3-D transform (PlanKind::Mixed3D).
 template <typename T>
-class MixedFft3DT final : public PlanBaseT<T> {
+class MixedFft3DT final : public FftPlanT<T> {
  public:
   MixedFft3DT(Device& dev, Shape3 shape, Direction dir,
               const TuneConfig& options = {});
@@ -40,13 +40,12 @@ class MixedFft3DT final : public PlanBaseT<T> {
   [[nodiscard]] std::size_t row_pitch() const { return this->desc_.row_pitch(); }
 
  private:
-  using PlanBaseT<T>::desc_;
-  using PlanBaseT<T>::dev_;
+  using FftPlanT<T>::desc_;
+  using FftPlanT<T>::dev_;
 
   MixedAxisTablesT<T> tx_;
   MixedAxisTablesT<T> ty_;
   MixedAxisTablesT<T> tz_;
-  unsigned grid_;
 };
 
 extern template class MixedFft3DT<float>;

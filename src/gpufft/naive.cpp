@@ -213,27 +213,27 @@ void DeviceCopyKernel::run_block(sim::BlockCtx& ctx) {
 
 NaiveFft3D::NaiveFft3D(Device& dev, Shape3 shape, Direction dir,
                        unsigned grid_blocks)
-    : PlanBaseT<float>(dev, PlanDesc::naive3d(shape, dir)),
-      grid_(grid_blocks == 0 ? default_grid_blocks(dev.spec())
-                             : grid_blocks) {
+    : FftPlanT<float>(dev, PlanDesc::naive3d(shape, dir)) {
   desc_.tune.grid_blocks = grid_blocks;
 }
 
 std::vector<StepTiming> NaiveFft3D::execute_impl(DeviceBuffer<cxf>& data) {
   const Shape3 shape = desc_.shape;
+  // A zero grid_blocks (the default) runs the paper's 3 blocks per SM.
+  const unsigned grid = desc_.tune.grid_for(dev_.spec());
   REPRO_CHECK(data.size() >= shape.volume());
   auto ws = ResourceCache::of(dev_).lease<float>(shape.volume());
   auto& work = ws.buffer();
   std::vector<StepTiming> steps;
-  auto record = [&](const std::string& name, const LaunchResult& r) {
-    steps.push_back(StepTiming{
-        name, r.total_ms, useful_gbs(shape.volume(), r.total_ms, sizeof(cxf))});
+  auto record = [&](std::string name, const LaunchResult& r) {
+    steps.push_back(step_row<float>(std::move(name), r.total_ms,
+                                    shape.volume()));
   };
 
   // X axis: batched shared-memory FFT over contiguous lines (in place).
   {
     Naive1DFftKernel k(data, data, shape.nx, shape.volume() / shape.nx,
-                       desc_.dir, grid_);
+                       desc_.dir, grid);
     record("X (naive shared-memory FFT)", dev_.launch(k));
   }
 
@@ -246,14 +246,14 @@ std::vector<StepTiming> NaiveFft3D::execute_impl(DeviceBuffer<cxf>& data) {
     for (unsigned s = 0; s < stages; ++s) {
       const std::size_t m = std::size_t{1} << s;
       const std::size_t l = n_ax / (2 * m);
-      GlobalRadix2Pass k(*src, *dst, shape, axis, l, m, desc_.dir, grid_);
+      GlobalRadix2Pass k(*src, *dst, shape, axis, l, m, desc_.dir, grid);
       record(std::string(axis == Axis::Y ? "Y" : "Z") + " radix-2 pass " +
                  std::to_string(s + 1),
              dev_.launch(k));
       std::swap(src, dst);
     }
     if (src != &data) {
-      DeviceCopyKernel k(*src, data, shape.volume(), grid_);
+      DeviceCopyKernel k(*src, data, shape.volume(), grid);
       record("copy back", dev_.launch(k));
     }
   }

@@ -89,15 +89,12 @@ class DeviceCopyKernel final : public sim::Kernel {
 /// CUFFT3D-like plan: shared-memory batched FFT along X, then log2(n)
 /// strided global radix-2 passes for Y and for Z. The ping-pong buffer is
 /// leased from the ResourceCache arena per execute.
-class NaiveFft3D final : public PlanBaseT<float> {
+class NaiveFft3D final : public FftPlanT<float> {
  public:
   NaiveFft3D(Device& dev, Shape3 shape, Direction dir,
              unsigned grid_blocks = 0);
 
   std::vector<StepTiming> execute_impl(DeviceBuffer<cxf>& data) override;
-
- private:
-  unsigned grid_;
 };
 
 }  // namespace repro::gpufft

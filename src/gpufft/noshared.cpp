@@ -138,37 +138,29 @@ XAxisAblationResult run_x_axis_variant(Device& dev, DeviceBuffer<cxf>& data,
   XAxisAblationResult result;
   result.mode = mode;
   const unsigned grid = default_grid_blocks(dev.spec());
+  auto record = [&](const char* name, const LaunchResult& r) {
+    result.steps.push_back(step_row<float>(name, r.total_ms, n * count));
+  };
 
   if (mode == ExchangeMode::SharedMemory) {
     auto tw = dev.alloc<cxf>(n);
     const auto roots = make_roots<float>(n, dir);
     dev.h2d(tw, std::span<const cxf>(roots));
-    FineKernelParams p;
-    p.n = n;
-    p.count = count;
-    p.dir = dir;
-    p.grid_blocks = grid;
-    p.threads_per_block = static_cast<unsigned>(std::max<std::size_t>(
-        n / 4, kDefaultThreadsPerBlock));
-    FineFftKernel k(data, data, p, &tw);
-    const auto r = dev.launch(k);
-    result.steps.push_back(
-        StepTiming{"X shared-memory", r.total_ms,
-                   useful_gbs(n * count, r.total_ms, sizeof(cxf))});
+    // The paper's Table 2 launch, texture twiddles included.
+    FineFftKernel k(data, data,
+                    FineKernelParams::tuned(TuneConfig{}, dev.spec(), n,
+                                            count, dir),
+                    &tw);
+    record("X shared-memory", dev.launch(k));
   } else {
     auto scratch = dev.alloc<cxf>(n * count);
     XAxisPassAKernel a(data, scratch, n, count, dir, grid);
-    const auto ra = dev.launch(a);
-    result.steps.push_back(
-        StepTiming{"X pass A (16-pt, coalesced)", ra.total_ms,
-                   useful_gbs(n * count, ra.total_ms, sizeof(cxf))});
+    record("X pass A (16-pt, coalesced)", dev.launch(a));
     XAxisPassBKernel b(scratch, data, n, count, dir, mode, grid);
-    const auto rb = dev.launch(b);
-    result.steps.push_back(StepTiming{
-        mode == ExchangeMode::TextureMemory
-            ? "X pass B (16-pt, texture gather)"
-            : "X pass B (16-pt, non-coalesced gather)",
-        rb.total_ms, useful_gbs(n * count, rb.total_ms, sizeof(cxf))});
+    record(mode == ExchangeMode::TextureMemory
+               ? "X pass B (16-pt, texture gather)"
+               : "X pass B (16-pt, non-coalesced gather)",
+           dev.launch(b));
   }
   for (const auto& s : result.steps) result.total_ms += s.ms;
   return result;

@@ -102,8 +102,7 @@ void SlabTwiddleKernel::run_block(sim::BlockCtx& ctx) {
 
 std::vector<StepTiming> table12_rows(const ShardTiming& t, std::size_t elems) {
   auto row = [&](const char* name, double ms) {
-    return StepTiming{name, ms,
-                      ms > 0.0 ? useful_gbs(elems, ms, sizeof(cxf)) : 0.0};
+    return step_row<float>(name, ms, elems);
   };
   return {
       row("phase1 send", t.h2d1_ms),    row("phase1 slab FFT", t.fft1_ms),
@@ -138,10 +137,9 @@ PlanDesc slab_plan_desc(PlanDesc slab, TuneConfig tune) {
 
 OutOfCoreFft3D::OutOfCoreFft3D(Device& dev, std::size_t n, std::size_t splits,
                                Direction dir, TuneConfig tune)
-    : PlanBaseT<float>(
+    : FftPlanT<float>(
           dev,
           PlanDesc::out_of_core(n, checked_decimation(n, splits, tune), dir)),
-      opt_(tune),
       n_(n),
       splits_(desc_.splits),
       slab_shape_{n, n, n / splits_},
@@ -170,7 +168,7 @@ OutOfCoreTiming OutOfCoreFft3D::execute_impl(std::span<cxf> host_data) {
   REPRO_CHECK(host_data.size() == n_ * n_ * n_);
   const std::size_t plane = n_ * n_;
   const std::size_t local_nz = n_ / splits_;
-  const unsigned grid = opt_.grid_for(dev_.spec());
+  const unsigned grid = desc_.tune.grid_for(dev_.spec());
   const StagePolicy& sp = this->exec_policy().staging;
 
   // Phase 1 stages n/splits planes, phase 2 stages `splits` planes; two
@@ -204,7 +202,7 @@ OutOfCoreTiming OutOfCoreFft3D::execute_impl(std::span<cxf> host_data) {
     }
 
     SlabTwiddleKernel tw(slab, slab_shape_, n_, residue, desc_.dir, grid, 0,
-                         opt_.threads_per_block);
+                         desc_.tune.threads_per_block);
     timing.twiddle_ms += dev_.launch_async(tw, s).total_ms;
 
     for (std::size_t k = 0; k < local_nz; ++k) {
@@ -238,7 +236,7 @@ OutOfCoreTiming OutOfCoreFft3D::execute_impl(std::span<cxf> host_data) {
     timing.exchange_bytes += splits_ * plane * sizeof(cxf);
 
     ZPencilFftKernel fft(slab, pencil_slab, desc_.dir, grid, 0,
-                         opt_.threads_per_block);
+                         desc_.tune.threads_per_block);
     timing.fft2_ms += dev_.launch_async(fft, s).total_ms;
 
     for (std::size_t k2 = 0; k2 < splits_; ++k2) {

@@ -147,7 +147,7 @@ PlanDesc slab_plan_desc(PlanDesc slab, TuneConfig tune);
 /// fits on the card, so execute(DeviceBuffer&) fails by design. The slab
 /// staging buffer is leased from the cache arena per run; the inner slab
 /// plan is shared through the registry.
-class OutOfCoreFft3D final : public PlanBaseT<float> {
+class OutOfCoreFft3D final : public FftPlanT<float> {
  public:
   /// `splits` is the decimation S (checked_decimation); the slab (2
   /// buffers) must fit on the card.
@@ -183,7 +183,6 @@ class OutOfCoreFft3D final : public PlanBaseT<float> {
  private:
   OutOfCoreTiming execute_impl(std::span<cxf> host_data);
 
-  TuneConfig opt_;
   std::size_t n_;
   std::size_t splits_;
   Shape3 slab_shape_;

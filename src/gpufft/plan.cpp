@@ -1,6 +1,5 @@
 #include "gpufft/plan.h"
 
-#include <algorithm>
 #include <type_traits>
 
 #include "fft/factor.h"
@@ -11,12 +10,7 @@ namespace repro::gpufft {
 template <typename T>
 BandwidthFft3DT<T>::BandwidthFft3DT(Device& dev, Shape3 shape, Direction dir,
                                     BandwidthPlanOptions options)
-    : PlanBaseT<T>(dev,
-                   PlanDesc::bandwidth3d(shape, dir,
-                                         std::is_same_v<T, float>
-                                             ? Precision::F32
-                                             : Precision::F64)),
-      opt_(options),
+    : FftPlanT<T>(dev, PlanDesc::bandwidth3d(shape, dir), options),
       sy_(split_axis(shape.ny, options.coarse_radix)),
       sz_(split_axis(shape.nz, options.coarse_radix)),
       tw_x_(ResourceCache::of(dev).twiddles<T>(shape.nx, dir)),
@@ -27,11 +21,6 @@ BandwidthFft3DT<T>::BandwidthFft3DT(Device& dev, Shape3 shape, Direction dir,
                   "[16, 512]; got nx=" + fft::describe_size(shape.nx) +
                       " — PlanDesc::dense3d routes such shapes to the "
                       "mixed-radix plan instead");
-  REPRO_CHECK_MSG(options.executable_patterns(),
-                  "only the paper's read-D/write-A coarse pattern pairing "
-                  "is implemented; other pairs are model-only knobs");
-  this->desc_.tune = options;
-  opt_.grid_blocks = opt_.grid_for(dev.spec());
 }
 
 template <typename T>
@@ -41,37 +30,21 @@ void run_coarse_ranks(Device& dev, DeviceBuffer<cx<T>>& data,
                       const DeviceBuffer<cx<T>>* tw_y,
                       const DeviceBuffer<cx<T>>* tw_z,
                       const RankStepRecorder& record) {
-  const std::size_t ex = shape.nx;  // row pitch, any extent
-  const auto [f1y, f2y] = sy;
-  const auto [f1z, f2z] = sz;
+  DeviceBuffer<cx<T>>* ping_pong[2] = {&data, &work};
   RankKernelParams p = base;
-
-  // Step 1: Z-axis rank 1.  (ex, f1y, f2y, f1z, f2z) -> (ex, f2z, f1y, f2y, f1z)
-  p.in_shape = Shape5{{ex, f1y, f2y, f1z, f2z}};
-  {
-    Rank1KernelT<T> k(data, work, p, shape.nz, tw_z);
-    record("Z rank1", dev.launch(k));
-  }
-
-  // Step 2: Z-axis rank 2.  -> (ex, f2z, f1z, f1y, f2y)
-  p.in_shape = Shape5{{ex, f2z, f1y, f2y, f1z}};
-  {
-    Rank2KernelT<T> k(work, data, p);
-    record("Z rank2", dev.launch(k));
-  }
-
-  // Step 3: Y-axis rank 1.  -> (ex, f2y, f2z, f1z, f1y)
-  p.in_shape = Shape5{{ex, f2z, f1z, f1y, f2y}};
-  {
-    Rank1KernelT<T> k(data, work, p, shape.ny, tw_y);
-    record("Y rank1", dev.launch(k));
-  }
-
-  // Step 4: Y-axis rank 2.  -> (ex, f2y, f1y, f2z, f1z) == natural order.
-  p.in_shape = Shape5{{ex, f2y, f2z, f1z, f1y}};
-  {
-    Rank2KernelT<T> k(work, data, p);
-    record("Y rank2", dev.launch(k));
+  std::size_t i = 0;
+  for (const CoarseRankStep& st : coarse_rank_steps(shape, sy, sz)) {
+    auto& in = *ping_pong[i % 2];
+    auto& out = *ping_pong[(i + 1) % 2];
+    ++i;
+    p.in_shape = st.in_shape;
+    if (st.rank1) {
+      Rank1KernelT<T> k(in, out, p, st.axis_n, st.z_axis ? tw_z : tw_y);
+      record(st.name, dev.launch(k));
+    } else {
+      Rank2KernelT<T> k(in, out, p);
+      record(st.name, dev.launch(k));
+    }
   }
 }
 
@@ -79,45 +52,34 @@ template <typename T>
 std::vector<StepTiming> BandwidthFft3DT<T>::execute_impl(
     DeviceBuffer<cx<T>>& data) {
   const Shape3 shape = this->desc_.shape;
+  const TuneConfig& tune = this->desc_.tune;
+  Device& dev = this->dev_;
   // >= rather than ==: the out-of-core driver reuses one oversized staging
   // buffer for differently-shaped phases.
   REPRO_CHECK(data.size() >= shape.volume());
-  auto ws = ResourceCache::of(this->dev_).template lease<T>(shape.volume());
-  auto& work = ws.buffer();
-  const std::size_t nx = shape.nx;
+  auto ws = ResourceCache::of(dev).template lease<T>(shape.volume());
   std::vector<StepTiming> steps;
   steps.reserve(5);
   auto record = [&](const char* name, const LaunchResult& r) {
-    steps.push_back(StepTiming{
+    steps.push_back(step_row<T>(
         "step" + std::to_string(steps.size() + 1) + " (" + name + ")",
-        r.total_ms, useful_gbs(shape.volume(), r.total_ms, sizeof(cx<T>))});
+        r.total_ms, shape.volume()));
   };
 
-  RankKernelParams p;
-  p.dir = this->desc_.dir;
-  p.twiddles = opt_.coarse_twiddles;
-  p.grid_blocks = opt_.grid_blocks;
-  p.threads_per_block = opt_.threads_per_block;
-
   // Steps 1-4: the Z/Y coarse rank pairs.
-  run_coarse_ranks<T>(this->dev_, data, work, shape, sy_, sz_, p,
-                      tw_y_.get(), tw_z_.get(), record);
+  run_coarse_ranks<T>(
+      dev, data, ws.buffer(), shape, sy_, sz_,
+      RankKernelParams::tuned(tune, dev.spec(), this->desc_.dir),
+      tw_y_.get(), tw_z_.get(), record);
 
   // Step 5: X-axis fine-grained in-place transform.
   {
-    FineKernelParams fp;
-    fp.n = nx;
-    fp.count = shape.ny * shape.nz;
-    fp.dir = this->desc_.dir;
-    fp.twiddles = opt_.fine_twiddles;
-    fp.grid_blocks = opt_.grid_blocks;
-    // A block must hold whole transform groups: 512-point lines need
-    // 128-thread blocks (nx/4 threads per transform).
-    fp.threads_per_block = static_cast<unsigned>(
-        std::max<std::size_t>(nx / 4, opt_.threads_per_block));
-    fp.shmem_pad_words = opt_.shmem_pad_words;
-    FineFftKernelT<T> k(data, data, fp, tw_x_.get());
-    record("X fine", this->dev_.launch(k));
+    FineFftKernelT<T> k(data, data,
+                        FineKernelParams::tuned(tune, dev.spec(), shape.nx,
+                                                shape.ny * shape.nz,
+                                                this->desc_.dir),
+                        tw_x_.get());
+    record("X fine", dev.launch(k));
   }
 
   this->finish(steps);

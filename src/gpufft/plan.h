@@ -37,13 +37,13 @@ using RankStepRecorder =
     std::function<void(const char*, const LaunchResult&)>;
 
 /// Steps 1-4 of the five-step plan — the Z-axis then Y-axis coarse rank
-/// pairs — over an (ex, ny, nz) volume. The x-extent `ex` = shape.nx is a
-/// free row pitch, not required to be a power of two: this is what lets
-/// the real plans (real3d.h) run the identical kernels over half-spectrum
-/// (nx/2+1) pencils. Data ping-pongs data -> work -> data -> work -> data,
-/// so on return the Z/Y-transformed volume is back in `data` in natural
-/// order. `base` supplies dir/twiddle-source/grid; in_shape is overwritten
-/// per step.
+/// pairs of coarse_rank_steps (rank_kernels.h) — over an (ex, ny, nz)
+/// volume. The x-extent `ex` = shape.nx is a free row pitch, not required
+/// to be a power of two: this is what lets the real plans (real3d.h) run
+/// the identical kernels over half-spectrum (nx/2+1) pencils. Data
+/// ping-pongs data -> work -> data -> work -> data, so on return the
+/// Z/Y-transformed volume is back in `data` in natural order. `base`
+/// supplies dir/twiddle-source/grid; in_shape is overwritten per step.
 template <typename T>
 void run_coarse_ranks(Device& dev, DeviceBuffer<cx<T>>& data,
                       DeviceBuffer<cx<T>>& work, Shape3 shape, AxisSplit sy,
@@ -70,7 +70,7 @@ extern template void run_coarse_ranks<double>(
 /// paper's configuration; double (its Section 4.5 future work) requires
 /// an fp64-capable spec such as geforce_gtx_280().
 template <typename T>
-class BandwidthFft3DT final : public PlanBaseT<T> {
+class BandwidthFft3DT final : public FftPlanT<T> {
  public:
   BandwidthFft3DT(Device& dev, Shape3 shape, Direction dir,
                   BandwidthPlanOptions options = {});
@@ -83,7 +83,6 @@ class BandwidthFft3DT final : public PlanBaseT<T> {
   [[nodiscard]] Direction direction() const { return this->desc_.dir; }
 
  private:
-  BandwidthPlanOptions opt_;
   AxisSplit sy_;
   AxisSplit sz_;
   /// Shared device twiddle tables (one per distinct axis length).
@@ -98,8 +97,8 @@ extern template class BandwidthFft3DT<double>;
 /// Single-precision alias (the paper's configuration).
 using BandwidthFft3D = BandwidthFft3DT<float>;
 
-/// Elementwise scale kernel (used for inverse normalization and the
-/// out-of-core twiddle pass).
+/// Elementwise scale kernel: the explicit 1/N normalization after a
+/// complex inverse transform (the convolution engine, the Poisson solver).
 template <typename T>
 class ScaleKernelT final : public sim::Kernel {
  public:

@@ -20,7 +20,7 @@ using fft::Shape2;
 
 /// Three-launch 2-D FFT plan (nx in [16,512], ny in [4,512], powers of 2).
 template <typename T>
-class BandwidthFft2DT final : public PlanBaseT<T> {
+class BandwidthFft2DT final : public FftPlanT<T> {
  public:
   BandwidthFft2DT(Device& dev, Shape2 shape, Direction dir,
                   BandwidthPlanOptions options = {});
@@ -33,7 +33,6 @@ class BandwidthFft2DT final : public PlanBaseT<T> {
   }
 
  private:
-  BandwidthPlanOptions opt_;
   AxisSplit sy_;
   std::shared_ptr<const DeviceBuffer<cx<T>>> tw_x_;
   std::shared_ptr<const DeviceBuffer<cx<T>>> tw_y_;

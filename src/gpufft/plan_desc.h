@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <type_traits>
 
 #include "gpufft/tuning.h"
 #include "gpufft/types.h"
@@ -81,6 +82,11 @@ inline const char* precision_name(Precision p) {
   return p == Precision::F32 ? "f32" : "f64";
 }
 
+/// The Precision of scalar type T.
+template <typename T>
+inline constexpr Precision precision_of =
+    std::is_same_v<T, double> ? Precision::F64 : Precision::F32;
+
 /// Transpose implementation selector for the six-step plan.
 enum class TransposeStrategy { Naive, Tiled };
 
@@ -109,6 +115,14 @@ struct PlanDesc {
   }
   friend bool operator!=(const PlanDesc& a, const PlanDesc& b) {
     return !(a == b);
+  }
+
+  /// True for the Z-decimated kinds (OutOfCore, Sharded3D,
+  /// BatchSharded3D): `splits` is their decimation factor, their device
+  /// working set is a slab pair, and the tuner searches their slab depth.
+  [[nodiscard]] bool z_decimated() const {
+    return kind == PlanKind::OutOfCore || kind == PlanKind::Sharded3D ||
+           kind == PlanKind::BatchSharded3D;
   }
 
   [[nodiscard]] std::size_t hash() const {
@@ -161,8 +175,7 @@ struct PlanDesc {
     s += std::to_string(shape.nz);
     s += dir == Direction::Forward ? " fwd " : " inv ";
     s += precision_name(precision);
-    if (kind == PlanKind::OutOfCore || kind == PlanKind::Sharded3D ||
-        kind == PlanKind::BatchSharded3D) {
+    if (z_decimated()) {
       s += " splits=";
       s += std::to_string(splits);
     }

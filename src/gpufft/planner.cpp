@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <exception>
 #include <limits>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -22,6 +23,34 @@ namespace repro::gpufft {
 namespace {
 
 constexpr double kInfeasible = std::numeric_limits<double>::infinity();
+
+// The search space, one candidate list per knob in search order. Together
+// they cover every value the executors accept.
+constexpr std::array<unsigned, 3> kThreadsPerBlock{64, 128, 256};
+constexpr std::array<unsigned, 4> kBlocksPerSm{1, 2, 3, 4};
+constexpr std::array<unsigned, 2> kCoarseRadix{16, 8};
+constexpr std::array<unsigned, 3> kShmemPadWords{0, 8, 16};
+constexpr std::array<TwiddleSource, 4> kCoarseTwiddles{
+    TwiddleSource::Registers, TwiddleSource::Constant, TwiddleSource::Texture,
+    TwiddleSource::Recompute};
+/// Registers is deliberately absent: the simulator charges nothing for a
+/// register-resident table, but the fine kernel's twiddle index depends
+/// on the stage loop variable, so on real G80 hardware a full-table
+/// register build would spill — the model-only win is not executable.
+constexpr std::array<TwiddleSource, 3> kFineTwiddles{
+    TwiddleSource::Texture, TwiddleSource::Constant, TwiddleSource::Recompute};
+/// Slab decimation overrides tried for Z-decimated plans (0 = keep the
+/// description's splits); in-core kinds search only 0.
+constexpr std::array<std::size_t, 6> kSlabDepths{0, 2, 4, 8, 16, 32};
+/// Row layouts tried for Mixed3D plans: dense rows versus rows padded to
+/// a 16-element pitch so every row start lands on a coalescing segment
+/// boundary. Other kinds always keep the dense default.
+constexpr std::array<PitchMode, 2> kPitchModes{PitchMode::Dense,
+                                               PitchMode::Padded};
+/// A challenger must beat the incumbent by this relative margin; ties
+/// within the model's resolution keep the earlier (default-first)
+/// candidate.
+constexpr double kImprovementMargin = 1e-2;
 
 /// Memoized per-step scores: many candidates share coarse or fine
 /// sub-configurations, so each distinct synthetic launch is costed once.
@@ -61,16 +90,6 @@ std::uint64_t texture_miss_bytes(const sim::GpuSpec& spec,
 // Coarse (rank-kernel) step model
 // ---------------------------------------------------------------------------
 
-/// One of the four coarse steps: a rank kernel over `items` work items,
-/// each an `l`-point per-thread FFT. `table_n` is the inter-rank twiddle
-/// table length (rank-1 steps only).
-struct CoarseStep {
-  std::array<std::size_t, 4> items{};  ///< (x, a, b, c) extents
-  std::size_t l{};
-  bool rank1{};
-  std::size_t table_n{};
-};
-
 /// 5-D view with the transform extent at `pos` (the Table-2 pattern value,
 /// 1..4) and the item extents at the remaining dims in order. pos 4 with
 /// items (x,a,b,c) is exactly the rank kernels' in_shape walk.
@@ -95,14 +114,17 @@ std::size_t index_with_l(const Shape5& s, std::size_t pos,
 
 /// Score one coarse step by replaying a synthetic sample of its memory
 /// behaviour through sim::estimate_launch: per-warp transaction streams
-/// built from the kernels' x-innermost item walk, loads along the read
+/// built from the kernels' x-innermost item walk over the step's (x, a,
+/// b, c) items, each an l-point per-thread FFT; loads run along the read
 /// pattern's dimension and stores along the write pattern's.
-double coarse_step_ms(const sim::GpuSpec& spec, const CoarseStep& st,
+double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
                       const TuneConfig& cfg, bool fp64) {
+  const auto& e = st.in_shape.extent;
+  const std::array<std::size_t, 4> items{e[0], e[1], e[2], e[3]};
+  const std::size_t l = e[4];
   const std::size_t esize = fp64 ? 16 : 8;  // sizeof(cx<T>)
-  const std::size_t items_total =
-      st.items[0] * st.items[1] * st.items[2] * st.items[3];
-  const std::size_t volume = items_total * st.l;
+  const std::size_t items_total = items[0] * items[1] * items[2] * items[3];
+  const std::size_t volume = items_total * l;
   const unsigned grid = cfg.grid_for(spec);
   const unsigned tpb = cfg.threads_per_block;
   const TwiddleSource tw =
@@ -112,7 +134,7 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseStep& st,
   c.name = "model_rank";
   c.grid_blocks = grid;
   c.threads_per_block = tpb;
-  c.regs_per_thread = rank_kernel_regs(tw, st.l, fp64);
+  c.regs_per_thread = rank_kernel_regs(tw, l, fp64);
   c.fp64 = fp64;
   try {
     sim::compute_occupancy(
@@ -122,11 +144,11 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseStep& st,
     return kInfeasible;  // the block cannot run on this spec at all
   }
 
-  double per_item = fft_small_flops(st.l);
+  double per_item = fft_small_flops(l);
   if (st.rank1) {
-    per_item += 6.0 * static_cast<double>(st.l - 1);
+    per_item += 6.0 * static_cast<double>(l - 1);
     if (tw == TwiddleSource::Recompute) {
-      per_item += 32.0 * static_cast<double>(st.l);
+      per_item += 32.0 * static_cast<double>(l);
     }
   }
   c.total_flops = static_cast<double>(items_total) * per_item;
@@ -143,8 +165,8 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseStep& st,
 
   const auto rd = static_cast<std::size_t>(cfg.coarse_read);
   const auto wr = static_cast<std::size_t>(cfg.coarse_write);
-  const Shape5 rview = view_with_l(st.items, st.l, rd);
-  const Shape5 wview = view_with_l(st.items, st.l, wr);
+  const Shape5 rview = view_with_l(items, l, rd);
+  const Shape5 wview = view_with_l(items, l, wr);
   const std::uint64_t in_base = 0;
   const std::uint64_t out_base = (volume * esize + 255) / 256 * 256;
 
@@ -167,15 +189,15 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseStep& st,
         // stores, slot-aligned across the half-warp.
         auto emit = [&](const Shape5& view, std::size_t pos,
                         std::uint64_t base) {
-          for (std::size_t q = 0; q < st.l; ++q) {
+          for (std::size_t q = 0; q < l; ++q) {
             lanes.clear();
             for (unsigned ln = 0; ln < 16; ++ln) {
               const std::size_t widx = gid0 + ln + r * threads;
               if (widx >= items_total) continue;
-              it[0] = widx % st.items[0];
-              it[1] = (widx / st.items[0]) % st.items[1];
-              it[2] = (widx / (st.items[0] * st.items[1])) % st.items[2];
-              it[3] = widx / (st.items[0] * st.items[1] * st.items[2]);
+              it[0] = widx % items[0];
+              it[1] = (widx / items[0]) % items[1];
+              it[2] = (widx / (items[0] * items[1])) % items[2];
+              it[3] = widx / (items[0] * items[1] * items[2]);
               const std::uint64_t addr =
                   base + index_with_l(view, pos, it, q) * esize;
               lanes.push_back(sim::LaneAccess{
@@ -207,19 +229,20 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseStep& st,
     }
   }
   if (st.rank1 && tw == TwiddleSource::Texture) {
-    stats.tex_elem_bytes = items_total * (st.l - 1) * esize;
+    stats.tex_elem_bytes = items_total * (l - 1) * esize;
     stats.sampled_tex_elem_bytes = stats.tex_elem_bytes;
     stats.sampled_tex_miss_bytes = texture_miss_bytes(
-        spec, st.table_n * esize, stats.tex_elem_bytes, grid);
+        spec, st.axis_n * esize, stats.tex_elem_bytes, grid);
   }
   return sim::estimate_launch(spec, c, stats).total_ms;
 }
 
-double coarse_step_ms_memo(const sim::GpuSpec& spec, const CoarseStep& st,
+double coarse_step_ms_memo(const sim::GpuSpec& spec, const CoarseRankStep& st,
                            const TuneConfig& cfg, bool fp64, Memo& memo) {
+  const auto& e = st.in_shape.extent;
   const std::uint64_t key = mix_key(
-      {1, st.items[0], st.items[1], st.items[2], st.items[3], st.l,
-       static_cast<std::uint64_t>(st.rank1), st.table_n, cfg.grid_for(spec),
+      {1, e[0], e[1], e[2], e[3], e[4],
+       static_cast<std::uint64_t>(st.rank1), st.axis_n, cfg.grid_for(spec),
        cfg.threads_per_block,
        static_cast<std::uint64_t>(st.rank1 ? cfg.coarse_twiddles
                                            : TwiddleSource::Registers),
@@ -428,31 +451,29 @@ double fine_step_ms_memo(const sim::GpuSpec& spec, const FineModel& fm,
 // Plan-level composition
 // ---------------------------------------------------------------------------
 
-std::array<CoarseStep, 4> coarse_steps(std::size_t ex, std::size_t ny,
-                                       std::size_t nz, AxisSplit sy,
-                                       AxisSplit sz) {
-  // The 5-D item walks of plan.cpp's run_coarse_ranks, steps 1-4.
-  return {CoarseStep{{ex, sy.f1, sy.f2, sz.f1}, sz.f2, true, nz},
-          CoarseStep{{ex, sz.f2, sy.f1, sy.f2}, sz.f1, false, 0},
-          CoarseStep{{ex, sz.f2, sz.f1, sy.f1}, sy.f2, true, ny},
-          CoarseStep{{ex, sy.f2, sz.f2, sz.f1}, sy.f1, false, 0}};
-}
-
-double bandwidth3d_ms(const sim::GpuSpec& spec, Shape3 shape, bool fp64,
-                      const TuneConfig& cfg, Memo& memo) {
+/// Steps 1-4 over `pencils` (x-extent = row pitch), summed in step order;
+/// infinite when the Y or Z axis cannot be split or a step cannot launch.
+double coarse_ranks_ms(const sim::GpuSpec& spec, Shape3 pencils, bool fp64,
+                       const TuneConfig& cfg, Memo& memo) {
   AxisSplit sy{};
   AxisSplit sz{};
   try {
-    sy = split_axis(shape.ny, cfg.coarse_radix);
-    sz = split_axis(shape.nz, cfg.coarse_radix);
+    sy = split_axis(pencils.ny, cfg.coarse_radix);
+    sz = split_axis(pencils.nz, cfg.coarse_radix);
   } catch (const std::exception&) {
     return kInfeasible;
   }
   double total = 0.0;
-  for (const CoarseStep& st :
-       coarse_steps(shape.nx, shape.ny, shape.nz, sy, sz)) {
+  for (const CoarseRankStep& st : coarse_rank_steps(pencils, sy, sz)) {
     total += coarse_step_ms_memo(spec, st, cfg, fp64, memo);
   }
+  return total;
+}
+
+double bandwidth3d_ms(const sim::GpuSpec& spec, Shape3 shape, bool fp64,
+                      const TuneConfig& cfg, Memo& memo) {
+  double total = coarse_ranks_ms(spec, shape, fp64, cfg, memo);
+  if (std::isinf(total)) return kInfeasible;
   FineModel fm;
   fm.n = shape.nx;
   fm.count = shape.ny * shape.nz;
@@ -472,18 +493,9 @@ double real3d_ms(const sim::GpuSpec& spec, Shape3 shape, Direction dir,
                  bool fp64, const TuneConfig& cfg, Memo& memo) {
   const std::size_t m = shape.nx / 2;
   if (m < 16) return kInfeasible;
-  AxisSplit sy{};
-  AxisSplit sz{};
-  try {
-    sy = split_axis(shape.ny, cfg.coarse_radix);
-    sz = split_axis(shape.nz, cfg.coarse_radix);
-  } catch (const std::exception&) {
-    return kInfeasible;
-  }
-  double total = 0.0;
-  for (const CoarseStep& st : coarse_steps(m, shape.ny, shape.nz, sy, sz)) {
-    total += coarse_step_ms_memo(spec, st, cfg, fp64, memo);
-  }
+  double total =
+      coarse_ranks_ms(spec, Shape3{m, shape.ny, shape.nz}, fp64, cfg, memo);
+  if (std::isinf(total)) return kInfeasible;
   // The 1-wide Nyquist tail pencils re-run the four ranks at ~1/m of the
   // work; their cost is dominated by the four extra launch overheads.
   total += 4.0 * spec.launch_overhead_us * 1e-3;
@@ -850,8 +862,6 @@ TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc,
   res.model_ms = res.default_ms;
   res.evaluated = 1;
 
-  const bool streamed =
-      desc.kind == PlanKind::OutOfCore || desc.kind == PlanKind::Sharded3D;
   std::vector<std::pair<Pattern, Pattern>> patterns;
   if (opts.executable_only) {
     patterns = {{Pattern::D, Pattern::A}};
@@ -862,23 +872,25 @@ TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc,
                 {Pattern::A, Pattern::D}, {Pattern::B, Pattern::D},
                 {Pattern::C, Pattern::D}};
   }
-  const std::vector<std::size_t> slabs =
-      streamed ? opts.slab_depths : std::vector<std::size_t>{0};
+  static constexpr std::size_t kKeepSplits[] = {0};
+  const std::span<const std::size_t> slabs =
+      desc.z_decimated() ? std::span<const std::size_t>(kSlabDepths)
+                         : kKeepSplits;
   // The row-pitch knob only exists for the mixed-radix executor; every
   // other kind keeps the dense default so their candidate counts (and the
   // wisdom they pin) are untouched by this dimension.
-  const std::vector<PitchMode> pitches =
-      desc.kind == PlanKind::Mixed3D ? opts.pitch_modes
-                                     : std::vector<PitchMode>{
-                                           PitchMode::Dense};
+  static constexpr PitchMode kDenseOnly[] = {PitchMode::Dense};
+  const std::span<const PitchMode> pitches =
+      desc.kind == PlanKind::Mixed3D ? std::span<const PitchMode>(kPitchModes)
+                                     : kDenseOnly;
 
-  for (const TwiddleSource ctw : opts.coarse_twiddles) {
-    for (const TwiddleSource ftw : opts.fine_twiddles) {
+  for (const TwiddleSource ctw : kCoarseTwiddles) {
+    for (const TwiddleSource ftw : kFineTwiddles) {
       for (const auto& [rd, wr] : patterns) {
-        for (const unsigned tpb : opts.threads_per_block) {
-          for (const unsigned bps : opts.blocks_per_sm) {
-            for (const unsigned radix : opts.coarse_radix) {
-              for (const unsigned pad : opts.shmem_pad_words) {
+        for (const unsigned tpb : kThreadsPerBlock) {
+          for (const unsigned bps : kBlocksPerSm) {
+            for (const unsigned radix : kCoarseRadix) {
+              for (const unsigned pad : kShmemPadWords) {
                 for (const std::size_t slab : slabs) {
                   for (const PitchMode pitch : pitches) {
                     TuneConfig cfg;
@@ -899,8 +911,7 @@ TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc,
                     // Strict-improvement margin: ties within the model's
                     // resolution keep the earlier candidate, so the
                     // paper's defaults survive equivalent alternatives.
-                    if (ms <
-                        res.model_ms * (1.0 - opts.improvement_margin)) {
+                    if (ms < res.model_ms * (1.0 - kImprovementMargin)) {
                       res.best = cfg;
                       res.model_ms = ms;
                     }

@@ -1,7 +1,7 @@
 // Plan-time autotuner: search the TuneConfig space with the simulator's
 // own cost model.
 //
-// tune_plan() enumerates every candidate inside PlannerOptions' bounds and
+// tune_plan() enumerates every candidate of its fixed search space and
 // scores each one *without executing anything*: per plan step it builds a
 // synthetic sim::LaunchConfig (registers from rank_kernel_regs, flops from
 // the small-FFT tables, shared memory from the fine kernel's layout) plus
@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "gpufft/plan_desc.h"
 #include "gpufft/sharded.h"
@@ -42,42 +41,18 @@ namespace repro::gpufft {
 /// fingerprint mismatch.
 inline constexpr int kWisdomSchemaVersion = 3;
 
-/// Search bounds of the tuner. The defaults cover every knob the executors
-/// accept; patterns other than the paper's read-D/write-A pairing are
-/// model-only (the rank kernels do not implement them), so they are
-/// searched only when `executable_only` is lowered — the planner then
-/// demonstrates that D->A is the argmin, as in the paper's Tables 3/4.
+/// Search bounds of the tuner. The candidate list of every knob is fixed
+/// (planner.cpp) and covers every value the executors accept; patterns
+/// other than the paper's read-D/write-A pairing are model-only (the rank
+/// kernels do not implement them), so they are searched only when
+/// `executable_only` is lowered — the planner then demonstrates that D->A
+/// is the argmin, as in the paper's Tables 3/4.
 struct PlannerOptions {
-  std::vector<unsigned> threads_per_block{64, 128, 256};
-  std::vector<unsigned> blocks_per_sm{1, 2, 3, 4};
-  std::vector<unsigned> coarse_radix{16, 8};
-  std::vector<unsigned> shmem_pad_words{0, 8, 16};
-  std::vector<TwiddleSource> coarse_twiddles{
-      TwiddleSource::Registers, TwiddleSource::Constant,
-      TwiddleSource::Texture, TwiddleSource::Recompute};
-  /// Registers is deliberately absent: the simulator charges nothing for a
-  /// register-resident table, but the fine kernel's twiddle index depends
-  /// on the stage loop variable, so on real G80 hardware a full-table
-  /// register build would spill — the model-only win is not executable.
-  std::vector<TwiddleSource> fine_twiddles{
-      TwiddleSource::Texture, TwiddleSource::Constant,
-      TwiddleSource::Recompute};
-  /// Slab decimation overrides tried for streamed plans (0 = keep the
-  /// description's splits); ignored for in-core kinds.
-  std::vector<std::size_t> slab_depths{0, 2, 4, 8, 16, 32};
-  /// Row layouts tried for Mixed3D plans: dense rows versus rows padded to
-  /// a 16-element pitch so every row start lands on a coalescing segment
-  /// boundary. Other kinds always keep the dense default.
-  std::vector<PitchMode> pitch_modes{PitchMode::Dense, PitchMode::Padded};
   /// Restrict the pattern pairing to the executable read-D/write-A choice.
   /// When false, every Table-2 pair containing the decimation hop D is
   /// scored (the hop to/from the transform's home dimension is
   /// unavoidable; pairing it with A, B or C is the design choice).
   bool executable_only{true};
-  /// A challenger must beat the incumbent by this relative margin; ties
-  /// within the model's resolution keep the earlier (default-first)
-  /// candidate.
-  double improvement_margin{1e-2};
 };
 
 /// Outcome of one tuning search.

@@ -16,6 +16,8 @@
 // the coalescing the whole design revolves around.
 #pragma once
 
+#include <array>
+
 #include "common/tensor.h"
 #include "fft/factor.h"
 #include "gpufft/smallfft.h"
@@ -43,7 +45,51 @@ struct RankKernelParams {
   /// Element offset of the view into both buffers (the real plan runs the
   /// Nyquist tail plane through the same kernels at the tail's offset).
   std::size_t elem_offset{0};
+
+  /// The coarse steps' launch under `tune` on `gpu`: the tuned coarse
+  /// twiddle source, grid and block size (in_shape is set per step).
+  static RankKernelParams tuned(const TuneConfig& tune,
+                                const sim::GpuSpec& gpu, Direction dir) {
+    RankKernelParams p;
+    p.dir = dir;
+    p.twiddles = tune.coarse_twiddles;
+    p.grid_blocks = tune.grid_for(gpu);
+    p.threads_per_block = tune.threads_per_block;
+    return p;
+  }
 };
+
+/// One of the five-step plan's four coarse-rank launches (steps 1-4).
+struct CoarseRankStep {
+  const char* name;     ///< "Z rank1", "Z rank2", "Y rank1" or "Y rank2"
+  Shape5 in_shape;      ///< the kernel's input view; transform along dim 4
+  bool rank1;           ///< Rank1 (with the inter-rank twiddle) or Rank2
+  bool z_axis;          ///< transforms Z (else Y)
+  std::size_t axis_n;   ///< length of that axis (the rank-1 twiddle table)
+};
+
+/// Steps 1-4 over an (ex, ny, nz) volume split as `sy`/`sz`: the Z-axis
+/// rank pair, then the Y-axis pair. The x-extent ex = shape.nx is a free
+/// row pitch. Each view's digit permutation feeds the next, and after step
+/// 4 the volume is back in natural order. The executor (run_coarse_ranks)
+/// and the tuner's coarse model both walk this one table.
+inline std::array<CoarseRankStep, 4> coarse_rank_steps(Shape3 shape,
+                                                       AxisSplit sy,
+                                                       AxisSplit sz) {
+  const std::size_t ex = shape.nx;
+  const auto [f1y, f2y] = sy;
+  const auto [f1z, f2z] = sz;
+  return {{
+      // (ex, f1y, f2y, f1z, f2z) -> (ex, f2z, f1y, f2y, f1z)
+      {"Z rank1", Shape5{{ex, f1y, f2y, f1z, f2z}}, true, true, shape.nz},
+      // -> (ex, f2z, f1z, f1y, f2y)
+      {"Z rank2", Shape5{{ex, f2z, f1y, f2y, f1z}}, false, true, shape.nz},
+      // -> (ex, f2y, f2z, f1z, f1y)
+      {"Y rank1", Shape5{{ex, f2z, f1z, f1y, f2y}}, true, false, shape.ny},
+      // -> (ex, f2y, f1y, f2z, f1z) == natural order
+      {"Y rank2", Shape5{{ex, f2y, f2z, f1z, f1y}}, false, false, shape.ny},
+  }};
+}
 
 /// Step 1/3 kernel (rank 1 with inter-rank twiddle). Templated over the
 /// scalar type: float reproduces the paper; double is its Section 4.5

@@ -1,8 +1,5 @@
 #include "gpufft/real3d.h"
 
-#include <algorithm>
-#include <type_traits>
-
 #include "fft/factor.h"
 #include "gpufft/cache.h"
 
@@ -46,12 +43,7 @@ std::vector<T> unpack_real_volume(std::span<const cx<T>> packed,
 template <typename T>
 RealFft3DT<T>::RealFft3DT(Device& dev, Shape3 shape, Direction dir,
                           BandwidthPlanOptions options)
-    : PlanBaseT<T>(dev,
-                   PlanDesc::real3d(shape, dir,
-                                    std::is_same_v<T, float>
-                                        ? Precision::F32
-                                        : Precision::F64)),
-      opt_(options),
+    : FftPlanT<T>(dev, PlanDesc::real3d(shape, dir), options),
       sy_(split_axis(shape.ny, options.coarse_radix)),
       sz_(split_axis(shape.nz, options.coarse_radix)),
       tw_half_(ResourceCache::of(dev).twiddles<T>(shape.nx / 2, dir)),
@@ -64,73 +56,70 @@ RealFft3DT<T>::RealFft3DT(Device& dev, Shape3 shape, Direction dir,
                   "got nx=" + fft::describe_size(shape.nx) +
                       " — transform a complex copy through the Mixed3D "
                       "plan for other sizes");
-  REPRO_CHECK_MSG(options.executable_patterns(),
-                  "only the paper's read-D/write-A coarse pattern pairing "
-                  "is implemented; other pairs are model-only knobs");
-  this->desc_.tune = options;
-  opt_.grid_blocks = opt_.grid_for(dev.spec());
 }
+
+namespace {
+
+/// The real plans' coarse pass over a split-layout volume of logical
+/// extent `logical`: the four coarse ranks over the (nx/2)-pitch main
+/// pencils, then the same four steps over the 1-wide Nyquist tail pencils
+/// at the tail's offset, at ~1/(nx/2) of the cost. `main` sees the main
+/// pencils' launches and `tail` the tail's, each in step order.
+template <typename T>
+void run_real_coarse_pass(Device& dev, DeviceBuffer<cx<T>>& data,
+                          DeviceBuffer<cx<T>>& work, Shape3 logical,
+                          AxisSplit sy, AxisSplit sz, const TuneConfig& tune,
+                          Direction dir, const DeviceBuffer<cx<T>>* tw_y,
+                          const DeviceBuffer<cx<T>>* tw_z,
+                          const RankStepRecorder& main,
+                          const RankStepRecorder& tail) {
+  const std::size_t m = logical.nx / 2;
+  RankKernelParams p = RankKernelParams::tuned(tune, dev.spec(), dir);
+  run_coarse_ranks<T>(dev, data, work, Shape3{m, logical.ny, logical.nz},
+                      sy, sz, p, tw_y, tw_z, main);
+  p.elem_offset = m * logical.ny * logical.nz;
+  run_coarse_ranks<T>(dev, data, work, Shape3{1, logical.ny, logical.nz},
+                      sy, sz, p, tw_y, tw_z, tail);
+}
+
+}  // namespace
 
 template <typename T>
 std::vector<StepTiming> RealFft3DT<T>::execute_impl(DeviceBuffer<cx<T>>& data) {
   const Shape3 shape = this->desc_.shape;
+  const TuneConfig& tune = this->desc_.tune;
+  const Direction dir = this->desc_.dir;
+  Device& dev = this->dev_;
   const std::size_t elems = half_spectrum_elems(shape);
   REPRO_CHECK(data.size() >= elems);
-  auto ws = ResourceCache::of(this->dev_).template lease<T>(elems);
-  auto& work = ws.buffer();
+  auto ws = ResourceCache::of(dev).template lease<T>(elems);
   std::vector<StepTiming> steps;
   steps.reserve(5);
   auto record = [&](const char* name, const LaunchResult& r) {
-    steps.push_back(StepTiming{
+    steps.push_back(step_row<T>(
         "step" + std::to_string(steps.size() + 1) + " (" + name + ")",
-        r.total_ms, useful_gbs(elems, r.total_ms, sizeof(cx<T>))});
+        r.total_ms, elems));
   };
-
-  RankKernelParams p;
-  p.dir = this->desc_.dir;
-  p.twiddles = opt_.coarse_twiddles;
-  p.grid_blocks = opt_.grid_blocks;
-  p.threads_per_block = opt_.threads_per_block;
-
-  RealFineParams fp;
-  fp.nx = shape.nx;
-  fp.count = shape.ny * shape.nz;
-  fp.twiddles = opt_.fine_twiddles;
-  fp.grid_blocks = opt_.grid_blocks;
-  // nx/8 threads per transform (half-length lines); whole groups per block.
-  fp.threads_per_block = static_cast<unsigned>(
-      std::max<std::size_t>(shape.nx / 8, opt_.threads_per_block));
-  fp.shmem_pad_words = opt_.shmem_pad_words;
-
-  // The coarse ranks run over the (nx/2)-pitch main pencils, then sweep
-  // the 1-wide Nyquist tail pencils at their offset — the same four
-  // steps at ~1/(nx/2) of the cost, folded into the main steps' timings
-  // so the step table keeps the five-step shape.
-  const std::size_t m = shape.nx / 2;
-  const Shape3 main_pencil{m, shape.ny, shape.nz};
-  const Shape3 tail_pencil{1, shape.ny, shape.nz};
-  RankKernelParams pt = p;
-  pt.elem_offset = m * shape.ny * shape.nz;
+  // The tail launches fold into the main steps' rows, so the step table
+  // keeps the five-step shape.
   auto run_ranks = [&] {
-    const std::size_t first = steps.size();
-    run_coarse_ranks<T>(this->dev_, data, work, main_pencil, sy_, sz_, p,
-                        tw_y_.get(), tw_z_.get(), record);
-    std::size_t i = first;
-    run_coarse_ranks<T>(this->dev_, data, work, tail_pencil, sy_, sz_, pt,
-                        tw_y_.get(), tw_z_.get(),
-                        [&](const char*, const LaunchResult& r) {
-                          steps[i].ms += r.total_ms;
-                          steps[i].gbs =
-                              useful_gbs(elems, steps[i].ms, sizeof(cx<T>));
-                          ++i;
-                        });
+    std::size_t i = steps.size();
+    run_real_coarse_pass<T>(dev, data, ws.buffer(), shape, sy_, sz_, tune,
+                            dir, tw_y_.get(), tw_z_.get(), record,
+                            [&](const char*, const LaunchResult& r) {
+                              StepTiming& s = steps[i++];
+                              s = step_row<T>(s.name, s.ms + r.total_ms,
+                                              elems);
+                            });
   };
+  auto fp = RealFineParams::tuned(tune, dev.spec(), shape.nx,
+                                  shape.ny * shape.nz);
 
-  if (this->desc_.dir == Direction::Forward) {
+  if (dir == Direction::Forward) {
     // X first: the Hermitian unpack is per-row local before Y/Z mix rows.
     {
       RealFineR2CKernelT<T> k(data, fp, tw_half_.get(), tw_x_.get());
-      record("X r2c fine", this->dev_.launch(k));
+      record("X r2c fine", dev.launch(k));
     }
     run_ranks();
   } else {
@@ -141,7 +130,7 @@ std::vector<StepTiming> RealFft3DT<T>::execute_impl(DeviceBuffer<cx<T>>& data) {
                       static_cast<double>(shape.nz));
     {
       RealFineC2RKernelT<T> k(data, fp, tw_half_.get(), tw_x_.get());
-      record("X c2r fine", this->dev_.launch(k));
+      record("X c2r fine", dev.launch(k));
     }
   }
 
@@ -153,32 +142,20 @@ template <typename T>
 double run_real_coarse_slab(Device& dev, DeviceBuffer<cx<T>>& data,
                             Shape3 logical, Direction dir,
                             const BandwidthPlanOptions& opt) {
-  const std::size_t m = logical.nx / 2;
-  const Shape3 main_pencil{m, logical.ny, logical.nz};
-  const Shape3 tail_pencil{1, logical.ny, logical.nz};
   const std::size_t elems = half_spectrum_elems(logical);
   REPRO_CHECK(data.size() >= elems);
   auto& cache = ResourceCache::of(dev);
   auto ws = cache.template lease<T>(elems);
   auto tw_y = cache.template twiddles<T>(logical.ny, dir);
   auto tw_z = cache.template twiddles<T>(logical.nz, dir);
-  RankKernelParams p;
-  p.dir = dir;
-  p.twiddles = opt.coarse_twiddles;
-  p.grid_blocks = opt.grid_for(dev.spec());
-  p.threads_per_block = opt.threads_per_block;
-  const AxisSplit sy = split_axis(logical.ny, opt.coarse_radix);
-  const AxisSplit sz = split_axis(logical.nz, opt.coarse_radix);
   double total_ms = 0.0;
   const auto add_ms = [&](const char*, const LaunchResult& r) {
     total_ms += r.total_ms;
   };
-  run_coarse_ranks<T>(dev, data, ws.buffer(), main_pencil, sy, sz, p,
-                      tw_y.get(), tw_z.get(), add_ms);
-  RankKernelParams pt = p;
-  pt.elem_offset = m * logical.ny * logical.nz;
-  run_coarse_ranks<T>(dev, data, ws.buffer(), tail_pencil, sy, sz, pt,
-                      tw_y.get(), tw_z.get(), add_ms);
+  run_real_coarse_pass<T>(dev, data, ws.buffer(), logical,
+                          split_axis(logical.ny, opt.coarse_radix),
+                          split_axis(logical.nz, opt.coarse_radix), opt, dir,
+                          tw_y.get(), tw_z.get(), add_ms, add_ms);
   return total_ms;
 }
 

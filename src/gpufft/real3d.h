@@ -74,7 +74,7 @@ std::vector<T> unpack_real_volume(std::span<const cx<T>> packed,
 /// execute. Direction::Forward consumes packed real rows and produces the
 /// half-spectrum; Inverse is the exact round-trip (scaled, pads zeroed).
 template <typename T>
-class RealFft3DT final : public PlanBaseT<T> {
+class RealFft3DT final : public FftPlanT<T> {
  public:
   RealFft3DT(Device& dev, Shape3 shape, Direction dir,
              BandwidthPlanOptions options = {});
@@ -87,7 +87,6 @@ class RealFft3DT final : public PlanBaseT<T> {
   [[nodiscard]] Direction direction() const { return this->desc_.dir; }
 
  private:
-  BandwidthPlanOptions opt_;
   AxisSplit sy_;
   AxisSplit sz_;
   /// Shared device twiddle tables (one per distinct length).

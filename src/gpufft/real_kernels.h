@@ -17,6 +17,8 @@
 // fine kernel's.
 #pragma once
 
+#include <algorithm>
+
 #include "gpufft/smallfft.h"
 #include "gpufft/stage_engine.h"
 #include "gpufft/tuning.h"
@@ -33,6 +35,23 @@ struct RealFineParams {
   /// Shared-exchange pad stride in words (TuneConfig knob; 0 = none).
   unsigned shmem_pad_words{kDefaultShmemPadWords};
   double scale{1.0};     ///< c2r only: folded into the pack pass
+
+  /// The fused real X pass over `count` nx-real lines under `tune` on
+  /// `gpu`. A line is one nx/2-point staged transform, so a block holds
+  /// whole groups of nx/8 threads.
+  static RealFineParams tuned(const TuneConfig& tune,
+                              const sim::GpuSpec& gpu, std::size_t nx,
+                              std::size_t count) {
+    RealFineParams p;
+    p.nx = nx;
+    p.count = count;
+    p.twiddles = tune.fine_twiddles;
+    p.grid_blocks = tune.grid_for(gpu);
+    p.threads_per_block = static_cast<unsigned>(
+        std::max<std::size_t>(nx / 8, tune.threads_per_block));
+    p.shmem_pad_words = tune.shmem_pad_words;
+    return p;
+  }
 };
 
 /// Forward fused kernel: packed real rows -> half-spectrum rows, in place.

@@ -21,9 +21,7 @@ namespace repro::gpufft {
 template <typename T>
 std::shared_ptr<FftPlanT<T>> make_plan(Device& dev, const PlanDesc& desc,
                                        sim::DeviceGroup* group) {
-  constexpr bool is_f32 = std::is_same_v<T, float>;
-  REPRO_CHECK_MSG(desc.precision ==
-                      (is_f32 ? Precision::F32 : Precision::F64),
+  REPRO_CHECK_MSG(desc.precision == precision_of<T>,
                   "plan description precision does not match the request");
   const BandwidthPlanOptions& opt = desc.tune;
 
@@ -45,7 +43,7 @@ std::shared_ptr<FftPlanT<T>> make_plan(Device& dev, const PlanDesc& desc,
       break;
   }
   // The remaining kinds are implemented in single precision only.
-  if constexpr (is_f32) {
+  if constexpr (std::is_same_v<T, float>) {
     switch (desc.kind) {
       case PlanKind::Conventional3D:
         return std::make_shared<ConventionalFft3D>(
@@ -294,10 +292,7 @@ std::size_t PlanRegistry::plan_headroom_bytes(const PlanDesc& desc) {
                                 : sizeof(cxf);
   std::size_t elems = desc.buffer_elements();
   std::size_t host_staging = 0;
-  if ((desc.kind == PlanKind::OutOfCore ||
-       desc.kind == PlanKind::Sharded3D ||
-       desc.kind == PlanKind::BatchSharded3D) &&
-      desc.splits != 0) {
+  if (desc.z_decimated() && desc.splits != 0) {
     // Streaming plans never hold the full volume on a card: their device
     // working set is the double-buffered slab pair. Sharded plans do hold
     // the full exchange volume in host staging for their lifetime, which

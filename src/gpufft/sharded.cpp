@@ -173,9 +173,8 @@ void accumulate(ShardedTiming& into, const ShardedTiming& t) {
 
 ShardedExecutor::ShardedExecutor(sim::DeviceGroup& group,
                                  const PlanDesc& desc, TuneConfig tune)
-    : PlanBaseT<float>(group.device(0), desc),
+    : FftPlanT<float>(group.device(0), desc),
       group_(&group),
-      opt_(tune),
       n_(desc.shape.nx),
       shards_(desc.splits),
       planes_(PlaneLayout::of(desc.layout, n_)),
@@ -192,7 +191,7 @@ void ShardedExecutor::acquire_slab_plans(const PlanDesc& slab) {
     slab_plans_.push_back(
         dev.lost() ? nullptr
                    : PlanRegistry::of(dev).get_or_create(
-                         slab_plan_desc(slab, opt_)));
+                         slab_plan_desc(slab, desc_.tune)));
   }
 }
 
@@ -382,7 +381,7 @@ void ShardedExecutor::enqueue_phase1(VolumeCtx& ctx,
     ShardTiming& t = timing.devices[d];
     sim::Stream& s = ctx.stream(mi, local % 2);
     auto& slab = ctx.slab(mi, local % 2);
-    const unsigned grid = opt_.grid_for(dev.spec());
+    const unsigned grid = desc_.tune.grid_for(dev.spec());
 
     for (std::size_t j = 0; j < local_nz; ++j) {
       const std::size_t z = residue + shards_ * j;
@@ -398,7 +397,7 @@ void ShardedExecutor::enqueue_phase1(VolumeCtx& ctx,
     for (std::size_t r = 0; r < pl.regions(); ++r) {
       SlabTwiddleKernel tw(slab, Shape3{pl.widths[r], pl.rows, local_nz}, n_,
                            residue, desc_.dir, grid, pl.offset(r, local_nz),
-                           opt_.threads_per_block);
+                           desc_.tune.threads_per_block);
       t.twiddle_ms += dev.launch_async(tw, s).total_ms;
     }
 
@@ -518,7 +517,7 @@ void ShardedExecutor::enqueue_phase2(VolumeCtx& ctx,
     const Phase2Unit u = phase2_unit(ctx.layout, local_nz, mi);
     auto& dev = group_->device(e);
     ShardTiming& t = timing.devices[e];
-    const unsigned grid = opt_.grid_for(dev.spec());
+    const unsigned grid = desc_.tune.grid_for(dev.spec());
     for (std::size_t gl = 0; gl < u.groups; ++gl) {
       const std::size_t k = u.first + gl;
       sim::Stream& s = ctx.stream(mi, gl % 2);
@@ -560,7 +559,7 @@ void ShardedExecutor::enqueue_phase2(VolumeCtx& ctx,
       for (std::size_t r = 0; r < pl.regions(); ++r) {
         ZPencilFftKernel fft(*buf, Shape3{unit.widths[r], unit.rows, shards_},
                              desc_.dir, grid, at + unit.offset(r, shards_),
-                             opt_.threads_per_block);
+                             desc_.tune.threads_per_block);
         t.fft2_ms += dev.launch_async(fft, s).total_ms;
       }
       phase2_epilogue(e, *buf, s, t.fft2_ms);
@@ -959,7 +958,8 @@ void ShardedRealFft3DPlan::phase1_transform(std::size_t d,
   // inverse's phase 1 runs the coarse Y/local-Z ranks only.
   Device& dev = group_->device(d);
   const Device::StreamGuard guard(dev, s);
-  ms += run_real_coarse_slab<float>(dev, slab, slab_shape_, desc_.dir, opt_);
+  ms += run_real_coarse_slab<float>(dev, slab, slab_shape_, desc_.dir,
+                                    desc_.tune);
 }
 
 void ShardedRealFft3DPlan::phase2_epilogue(std::size_t e,
@@ -969,14 +969,8 @@ void ShardedRealFft3DPlan::phase2_epilogue(std::size_t e,
   // Z is whole again: finish with the fused c2r pass, folding the full
   // 1/(n/2 * n * n) normalization (true inverse).
   Device& dev = group_->device(e);
-  RealFineParams fp;
-  fp.nx = n_;
-  fp.count = n_ * shards_;
-  fp.twiddles = opt_.fine_twiddles;
-  fp.grid_blocks = opt_.grid_for(dev.spec());
-  fp.threads_per_block = static_cast<unsigned>(
-      std::max<std::size_t>(n_ / 8, opt_.threads_per_block));
-  fp.shmem_pad_words = opt_.shmem_pad_words;
+  auto fp = RealFineParams::tuned(desc_.tune, dev.spec(), n_,
+                                  n_ * shards_);
   fp.scale = 1.0 / (static_cast<double>(n_ / 2) * static_cast<double>(n_) *
                     static_cast<double>(n_));
   RealFineC2RKernel c2r(group, fp, tw_half_[e].get(), tw_full_[e].get());

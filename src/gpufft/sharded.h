@@ -70,10 +70,11 @@
 // extents. Results stay bit-identical because decimation arithmetic
 // depends only on `shards`, never on the member count.
 //
-// probe_shard_phases/sharded_model_ms give the closed-form pipeline model
-// the bench cross-checks the scheduler against (the bench_async_overlap
-// pattern): serial chains on 1-DMA cards, depth-2 double-buffered rates on
-// 2-DMA cards.
+// probe_shard_phases/sharded_model_ms give a closed-form model of this
+// schedule: serial chains on 1-DMA cards, depth-2 double-buffered rates on
+// 2-DMA cards. It prices the deal side of the deal-vs-shard verdicts
+// (batch_sharded.h); bench_sharded and the tests hold it to the
+// scheduler's makespan (0.1% on 1-DMA cards, 5% on 2-DMA cards).
 #pragma once
 
 #include <algorithm>
@@ -268,7 +269,7 @@ struct ShardPhases {
 /// groups in phase 2. A group whose size divides neither S nor n/S runs
 /// on its largest member prefix that divides both, as after losing a
 /// card. As an FftPlan it supports the host entry points only.
-class ShardedExecutor : public PlanBaseT<float> {
+class ShardedExecutor : public FftPlanT<float> {
  public:
   /// Transform a host-resident volume (buffer_elements() elements in the
   /// plan's layout) in place.
@@ -359,7 +360,6 @@ class ShardedExecutor : public PlanBaseT<float> {
                        const ShardLayout& layout, std::span<cxf> host_data);
 
   sim::DeviceGroup* group_;
-  TuneConfig opt_;
   std::size_t n_;
   std::size_t shards_;
   PlaneLayout planes_;
@@ -407,7 +407,7 @@ class ShardedFft3DPlan final : public ShardedExecutor {
 
   /// The decomposition the next run will prefer. The constructor seeds
   /// it from choose_decomposition (planner.h) on peer-capable groups;
-  /// the setter exists for A/B studies (bench_topology) and tests.
+  /// tests use the setter to pin one.
   [[nodiscard]] Decomposition decomposition() const { return decomp_; }
   void set_decomposition(Decomposition d) { decomp_ = d; }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 
 #include "common/complex.h"
 #include "common/tensor.h"
@@ -56,6 +57,14 @@ struct StepTiming {
 inline double useful_gbs(std::size_t elems, double ms, std::size_t elem_bytes) {
   return 2.0 * static_cast<double>(elems) * static_cast<double>(elem_bytes) /
          (ms * 1e6);
+}
+
+/// A step row of `ms` that read and wrote `elems` elements of cx<T> once
+/// each (useful_gbs); a zero-time row reports zero bandwidth.
+template <typename T>
+StepTiming step_row(std::string name, double ms, std::size_t elems) {
+  return StepTiming{std::move(name), ms,
+                    ms > 0.0 ? useful_gbs(elems, ms, sizeof(cx<T>)) : 0.0};
 }
 
 /// Grid sizing used throughout the paper's experiments: 3 blocks per SM

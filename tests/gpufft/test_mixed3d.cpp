@@ -142,6 +142,34 @@ TEST(Mixed3D, RegistryServesMixedPlans) {
       bit_identical(data, host_fft3d(input, shape, Direction::Forward)));
 }
 
+TEST(Mixed3D, BothLayoutsStageUnderTheExecPolicy) {
+  // With one staging attempt allowed, one transient upload failure must
+  // surface from the padded layout exactly as from the dense one, named
+  // once by the plan.
+  for (const PitchMode pitch : {PitchMode::Dense, PitchMode::Padded}) {
+    SCOPED_TRACE(pitch_mode_name(pitch));
+    Device dev(sim::geforce_8800_gtx());
+    TuneConfig tune;
+    tune.pitch = pitch;
+    MixedFft3D plan(dev, cube(20), Direction::Forward, tune);
+    ExecPolicy policy;
+    policy.staging.max_attempts = 1;
+    plan.set_exec_policy(policy);
+    dev.faults().arm(sim::FaultKind::TransferTransient, 1);
+    auto data = random_complex<float>(cube(20).volume(), 43);
+    try {
+      plan.execute_host(std::span<cxf>(data));
+      FAIL() << "expected TransientTransferError";
+    } catch (const sim::TransientTransferError& e) {
+      const std::string msg = e.what();
+      const std::size_t first = msg.find("plan[");
+      ASSERT_NE(first, std::string::npos) << msg;
+      EXPECT_EQ(msg.find("plan[", first + 1), std::string::npos) << msg;
+    }
+    EXPECT_EQ(dev.health().transient_retries, 0u);
+  }
+}
+
 TEST(Mixed3D, FiveStepGuardNamesTheEscapeHatch) {
   Device dev(sim::geforce_8800_gts());
   try {

@@ -169,6 +169,20 @@ TEST(Tuner, SmallDeviceMemoryRepairsTheSlabDepth) {
   EXPECT_EQ(r.best.slab_depth, 16u) << r.best.to_string();
 }
 
+TEST(Tuner, DealtPlansSearchTheSlabDepthLikeOutOfCore) {
+  // A dealt member runs the single-card out-of-core schedule and the model
+  // prices it as one, so the search must cover its slab depth too.
+  const auto spec = sim::geforce_8800_gts();
+  const TuneResult oc =
+      tune_plan(spec, PlanDesc::out_of_core(32, 4, Direction::Forward));
+  const TuneResult dealt =
+      tune_plan(spec, PlanDesc::batch_sharded3d(32, 4, Direction::Forward));
+  EXPECT_EQ(dealt.best, oc.best) << dealt.best.to_string();
+  EXPECT_NE(oc.best.slab_depth, 0u) << oc.best.to_string();
+  EXPECT_EQ(dealt.evaluated, oc.evaluated);
+  EXPECT_EQ(dealt.model_ms, oc.model_ms);
+}
+
 TEST(Tuner, InfeasibleCandidatesScoreInfinite) {
   // A radix the axis cannot split and an oversized block both come back
   // as +inf instead of throwing out of the search.
