@@ -6,7 +6,7 @@ namespace repro::gpufft {
 
 template <typename T>
 Batch1DFftT<T>::Batch1DFftT(Device& dev, std::size_t n, std::size_t count,
-                            Direction dir, BandwidthPlanOptions options)
+                            Direction dir, TuneConfig options)
     : FftPlanT<T>(dev, PlanDesc::batch1d(n, count, dir), options),
       tw_(ResourceCache::of(dev).twiddles<T>(n, dir)) {
   REPRO_CHECK_MSG(is_pow2(n) && n >= 16 && n <= 512,

@@ -7,7 +7,7 @@
 #include "gpufft/cache.h"
 #include "gpufft/fft_plan.h"
 #include "gpufft/fine_kernel.h"
-#include "gpufft/plan.h"  // BandwidthPlanOptions
+#include "gpufft/tuning.h"
 
 namespace repro::gpufft {
 
@@ -17,7 +17,7 @@ template <typename T>
 class Batch1DFftT final : public FftPlanT<T> {
  public:
   Batch1DFftT(Device& dev, std::size_t n, std::size_t count, Direction dir,
-              BandwidthPlanOptions options = {});
+              TuneConfig options = {});
 
   std::vector<StepTiming> execute_impl(DeviceBuffer<cx<T>>& data) override;
 

@@ -21,8 +21,9 @@ FineFftKernelT<T>::FineFftKernelT(DeviceBuffer<cx<T>>& in,
                       fft::describe_size(params_.n) +
                       " — route non-pow2 X axes through the Mixed3D plan's "
                       "MixedAxisKernelT (rank_kernels.h)");
-  REPRO_CHECK_MSG(params_.threads_per_block % (params_.n / 4) == 0,
-                  "block must hold whole transform groups");
+  REPRO_CHECK_MSG(
+      params_.threads_per_block % fine_threads_per_transform(params_.n) == 0,
+      "block must hold whole transform groups");
   REPRO_CHECK(in_.size() >= params_.n * params_.count);
   REPRO_CHECK(out_.size() >= params_.n * params_.count);
   if (params_.twiddles == TwiddleSource::Texture) {
@@ -37,46 +38,45 @@ std::size_t FineFftKernelT<T>::shmem_bytes_per_transform(
   return fine_min_sh_stride(n, pad_words) * sizeof(T);
 }
 
-template <typename T>
-double FineFftKernelT<T>::flops_per_transform(std::size_t n) {
-  return fine_flops_per_transform(n);
-}
-
-template <typename T>
-sim::LaunchConfig FineFftKernelT<T>::config() const {
-  const std::size_t tpt = params_.n / 4;
-  const std::size_t txs_pb = params_.threads_per_block / tpt;
+sim::LaunchConfig fine_config(const FineKernelParams& p, bool fp64) {
+  const std::size_t txs_pb =
+      p.threads_per_block / fine_threads_per_transform(p.n);
   sim::LaunchConfig c;
-  c.name = "fine_fft" + std::to_string(params_.n);
-  c.grid_blocks = params_.grid_blocks;
-  c.threads_per_block = params_.threads_per_block;
-  c.regs_per_thread =
-      std::is_same_v<T, double> ? 20 : 10;  // 4 complex values + temps
-  c.fp64 = std::is_same_v<T, double>;
-  c.shmem_per_block =
-      txs_pb * shmem_bytes_per_transform(params_.n, params_.shmem_pad_words);
-  double per_tx = flops_per_transform(params_.n);
-  if (params_.twiddles == TwiddleSource::Recompute) {
+  c.name = "fine_fft" + std::to_string(p.n);
+  c.grid_blocks = p.grid_blocks;
+  c.threads_per_block = p.threads_per_block;
+  c.regs_per_thread = fp64 ? 20 : 10;  // 4 complex values + temps
+  c.fp64 = fp64;
+  c.shmem_per_block = txs_pb *
+                      fine_min_sh_stride(p.n, p.shmem_pad_words) *
+                      (fp64 ? sizeof(double) : sizeof(float));
+  double per_tx = fine_flops_per_transform(p.n);
+  if (p.twiddles == TwiddleSource::Recompute) {
     // sin/cos per fetched twiddle, same charge as the rank kernels — a
     // recomputing config must not look free to the cost model.
-    per_tx += 32.0 * fine_twiddle_fetches(params_.n);
+    per_tx += 32.0 * fine_twiddle_fetches(p.n);
   }
-  c.total_flops = static_cast<double>(params_.count) * per_tx;
+  c.total_flops = static_cast<double>(p.count) * per_tx;
   c.fma_fraction = 0.5;
   const double groups_per_wave =
       static_cast<double>(c.grid_blocks) * static_cast<double>(txs_pb);
   const double iterations =
-      std::ceil(static_cast<double>(params_.count) / groups_per_wave);
+      std::ceil(static_cast<double>(p.count) / groups_per_wave);
   c.extra_cycles_per_thread =
-      iterations * static_cast<double>(fine_stages(params_.n).size()) *
+      iterations * static_cast<double>(fine_stages(p.n).size()) *
       kFineAddressingCyclesPerStage;
   return c;
 }
 
 template <typename T>
+sim::LaunchConfig FineFftKernelT<T>::config() const {
+  return fine_config(params_, std::is_same_v<T, double>);
+}
+
+template <typename T>
 void FineFftKernelT<T>::run_block(sim::BlockCtx& ctx) {
   const std::size_t n = params_.n;
-  const std::size_t tpt = n / 4;
+  const std::size_t tpt = fine_threads_per_transform(n);
   const unsigned block_dim = params_.threads_per_block;
   const std::size_t txs_pb = block_dim / tpt;
   const std::size_t pad = params_.shmem_pad_words;

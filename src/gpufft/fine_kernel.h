@@ -45,12 +45,16 @@ struct FineKernelParams {
     p.dir = dir;
     p.twiddles = tune.fine_twiddles;
     p.grid_blocks = tune.grid_for(gpu);
-    p.threads_per_block = static_cast<unsigned>(
-        std::max<std::size_t>(n / 4, tune.threads_per_block));
+    p.threads_per_block = static_cast<unsigned>(std::max<std::size_t>(
+        fine_threads_per_transform(n), tune.threads_per_block));
     p.shmem_pad_words = tune.shmem_pad_words;
     return p;
   }
 };
+
+/// The fine kernel's launch over `p` in double (`fp64`) or single
+/// precision: the kernel's config() and the planner's price of step 5.
+sim::LaunchConfig fine_config(const FineKernelParams& p, bool fp64);
 
 /// Cooperative n-point FFT over `count` contiguous lines; in-place when
 /// `out == in`. Templated over the scalar type (double = the paper's
@@ -69,9 +73,6 @@ class FineFftKernelT final : public sim::Kernel {
   /// Shared-memory bytes one transform group needs (n scalars + padding).
   [[nodiscard]] static std::size_t shmem_bytes_per_transform(
       std::size_t n, std::size_t pad_words = kDefaultShmemPadWords);
-
-  /// FP operations of one n-point transform as implemented (all stages).
-  [[nodiscard]] static double flops_per_transform(std::size_t n);
 
  private:
   DeviceBuffer<cx<T>>& in_;

@@ -117,12 +117,10 @@ std::size_t checked_decimation(std::size_t n, std::size_t requested,
   const std::size_t s = tune.slab_depth != 0 ? tune.slab_depth : requested;
   const std::string got =
       "; got n=" + fft::describe_size(n) + " S=" + std::to_string(s);
-  REPRO_CHECK_MSG(s >= 2 && s <= kMaxFactor && n % s == 0,
+  REPRO_CHECK_MSG(valid_decimation(n, s),
                   "the Z decimation factor S must divide n and be a "
-                  "supported small-FFT factor" + got);
-  REPRO_CHECK_MSG(is_pow2(s),
-                  "the Z decimation runs one power-of-two small-FFT rank "
-                  "across the S slabs" + got +
+                  "power-of-two small-FFT factor (one small-FFT rank runs "
+                  "across the S slabs)" + got +
                       " (n itself may be non-pow2 — those slabs run the "
                       "mixed-radix plan)");
   return s;

@@ -33,6 +33,7 @@
 
 #include "gpufft/fft_plan.h"
 #include "gpufft/plan.h"
+#include "gpufft/smallfft.h"
 #include "gpufft/types.h"
 
 namespace repro::gpufft {
@@ -129,9 +130,18 @@ struct OutOfCoreTiming : ShardTiming {
 /// zero bandwidth.
 std::vector<StepTiming> table12_rows(const ShardTiming& t, std::size_t elems);
 
+/// The Z-decimation rule: S slabs can split an n-point Z axis when S
+/// divides n and is a power-of-two small-FFT factor (the slabs run one
+/// small-FFT rank across them). The plans enforce it through
+/// checked_decimation; the planner's slab-depth search skips depths that
+/// break it.
+constexpr bool valid_decimation(std::size_t n, std::size_t s) {
+  return s >= 2 && s <= kMaxFactor && is_pow2(s) && n % s == 0;
+}
+
 /// The Z-decimation factor S of a plan over an n^3 volume: the TuneConfig
 /// slab-depth knob overrides `requested` when set. Throws Error naming n
-/// and S unless S divides n and is a power-of-two small-FFT factor.
+/// and S unless valid_decimation(n, S).
 std::size_t checked_decimation(std::size_t n, std::size_t requested,
                                const TuneConfig& tune);
 

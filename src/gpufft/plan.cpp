@@ -9,7 +9,7 @@ namespace repro::gpufft {
 
 template <typename T>
 BandwidthFft3DT<T>::BandwidthFft3DT(Device& dev, Shape3 shape, Direction dir,
-                                    BandwidthPlanOptions options)
+                                    TuneConfig options)
     : FftPlanT<T>(dev, PlanDesc::bandwidth3d(shape, dir), options),
       sy_(split_axis(shape.ny, options.coarse_radix)),
       sz_(split_axis(shape.nz, options.coarse_radix)),

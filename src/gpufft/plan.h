@@ -27,9 +27,9 @@
 
 namespace repro::gpufft {
 
-// The plan options are the tuning knobs themselves: BandwidthPlanOptions
-// is an alias of TuneConfig (gpufft/tuning.h), so a default-constructed
-// option block still reproduces the paper's configuration exactly.
+// The plan options are the tuning knobs themselves (TuneConfig,
+// gpufft/tuning.h), so a default-constructed option block still
+// reproduces the paper's configuration exactly.
 
 /// Callback invoked once per coarse-rank launch with a short step name
 /// ("Z rank1", ...) and the launch's timing.
@@ -73,7 +73,7 @@ template <typename T>
 class BandwidthFft3DT final : public FftPlanT<T> {
  public:
   BandwidthFft3DT(Device& dev, Shape3 shape, Direction dir,
-                  BandwidthPlanOptions options = {});
+                  TuneConfig options = {});
 
   /// Transform `data` (natural x-fastest volume on the device) in place.
   /// Returns per-step timings (Table 7 rows).

@@ -7,7 +7,7 @@ namespace repro::gpufft {
 
 template <typename T>
 BandwidthFft2DT<T>::BandwidthFft2DT(Device& dev, Shape2 shape, Direction dir,
-                                    BandwidthPlanOptions options)
+                                    TuneConfig options)
     : FftPlanT<T>(dev, PlanDesc::bandwidth2d(shape.nx, shape.ny, dir),
                   options),
       sy_(split_axis(shape.ny, options.coarse_radix)),

@@ -23,7 +23,7 @@ template <typename T>
 class BandwidthFft2DT final : public FftPlanT<T> {
  public:
   BandwidthFft2DT(Device& dev, Shape2 shape, Direction dir,
-                  BandwidthPlanOptions options = {});
+                  TuneConfig options = {});
 
   /// Transform one field (natural x-fastest layout) in place.
   std::vector<StepTiming> execute_impl(DeviceBuffer<cx<T>>& data) override;

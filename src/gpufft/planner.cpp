@@ -8,10 +8,14 @@
 #include <exception>
 #include <limits>
 #include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "gpufft/fine_kernel.h"
+#include "gpufft/outofcore.h"
 #include "gpufft/rank_kernels.h"
+#include "gpufft/real_kernels.h"
 #include "gpufft/smallfft.h"
 #include "gpufft/stage_engine.h"
 #include "sim/coalesce.h"
@@ -86,6 +90,19 @@ std::uint64_t texture_miss_bytes(const sim::GpuSpec& spec,
   return miss;
 }
 
+/// The occupancy probe: false when a block of `c` cannot be resident on
+/// `spec` at all.
+bool launchable(const sim::GpuSpec& spec, const sim::LaunchConfig& c) {
+  try {
+    sim::compute_occupancy(
+        spec, sim::BlockResources{static_cast<int>(c.threads_per_block),
+                                  c.regs_per_thread, c.shmem_per_block});
+  } catch (const std::exception&) {
+    return false;
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Coarse (rank-kernel) step model
 // ---------------------------------------------------------------------------
@@ -112,51 +129,31 @@ std::size_t index_with_l(const Shape5& s, std::size_t pos,
   return s.at(idx[0], idx[1], idx[2], idx[3], idx[4]);
 }
 
-/// Score one coarse step by replaying a synthetic sample of its memory
-/// behaviour through sim::estimate_launch: per-warp transaction streams
-/// built from the kernels' x-innermost item walk over the step's (x, a,
-/// b, c) items, each an l-point per-thread FFT; loads run along the read
-/// pattern's dimension and stores along the write pattern's.
+/// Score one coarse step: the rank kernel's own launch, plus a synthetic
+/// sample of its memory behaviour replayed through sim::estimate_launch —
+/// per-warp transaction streams built from the kernels' x-innermost item
+/// walk over the step's (x, a, b, c) items, each an l-point per-thread
+/// FFT; loads run along the read pattern's dimension and stores along the
+/// write pattern's.
 double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
-                      const TuneConfig& cfg, bool fp64) {
+                      const PlanDesc& d) {
+  const TuneConfig& cfg = d.tune;
+  const bool fp64 = d.precision == Precision::F64;
+  RankKernelParams p = RankKernelParams::tuned(cfg, spec, d.dir);
+  p.in_shape = st.in_shape;
+  const sim::LaunchConfig c = rank_config(p, st.rank1, fp64);
+  if (!launchable(spec, c)) return kInfeasible;
+
   const auto& e = st.in_shape.extent;
   const std::array<std::size_t, 4> items{e[0], e[1], e[2], e[3]};
   const std::size_t l = e[4];
   const std::size_t esize = fp64 ? 16 : 8;  // sizeof(cx<T>)
   const std::size_t items_total = items[0] * items[1] * items[2] * items[3];
   const std::size_t volume = items_total * l;
-  const unsigned grid = cfg.grid_for(spec);
-  const unsigned tpb = cfg.threads_per_block;
+  const unsigned grid = c.grid_blocks;
+  const unsigned tpb = c.threads_per_block;
   const TwiddleSource tw =
       st.rank1 ? cfg.coarse_twiddles : TwiddleSource::Registers;
-
-  sim::LaunchConfig c;
-  c.name = "model_rank";
-  c.grid_blocks = grid;
-  c.threads_per_block = tpb;
-  c.regs_per_thread = rank_kernel_regs(tw, l, fp64);
-  c.fp64 = fp64;
-  try {
-    sim::compute_occupancy(
-        spec, sim::BlockResources{static_cast<int>(tpb), c.regs_per_thread,
-                                  0});
-  } catch (const std::exception&) {
-    return kInfeasible;  // the block cannot run on this spec at all
-  }
-
-  double per_item = fft_small_flops(l);
-  if (st.rank1) {
-    per_item += 6.0 * static_cast<double>(l - 1);
-    if (tw == TwiddleSource::Recompute) {
-      per_item += 32.0 * static_cast<double>(l);
-    }
-  }
-  c.total_flops = static_cast<double>(items_total) * per_item;
-  c.fma_fraction = 0.5;
-  const double total_threads = static_cast<double>(grid) * tpb;
-  c.extra_cycles_per_thread =
-      kRankAddressingCyclesPerItem *
-      (static_cast<double>(items_total) / total_threads);
 
   sim::LaunchStats stats;
   stats.total_threads = static_cast<std::uint64_t>(grid) * tpb;
@@ -185,10 +182,13 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
     for (std::size_t r = 0; r < rounds; ++r) {
       for (unsigned half = 0; half < 2; ++half) {
         const std::size_t gid0 = w * 32 + half * 16;
-        // One item per lane; the kernels issue the l loads, then the l
-        // stores, slot-aligned across the half-warp.
-        auto emit = [&](const Shape5& view, std::size_t pos,
-                        std::uint64_t base) {
+        // One item per lane; the kernels issue the l loads (along the
+        // read view), then the l stores (along the write view),
+        // slot-aligned across the half-warp.
+        for (const bool store : {false, true}) {
+          const Shape5& view = store ? wview : rview;
+          const std::size_t pos = store ? wr : rd;
+          const std::uint64_t base = store ? out_base : in_base;
           for (std::size_t q = 0; q < l; ++q) {
             lanes.clear();
             for (unsigned ln = 0; ln < 16; ++ln) {
@@ -222,9 +222,7 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
               stats.const_thread_cycles += lanes.size();
             }
           }
-        };
-        emit(rview, rd, in_base);
-        emit(wview, wr, out_base);
+        }
       }
     }
   }
@@ -238,7 +236,8 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
 }
 
 double coarse_step_ms_memo(const sim::GpuSpec& spec, const CoarseRankStep& st,
-                           const TuneConfig& cfg, bool fp64, Memo& memo) {
+                           const PlanDesc& d, Memo& memo) {
+  const TuneConfig& cfg = d.tune;
   const auto& e = st.in_shape.extent;
   const std::uint64_t key = mix_key(
       {1, e[0], e[1], e[2], e[3], e[4],
@@ -248,10 +247,10 @@ double coarse_step_ms_memo(const sim::GpuSpec& spec, const CoarseRankStep& st,
                                            : TwiddleSource::Registers),
        static_cast<std::uint64_t>(cfg.coarse_read),
        static_cast<std::uint64_t>(cfg.coarse_write),
-       static_cast<std::uint64_t>(fp64)});
+       static_cast<std::uint64_t>(d.precision)});
   const auto it = memo.find(key);
   if (it != memo.end()) return it->second;
-  const double ms = coarse_step_ms(spec, st, cfg, fp64);
+  const double ms = coarse_step_ms(spec, st, d);
   memo.emplace(key, ms);
   return ms;
 }
@@ -260,51 +259,39 @@ double coarse_step_ms_memo(const sim::GpuSpec& spec, const CoarseRankStep& st,
 // Fine (step-5) kernel model
 // ---------------------------------------------------------------------------
 
-/// Shape of a fine-grained cooperative step: the complex X kernel, or the
-/// real pack/unpack kernels (same staged exchange over the half length
-/// plus a fused pass).
+/// One fine-grained cooperative step: the complex X kernel over `count`
+/// nx-point lines, or (`real`) the fused real kernel of direction `dir`
+/// over nx-real lines — the same staged exchange over nx/2 points plus the
+/// pack or unpack pass.
+struct FineStep {
+  bool real{};
+  Direction dir{};
+  std::size_t nx{};
+  std::size_t count{};
+};
+
+/// What the fine step's closed-form replays read beyond its launch.
 struct FineModel {
   std::size_t n{};          ///< staged transform length (fine_stages(n))
-  std::size_t count{};      ///< transforms in the launch
-  std::size_t tpt{};        ///< threads per transform
   std::size_t sh_stride{};  ///< exchange window stride, elements
-  std::size_t shmem_per_tx{};  ///< bytes of shared memory per transform
-  int regs{};
   std::size_t io_elems{};   ///< complex elements loaded (== stored)
-  double flops_per_tx{};    ///< butterflies plus any fused pass
   double twiddle_fetches{};  ///< twiddle reads per transform
-  std::size_t table_n{};    ///< twiddle table length (texture footprint)
-  double extra_stages{};    ///< addressing passes beyond the stage count
 };
 
 /// Shared-memory serialization cycles of one block executing one wave,
-/// computed with the real accessor arithmetic of run_fine_stages() and
-/// the real conflict counter — this is where a mutated bank count changes
-/// the landscape the tuner sees.
+/// computed with run_fine_stages()' own exchange addresses and the real
+/// conflict counter — this is where a mutated bank count changes the
+/// landscape the tuner sees.
 std::uint64_t fine_shmem_cycles_per_block(const FineModel& fm, unsigned tpb,
                                           unsigned pad, int banks,
                                           bool fp64) {
   const auto sts = fine_stages(fm.n);
-  const std::size_t tpt = fm.tpt;
+  const std::size_t tpt = fine_threads_per_transform(fm.n);
   const std::uint32_t words = fp64 ? 2 : 1;
   std::uint64_t cycles = 0;
   std::vector<sim::ShmemLaneAccess> lanes;
   const unsigned halfwarps = (tpb + 15) / 16;
   for (std::size_t si = 1; si < sts.size(); ++si) {
-    const FineStage& prev = sts[si - 1];
-    const FineStage& st = sts[si];
-    auto out_pos = [&](std::size_t lane, std::size_t slot) {
-      const std::size_t b = slot / prev.radix;
-      const std::size_t r = slot % prev.radix;
-      const std::size_t u = lane + b * tpt;
-      return u % prev.m + prev.m * (prev.radix * (u / prev.m) + r);
-    };
-    auto in_pos = [&](std::size_t lane, std::size_t slot) {
-      const std::size_t b = slot / st.radix;
-      const std::size_t q = slot % st.radix;
-      const std::size_t u = lane + b * tpt;
-      return u % st.m + st.m * (u / st.m + st.l * q);
-    };
     for (unsigned hw = 0; hw < halfwarps; ++hw) {
       // Four phases per exchange (store re, load re, store im, load im),
       // four slots per thread per phase.
@@ -317,7 +304,8 @@ std::uint64_t fine_shmem_cycles_per_block(const FineModel& fm, unsigned tpb,
             const std::size_t sub = tid / tpt;
             const std::size_t lane_tx = tid % tpt;
             const std::size_t p =
-                use_out ? out_pos(lane_tx, s) : in_pos(lane_tx, s);
+                use_out ? fine_out_pos(sts[si - 1], tpt, lane_tx, s)
+                        : fine_in_pos(sts[si], tpt, lane_tx, s);
             lanes.push_back(sim::ShmemLaneAccess{
                 static_cast<int>(ln),
                 (sub * fm.sh_stride + shmem_pad(p, pad)) * words, words});
@@ -337,7 +325,7 @@ std::uint64_t fine_shmem_cycles_per_block(const FineModel& fm, unsigned tpb,
 std::uint64_t fine_const_cycles_per_block(const FineModel& fm,
                                           unsigned tpb) {
   const auto sts = fine_stages(fm.n);
-  const std::size_t tpt = fm.tpt;
+  const std::size_t tpt = fine_threads_per_transform(fm.n);
   std::uint64_t cycles = 0;
   std::vector<std::uint64_t> idxs;
   const unsigned halfwarps = (tpb + 15) / 16;
@@ -349,7 +337,7 @@ std::uint64_t fine_const_cycles_per_block(const FineModel& fm,
           idxs.clear();
           for (unsigned ln = 0; ln < 16 && hw * 16 + ln < tpb; ++ln) {
             const std::size_t u = (hw * 16 + ln) % tpt + b * tpt;
-            idxs.push_back(u / st.m * st.m * r);
+            idxs.push_back(fine_twiddle_step(st, u) * r);
           }
           const std::size_t lanes_in_slot = idxs.size();
           std::sort(idxs.begin(), idxs.end());
@@ -362,47 +350,35 @@ std::uint64_t fine_const_cycles_per_block(const FineModel& fm,
   return cycles;
 }
 
-/// Score a fine step. Global traffic is contiguous per line (the sim
-/// measures it fully coalesced), so the memory side uses the ideal-stream
-/// bandwidth path; shared/constant/texture serialization enters as exact
-/// closed-form launch totals.
-double fine_step_ms(const sim::GpuSpec& spec, const FineModel& fm,
-                    const TuneConfig& cfg, bool fp64) {
+/// Score a fine step: the kernel's own launch, priced with closed-form
+/// replays. Global traffic is contiguous per line (the sim measures it
+/// fully coalesced), so the memory side uses the ideal-stream bandwidth
+/// path; shared/constant/texture serialization enters as exact launch
+/// totals.
+double fine_step_ms(const sim::GpuSpec& spec, const FineStep& fs,
+                    const PlanDesc& d) {
+  const TuneConfig& cfg = d.tune;
+  const bool fp64 = d.precision == Precision::F64;
   const std::size_t esize = fp64 ? 16 : 8;
-  const unsigned tpb = static_cast<unsigned>(std::max<std::size_t>(
-      fm.tpt, cfg.threads_per_block));
-  if (tpb % fm.tpt != 0) return kInfeasible;
-  const std::size_t txs_pb = tpb / fm.tpt;
-
+  const unsigned pad = cfg.shmem_pad_words;
   sim::LaunchConfig c;
-  c.name = "model_fine";
-  c.grid_blocks = cfg.grid_for(spec);
-  c.threads_per_block = tpb;
-  c.regs_per_thread = fm.regs;
-  c.fp64 = fp64;
-  c.shmem_per_block = txs_pb * fm.shmem_per_tx;
-  try {
-    sim::compute_occupancy(
-        spec, sim::BlockResources{static_cast<int>(tpb), fm.regs,
-                                  c.shmem_per_block});
-  } catch (const std::exception&) {
-    return kInfeasible;
+  FineModel fm;
+  if (fs.real) {
+    c = real_fine_config(RealFineParams::tuned(cfg, spec, fs.nx, fs.count),
+                         fs.dir, fp64);
+    fm = {fs.nx / 2, real_fine_sh_stride(fs.nx, pad),
+          (fs.nx / 2 + 1) * fs.count, real_fine_twiddle_fetches(fs.nx)};
+  } else {
+    c = fine_config(
+        FineKernelParams::tuned(cfg, spec, fs.nx, fs.count, fs.dir), fp64);
+    fm = {fs.nx, fine_min_sh_stride(fs.nx, pad), fs.nx * fs.count,
+          fine_twiddle_fetches(fs.nx)};
   }
-
-  double per_tx = fm.flops_per_tx;
-  if (cfg.fine_twiddles == TwiddleSource::Recompute) {
-    per_tx += 32.0 * fm.twiddle_fetches;
-  }
-  c.total_flops = static_cast<double>(fm.count) * per_tx;
-  c.fma_fraction = 0.5;
-  const double groups_per_wave =
-      static_cast<double>(c.grid_blocks) * static_cast<double>(txs_pb);
-  const double iterations =
-      std::ceil(static_cast<double>(fm.count) / groups_per_wave);
-  c.extra_cycles_per_thread =
-      iterations *
-      (static_cast<double>(fine_stages(fm.n).size()) + fm.extra_stages) *
-      kFineAddressingCyclesPerStage;
+  const unsigned tpb = c.threads_per_block;
+  const std::size_t tpt = fine_threads_per_transform(fm.n);
+  if (tpb % tpt != 0) return kInfeasible;
+  const std::size_t txs_pb = tpb / tpt;
+  if (!launchable(spec, c)) return kInfeasible;
 
   sim::LaunchStats stats;
   stats.total_threads = static_cast<std::uint64_t>(c.grid_blocks) * tpb;
@@ -411,38 +387,39 @@ double fine_step_ms(const sim::GpuSpec& spec, const FineModel& fm,
   // No sampled streams: sampled_elem_bytes stays 0, so estimate_launch
   // takes the ideal-bandwidth path and applies the serialization totals
   // below unscaled (scale == 1).
+  const double waves =
+      static_cast<double>(fs.count) / static_cast<double>(txs_pb);
   stats.shmem_thread_cycles = static_cast<std::uint64_t>(
-      static_cast<double>(fine_shmem_cycles_per_block(
-          fm, tpb, cfg.shmem_pad_words, spec.shmem_banks, fp64)) *
-      (static_cast<double>(fm.count) / static_cast<double>(txs_pb)));
+      static_cast<double>(fine_shmem_cycles_per_block(fm, tpb, pad,
+                                                      spec.shmem_banks,
+                                                      fp64)) *
+      waves);
   if (cfg.fine_twiddles == TwiddleSource::Constant) {
     stats.const_thread_cycles = static_cast<std::uint64_t>(
-        static_cast<double>(fine_const_cycles_per_block(fm, tpb)) *
-        (static_cast<double>(fm.count) / static_cast<double>(txs_pb)));
+        static_cast<double>(fine_const_cycles_per_block(fm, tpb)) * waves);
   } else if (cfg.fine_twiddles == TwiddleSource::Texture) {
     stats.tex_elem_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(fm.count) * fm.twiddle_fetches) * esize;
+        static_cast<double>(fs.count) * fm.twiddle_fetches) * esize;
     stats.sampled_tex_elem_bytes = stats.tex_elem_bytes;
+    // Both kinds read the full nx-point table's footprint.
     stats.sampled_tex_miss_bytes = texture_miss_bytes(
-        spec, fm.table_n * esize, stats.tex_elem_bytes, c.grid_blocks);
+        spec, fs.nx * esize, stats.tex_elem_bytes, c.grid_blocks);
   }
   return sim::estimate_launch(spec, c, stats).total_ms;
 }
 
-double fine_step_ms_memo(const sim::GpuSpec& spec, const FineModel& fm,
-                         const TuneConfig& cfg, bool fp64, Memo& memo) {
+double fine_step_ms_memo(const sim::GpuSpec& spec, const FineStep& fs,
+                         const PlanDesc& d, Memo& memo) {
+  const TuneConfig& cfg = d.tune;
   const std::uint64_t key = mix_key(
-      {2, fm.n, fm.count, fm.tpt, fm.sh_stride, fm.shmem_per_tx,
-       static_cast<std::uint64_t>(fm.regs), fm.io_elems,
-       static_cast<std::uint64_t>(fm.flops_per_tx),
-       static_cast<std::uint64_t>(fm.twiddle_fetches), fm.table_n,
-       static_cast<std::uint64_t>(fm.extra_stages), cfg.grid_for(spec),
-       cfg.threads_per_block, cfg.shmem_pad_words,
+      {2, static_cast<std::uint64_t>(fs.real),
+       static_cast<std::uint64_t>(fs.dir), fs.nx, fs.count,
+       cfg.grid_for(spec), cfg.threads_per_block, cfg.shmem_pad_words,
        static_cast<std::uint64_t>(cfg.fine_twiddles),
-       static_cast<std::uint64_t>(fp64)});
+       static_cast<std::uint64_t>(d.precision)});
   const auto it = memo.find(key);
   if (it != memo.end()) return it->second;
-  const double ms = fine_step_ms(spec, fm, cfg, fp64);
+  const double ms = fine_step_ms(spec, fs, d);
   memo.emplace(key, ms);
   return ms;
 }
@@ -453,70 +430,45 @@ double fine_step_ms_memo(const sim::GpuSpec& spec, const FineModel& fm,
 
 /// Steps 1-4 over `pencils` (x-extent = row pitch), summed in step order;
 /// infinite when the Y or Z axis cannot be split or a step cannot launch.
-double coarse_ranks_ms(const sim::GpuSpec& spec, Shape3 pencils, bool fp64,
-                       const TuneConfig& cfg, Memo& memo) {
+double coarse_ranks_ms(const sim::GpuSpec& spec, const PlanDesc& d,
+                       Shape3 pencils, Memo& memo) {
   AxisSplit sy{};
   AxisSplit sz{};
   try {
-    sy = split_axis(pencils.ny, cfg.coarse_radix);
-    sz = split_axis(pencils.nz, cfg.coarse_radix);
+    sy = split_axis(pencils.ny, d.tune.coarse_radix);
+    sz = split_axis(pencils.nz, d.tune.coarse_radix);
   } catch (const std::exception&) {
     return kInfeasible;
   }
   double total = 0.0;
   for (const CoarseRankStep& st : coarse_rank_steps(pencils, sy, sz)) {
-    total += coarse_step_ms_memo(spec, st, cfg, fp64, memo);
+    total += coarse_step_ms_memo(spec, st, d, memo);
   }
   return total;
 }
 
-double bandwidth3d_ms(const sim::GpuSpec& spec, Shape3 shape, bool fp64,
-                      const TuneConfig& cfg, Memo& memo) {
-  double total = coarse_ranks_ms(spec, shape, fp64, cfg, memo);
+double bandwidth3d_ms(const sim::GpuSpec& spec, const PlanDesc& d,
+                      Memo& memo) {
+  const Shape3 shape = d.shape;
+  double total = coarse_ranks_ms(spec, d, shape, memo);
   if (std::isinf(total)) return kInfeasible;
-  FineModel fm;
-  fm.n = shape.nx;
-  fm.count = shape.ny * shape.nz;
-  fm.tpt = shape.nx / 4;
-  fm.sh_stride = fine_min_sh_stride(shape.nx, cfg.shmem_pad_words);
-  fm.shmem_per_tx = fm.sh_stride * (fp64 ? 8 : 4);
-  fm.regs = fp64 ? 20 : 10;
-  fm.io_elems = shape.volume();
-  fm.flops_per_tx = fine_flops_per_transform(shape.nx);
-  fm.twiddle_fetches = fine_twiddle_fetches(shape.nx);
-  fm.table_n = shape.nx;
-  total += fine_step_ms_memo(spec, fm, cfg, fp64, memo);
+  total += fine_step_ms_memo(
+      spec, FineStep{false, d.dir, shape.nx, shape.ny * shape.nz}, d, memo);
   return total;
 }
 
-double real3d_ms(const sim::GpuSpec& spec, Shape3 shape, Direction dir,
-                 bool fp64, const TuneConfig& cfg, Memo& memo) {
+double real3d_ms(const sim::GpuSpec& spec, const PlanDesc& d, Memo& memo) {
+  const Shape3 shape = d.shape;
   const std::size_t m = shape.nx / 2;
   if (m < 16) return kInfeasible;
   double total =
-      coarse_ranks_ms(spec, Shape3{m, shape.ny, shape.nz}, fp64, cfg, memo);
+      coarse_ranks_ms(spec, d, Shape3{m, shape.ny, shape.nz}, memo);
   if (std::isinf(total)) return kInfeasible;
   // The 1-wide Nyquist tail pencils re-run the four ranks at ~1/m of the
   // work; their cost is dominated by the four extra launch overheads.
   total += 4.0 * spec.launch_overhead_us * 1e-3;
-
-  FineModel fm;
-  fm.n = m;
-  fm.count = shape.ny * shape.nz;
-  fm.tpt = m / 4;
-  fm.sh_stride = shmem_pad(m, cfg.shmem_pad_words) + 1;
-  fm.shmem_per_tx = 2 * fm.sh_stride * (fp64 ? 8 : 4);
-  fm.regs = fp64 ? 24 : 12;
-  fm.io_elems = (m + 1) * shape.ny * shape.nz;
-  fm.flops_per_tx =
-      fine_flops_per_transform(m) +
-      (dir == Direction::Forward ? 14.0 * static_cast<double>(m + 1)
-                                 : 18.0 * static_cast<double>(m));
-  fm.twiddle_fetches =
-      fine_twiddle_fetches(m) + static_cast<double>(m);  // + fused pass
-  fm.table_n = shape.nx;
-  fm.extra_stages = 1.0;
-  total += fine_step_ms_memo(spec, fm, cfg, fp64, memo);
+  total += fine_step_ms_memo(
+      spec, FineStep{true, d.dir, shape.nx, shape.ny * shape.nz}, d, memo);
   return total;
 }
 
@@ -524,110 +476,40 @@ double real3d_ms(const sim::GpuSpec& spec, Shape3 shape, Direction dir,
 // Mixed-radix (arbitrary-size) plan model
 // ---------------------------------------------------------------------------
 
-/// Element pitch the Mixed3D executor uses under `cfg`'s layout knob.
-std::size_t mixed_model_pitch(const Shape3& shape, const TuneConfig& cfg) {
-  return cfg.pitch == PitchMode::Padded ? padded_row_pitch(shape.nx)
-                                        : shape.nx;
-}
-
-/// Synthetic launch of one MixedAxisKernelT pass: flops and addressing
-/// mirror the kernel's config(), and the sampled half-warp streams replay
-/// its thread-per-line gather/scatter so the coalescing model sees exactly
-/// how a dense non-pow2 row pitch breaks G80's segment alignment on the
-/// Y/Z passes — the signal behind the planner's pitch decision.
+/// One MixedAxisKernelT pass: the kernel's own launch plus sampled
+/// half-warp streams replaying its thread-per-line gather/scatter over the
+/// kernel's own line walk, so the coalescing model sees exactly how a
+/// dense non-pow2 row pitch breaks G80's segment alignment on the Y/Z
+/// passes — the signal behind the planner's pitch decision.
 struct MixedAxisSample {
   sim::LaunchConfig c;
   sim::LaunchStats stats;
   bool feasible{};
 };
 
-MixedAxisSample mixed_axis_sample(const sim::GpuSpec& spec, Shape3 shape,
-                                  std::size_t pitch, MixedAxis axis,
-                                  bool fp64, const TuneConfig& cfg) {
+MixedAxisSample mixed_axis_sample(const sim::GpuSpec& spec,
+                                  const PlanDesc& d,
+                                  const MixedAxisWalk& walk) {
   MixedAxisSample out;
+  const bool fp64 = d.precision == Precision::F64;
   const std::size_t esize = fp64 ? 16 : 8;
-  const std::size_t n = axis == MixedAxis::X
-                            ? shape.nx
-                            : (axis == MixedAxis::Y ? shape.ny : shape.nz);
-  const std::size_t lines = axis == MixedAxis::X
-                                ? shape.ny * shape.nz
-                                : (axis == MixedAxis::Y
-                                       ? shape.nx * shape.nz
-                                       : shape.nx * shape.ny);
-  // The Y/Z thread walk spans the pitch, idling the pad slots, exactly as
-  // MixedAxisKernelT::line_base does — that keeps padded half-warps on
-  // segment boundaries, which is what this sampler must observe.
-  const std::size_t slots = axis == MixedAxis::X
-                                ? lines
-                                : (axis == MixedAxis::Y
-                                       ? pitch * shape.nz
-                                       : pitch * shape.ny);
-  const std::size_t stride =
-      axis == MixedAxis::X ? 1
-                           : (axis == MixedAxis::Y ? pitch
-                                                   : pitch * shape.ny);
-  auto line_base = [&](std::size_t li) -> std::size_t {
-    switch (axis) {
-      case MixedAxis::X:
-        return li * pitch;
-      case MixedAxis::Y: {
-        const std::size_t x = li % pitch;
-        if (x >= shape.nx) return SIZE_MAX;
-        return (li / pitch) * shape.ny * pitch + x;
-      }
-      default: {
-        const std::size_t x = li % pitch;
-        if (x >= shape.nx) return SIZE_MAX;
-        return (li / pitch) * pitch + x;
-      }
-    }
-  };
+  const unsigned grid = d.tune.grid_for(spec);
+  const unsigned tpb = d.tune.threads_per_block;
+  out.c = mixed_axis_config(walk, fp64, grid, tpb);
+  if (!launchable(spec, out.c)) return out;  // feasible stays false
 
-  const bool blue = !fft::is_7smooth(n);
-  const std::size_t conv_n = blue ? fft::bluestein_length(n) : 0;
-  const std::size_t line_elems = blue ? conv_n : n;
-  const std::size_t n_stages =
-      blue ? 2 * fft::radix_schedule(conv_n).size()
-           : fft::radix_schedule(n).size();
-
-  const unsigned grid = cfg.grid_for(spec);
-  const unsigned tpb = cfg.threads_per_block;
-  sim::LaunchConfig& c = out.c;
-  c.name = "model_mixed_axis";
-  c.grid_blocks = grid;
-  c.threads_per_block = tpb;
-  c.regs_per_thread = fp64 ? 64 : 32;
-  c.fp64 = fp64;
-  try {
-    sim::compute_occupancy(
-        spec, sim::BlockResources{static_cast<int>(tpb), c.regs_per_thread,
-                                  0});
-  } catch (const std::exception&) {
-    return out;  // feasible stays false
-  }
-  const double per_line =
-      blue ? 2.0 * mixed_line_flops(conv_n) +
-                 6.0 * static_cast<double>(conv_n + 2 * n)
-           : mixed_line_flops(n);
-  c.total_flops = static_cast<double>(lines) * per_line;
-  c.fma_fraction = 0.5;
-  const double threads = static_cast<double>(grid) * tpb;
-  const double iters =
-      std::ceil(static_cast<double>(slots) / std::max(threads, 1.0));
-  c.extra_cycles_per_thread = iters * static_cast<double>(n_stages) *
-                              static_cast<double>(line_elems) * 4.0;
-
+  const std::size_t n = walk.n;
   sim::LaunchStats& stats = out.stats;
   stats.total_threads = static_cast<std::uint64_t>(grid) * tpb;
-  stats.elem_bytes_loaded = lines * n * esize;
-  stats.elem_bytes_stored = lines * n * esize;
+  stats.elem_bytes_loaded = walk.lines * n * esize;
+  stats.elem_bytes_stored = walk.lines * n * esize;
 
   const unsigned wpb = (tpb + 31) / 32;
   const std::size_t total_warps = static_cast<std::size_t>(grid) * wpb;
   const std::size_t sampled_warps = std::min<std::size_t>(total_warps, 64);
   stats.warp_streams.resize(sampled_warps);
   const auto all_threads = static_cast<std::size_t>(grid) * tpb;
-  const std::size_t per_thread = (slots + all_threads - 1) / all_threads;
+  const std::size_t per_thread = (walk.slots + all_threads - 1) / all_threads;
   const std::size_t rounds = std::min<std::size_t>(per_thread, 4);
   // Sample a handful of in-line positions: with a dense non-pow2 pitch
   // the row start walks every residue mod 16, so the positions must too.
@@ -644,10 +526,10 @@ MixedAxisSample mixed_axis_sample(const sim::GpuSpec& spec, Shape3 shape,
           lanes.clear();
           for (unsigned ln = 0; ln < 16; ++ln) {
             const std::size_t li = gid0 + ln + r * all_threads;
-            if (li >= slots) continue;
-            const std::size_t base = line_base(li);
+            if (li >= walk.slots) continue;
+            const std::size_t base = walk.line_base(li);
             if (base == SIZE_MAX) continue;  // idle pad-slot lane
-            const std::uint64_t addr = (base + p * stride) * esize;
+            const std::uint64_t addr = (base + p * walk.stride) * esize;
             lanes.push_back(sim::LaneAccess{
                 static_cast<int>(ln), addr,
                 static_cast<std::uint32_t>(esize)});
@@ -676,17 +558,15 @@ MixedAxisSample mixed_axis_sample(const sim::GpuSpec& spec, Shape3 shape,
   return out;
 }
 
-double mixed_axis_ms(const sim::GpuSpec& spec, Shape3 shape,
-                     std::size_t pitch, MixedAxis axis, bool fp64,
-                     const TuneConfig& cfg, Memo& memo) {
+double mixed_axis_ms(const sim::GpuSpec& spec, const PlanDesc& d,
+                     const MixedAxisWalk& walk, Memo& memo) {
   const std::uint64_t key = mix_key(
-      {4, shape.nx, shape.ny, shape.nz, pitch,
-       static_cast<std::uint64_t>(axis), cfg.grid_for(spec),
-       cfg.threads_per_block, static_cast<std::uint64_t>(fp64)});
+      {4, walk.shape.nx, walk.shape.ny, walk.shape.nz, walk.pitch,
+       static_cast<std::uint64_t>(walk.axis), d.tune.grid_for(spec),
+       d.tune.threads_per_block, static_cast<std::uint64_t>(d.precision)});
   const auto it = memo.find(key);
   if (it != memo.end()) return it->second;
-  const MixedAxisSample s =
-      mixed_axis_sample(spec, shape, pitch, axis, fp64, cfg);
+  const MixedAxisSample s = mixed_axis_sample(spec, d, walk);
   const double ms =
       s.feasible ? sim::estimate_launch(spec, s.c, s.stats).total_ms
                  : kInfeasible;
@@ -694,63 +574,38 @@ double mixed_axis_ms(const sim::GpuSpec& spec, Shape3 shape,
   return ms;
 }
 
-double mixed3d_ms(const sim::GpuSpec& spec, Shape3 shape, bool fp64,
-                  const TuneConfig& cfg, Memo& memo) {
-  const std::size_t pitch = mixed_model_pitch(shape, cfg);
+double mixed3d_ms(const sim::GpuSpec& spec, const PlanDesc& d, Memo& memo) {
   double total = 0.0;
   for (const MixedAxis axis : {MixedAxis::X, MixedAxis::Y, MixedAxis::Z}) {
-    const std::size_t n = axis == MixedAxis::X
-                              ? shape.nx
-                              : (axis == MixedAxis::Y ? shape.ny : shape.nz);
-    if (n <= 1) continue;  // the executor skips identity axes too
-    const double ms = mixed_axis_ms(spec, shape, pitch, axis, fp64, cfg,
-                                    memo);
+    const MixedAxisWalk walk(d.shape, d.row_pitch(), axis);
+    if (walk.n <= 1) continue;  // the executor skips identity axes too
+    const double ms = mixed_axis_ms(spec, d, walk, memo);
     if (!std::isfinite(ms)) return kInfeasible;
     total += ms;
   }
   return total;
 }
 
-/// Device-resident working set of a streamed slab (data + workspace).
-bool slab_fits(const sim::GpuSpec& spec, std::size_t n, std::size_t splits,
-               std::size_t esize) {
-  const std::size_t slab_bytes = n * n * (n / splits) * esize;
-  return 4 * slab_bytes <= spec.device_memory_bytes;
-}
+// ---------------------------------------------------------------------------
+// Streamed (Z-decimated) plan models
+// ---------------------------------------------------------------------------
 
-bool valid_splits(std::size_t n, std::size_t s) {
-  return s >= 2 && s <= kMaxFactor && is_pow2(s) && n % s == 0 &&
-         n / s >= 1;
-}
+double plan_ms(const sim::GpuSpec& spec, const PlanDesc& d, Memo& memo);
 
-/// Streamed slab cost: the five-step model when the slab is pow2-capable,
-/// else the mixed-radix passes. Streamed exchanges assume densely packed
-/// slabs, so the mixed fallback is always scored at Dense pitch.
-double dense_slab_ms(const sim::GpuSpec& spec, Shape3 slab, bool fp64,
-                     const TuneConfig& cfg, Memo& memo) {
-  if (five_step_supported(slab)) {
-    return bandwidth3d_ms(spec, slab, fp64, cfg, memo);
-  }
-  TuneConfig dense_cfg = cfg;
-  dense_cfg.pitch = PitchMode::Dense;
-  return mixed3d_ms(spec, slab, fp64, dense_cfg, memo);
-}
-
-double outofcore_ms(const sim::GpuSpec& spec, const PlanDesc& desc,
-                    const TuneConfig& cfg, Memo& memo) {
-  const std::size_t n = desc.shape.nx;
+double outofcore_ms(const sim::GpuSpec& spec, const PlanDesc& d,
+                    Memo& memo) {
+  const std::size_t n = d.shape.nx;
   const std::size_t splits =
-      cfg.slab_depth != 0 ? cfg.slab_depth : desc.splits;
-  if (!valid_splits(n, splits) || !slab_fits(spec, n, splits, 8)) {
-    return kInfeasible;
-  }
-  TuneConfig slab_cfg = cfg;
-  slab_cfg.slab_depth = 0;  // the slab plan must not re-decimate
-  const Shape3 slab{n, n, n / splits};
-  const double slab_ms =
-      dense_slab_ms(spec, slab, /*fp64=*/false, slab_cfg, memo);
+      d.tune.slab_depth != 0 ? d.tune.slab_depth : d.splits;
+  if (!valid_decimation(n, splits)) return kInfeasible;
+  // The slab plan the executor builds, priced through the same dispatch.
+  const PlanDesc slab = slab_plan_desc(
+      PlanDesc::dense3d(Shape3{n, n, n / splits}, d.dir), d.tune);
+  const std::size_t slab_bytes = slab.shape.volume() * 8;
+  // Device-resident working set of a streamed slab (data + workspace).
+  if (4 * slab_bytes > spec.device_memory_bytes) return kInfeasible;
+  const double slab_ms = plan_ms(spec, slab, memo);
   if (!std::isfinite(slab_ms)) return kInfeasible;
-  const std::size_t slab_bytes = slab.volume() * 8;
   // Per slab: upload, inter-slab twiddle sweep (one read+write of the slab
   // at stream bandwidth plus a launch), the five-step slab FFT, download.
   const double tw_ms =
@@ -766,31 +621,30 @@ double outofcore_ms(const sim::GpuSpec& spec, const PlanDesc& desc,
   return static_cast<double>(splits) * (slab_ms + tw_ms + pcie_ms);
 }
 
-double sharded_ms(const sim::GpuSpec& spec, const PlanDesc& desc,
-                  const TuneConfig& cfg, Memo& memo) {
-  const std::size_t n = desc.shape.nx;
+double sharded_ms(const sim::GpuSpec& spec, const PlanDesc& d, Memo& memo) {
+  const std::size_t n = d.shape.nx;
   const std::size_t shards =
-      cfg.slab_depth != 0 ? cfg.slab_depth : desc.splits;
+      d.tune.slab_depth != 0 ? d.tune.slab_depth : d.splits;
   // A depth override must keep the fleet mapping valid (each card's shard
   // count stays integral), so only multiples of the described shards are
   // searchable.
-  if (cfg.slab_depth != 0 && desc.splits != 0 &&
-      cfg.slab_depth % desc.splits != 0) {
+  if (d.tune.slab_depth != 0 && d.splits != 0 &&
+      d.tune.slab_depth % d.splits != 0) {
     return kInfeasible;
   }
-  if (!valid_splits(n, shards)) return kInfeasible;
+  if (!valid_decimation(n, shards)) return kInfeasible;
   const Shape3 slab{n, n, n / shards};
-  TuneConfig slab_cfg = cfg;
-  slab_cfg.slab_depth = 0;
-  const bool real = desc.layout == Layout::RealHalfSpectrum;
-  const double slab_ms =
-      real ? real3d_ms(spec, slab, desc.dir, /*fp64=*/false, slab_cfg, memo)
-           : dense_slab_ms(spec, slab, /*fp64=*/false, slab_cfg, memo);
+  const bool real = d.layout == Layout::RealHalfSpectrum;
+  const double slab_ms = plan_ms(
+      spec,
+      slab_plan_desc(real ? PlanDesc::real3d(slab, d.dir)
+                          : PlanDesc::dense3d(slab, d.dir),
+                     d.tune),
+      memo);
   if (!std::isfinite(slab_ms)) return kInfeasible;
   // Two compute phases around the all-to-all; the exchange stages the
   // whole (half-spectrum: half the) volume through host memory.
-  const std::size_t vol_bytes =
-      (real ? (n / 2 + 1) * n * n : n * n * n) * 8;
+  const std::size_t vol_bytes = d.buffer_elements() * 8;
   const double exchange_ms =
       (sim::pcie_transfer_ns(spec.pcie, sim::TransferDir::DeviceToHost,
                              vol_bytes) +
@@ -800,26 +654,21 @@ double sharded_ms(const sim::GpuSpec& spec, const PlanDesc& desc,
   return 2.0 * slab_ms + exchange_ms;
 }
 
-double model_plan_ms_impl(const sim::GpuSpec& spec, const PlanDesc& desc,
-                          const TuneConfig& cfg, Memo& memo) {
-  const bool fp64 = desc.precision == Precision::F64;
-  switch (desc.kind) {
+/// Model time of `d` under its own tune (the candidate being scored).
+double plan_ms(const sim::GpuSpec& spec, const PlanDesc& d, Memo& memo) {
+  switch (d.kind) {
     case PlanKind::Bandwidth3D:
-      return bandwidth3d_ms(spec, desc.shape, fp64, cfg, memo);
+      return bandwidth3d_ms(spec, d, memo);
     case PlanKind::Mixed3D:
-      return mixed3d_ms(spec, desc.shape, fp64, cfg, memo);
+      return mixed3d_ms(spec, d, memo);
     case PlanKind::Real3D:
-      return real3d_ms(spec, desc.shape, desc.dir, fp64, cfg, memo);
+      return real3d_ms(spec, d, memo);
     case PlanKind::OutOfCore:
-      return outofcore_ms(spec, desc, cfg, memo);
-    case PlanKind::Sharded3D:
-      return sharded_ms(spec, desc, cfg, memo);
-    case PlanKind::BatchSharded3D: {
+    case PlanKind::BatchSharded3D:
       // Per member the dealt schedule IS the single-card out-of-core one.
-      PlanDesc oc = desc;
-      oc.kind = PlanKind::OutOfCore;
-      return outofcore_ms(spec, oc, cfg, memo);
-    }
+      return outofcore_ms(spec, d, memo);
+    case PlanKind::Sharded3D:
+      return sharded_ms(spec, d, memo);
     default:
       REPRO_FAIL(
           "the planner models Bandwidth3D, Mixed3D, Real3D, OutOfCore, "
@@ -827,25 +676,30 @@ double model_plan_ms_impl(const sim::GpuSpec& spec, const PlanDesc& desc,
   }
 }
 
+/// `desc` with `cfg` as its tune: the candidate plan_ms scores.
+PlanDesc with_tune(PlanDesc desc, const TuneConfig& cfg) {
+  desc.tune = cfg;
+  return desc;
+}
+
 }  // namespace
 
 double model_plan_ms(const sim::GpuSpec& spec, const PlanDesc& desc,
                      const TuneConfig& cfg) {
   Memo memo;
-  return model_plan_ms_impl(spec, desc, cfg, memo);
+  return plan_ms(spec, with_tune(desc, cfg), memo);
 }
 
 double mixed_pitch_amplification(const sim::GpuSpec& spec, Shape3 shape,
                                  PitchMode pitch) {
-  TuneConfig cfg;
-  cfg.pitch = pitch;
+  PlanDesc d = PlanDesc::mixed3d(shape, Direction::Forward);
+  d.tune.pitch = pitch;
   // The Y pass is the pitch-sensitive one: consecutive threads walk
   // consecutive X, so every half-warp slot starts where the row pitch
   // puts it. (The X pass gathers with a pitch-sized lane stride and never
   // coalesces; it would mask the layout signal.)
-  const MixedAxisSample s =
-      mixed_axis_sample(spec, shape, mixed_model_pitch(shape, cfg),
-                        MixedAxis::Y, /*fp64=*/false, cfg);
+  const MixedAxisSample s = mixed_axis_sample(
+      spec, d, MixedAxisWalk(shape, d.row_pitch(), MixedAxis::Y));
   REPRO_CHECK_MSG(s.feasible && s.stats.sampled_elem_bytes > 0,
                   "the amplification probe needs a launchable Y pass");
   return static_cast<double>(s.stats.sampled_txn_bytes) /
@@ -857,7 +711,7 @@ TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc,
   Memo memo;
   TuneResult res;
   const TuneConfig def{};
-  res.default_ms = model_plan_ms_impl(spec, desc, def, memo);
+  res.default_ms = plan_ms(spec, with_tune(desc, def), memo);
   res.best = def;
   res.model_ms = res.default_ms;
   res.evaluated = 1;
@@ -906,7 +760,7 @@ TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc,
                     cfg.pitch = pitch;
                     if (cfg == def) continue;  // scored first, above
                     const double ms =
-                        model_plan_ms_impl(spec, desc, cfg, memo);
+                        plan_ms(spec, with_tune(desc, cfg), memo);
                     ++res.evaluated;
                     // Strict-improvement margin: ties within the model's
                     // resolution keep the earlier candidate, so the
@@ -1017,62 +871,42 @@ bool parse_wisdom_line(const std::string& line, PlanDesc& desc,
   if (line.rfind("plan ", 0) != 0) return false;
   const std::size_t bar = line.find(" | ");
   if (bar == std::string::npos) return false;
-  const std::string left = line.substr(5, bar - 5);
-  if (!parse_tune_config(line.substr(bar + 3), tune)) return false;
-
+  static constexpr std::string_view kKeys[] = {
+      "kind", "shape", "dir", "prec", "transpose", "splits", "layout"};
+  std::vector<std::string> v;
+  TuneConfig t;
+  if (!parse_fields(line.substr(5, bar - 5), kKeys, v) ||
+      !parse_tune_config(line.substr(bar + 3), t)) {
+    return false;
+  }
   PlanDesc d;
-  std::size_t pos = 0;
-  while (pos < left.size()) {
-    while (pos < left.size() && left[pos] == ' ') ++pos;
-    const std::size_t end = left.find(' ', pos);
-    const std::string tok = left.substr(
-        pos, end == std::string::npos ? std::string::npos : end - pos);
-    pos = end == std::string::npos ? left.size() : end + 1;
-    if (tok.empty()) continue;
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string::npos) return false;
-    const std::string key = tok.substr(0, eq);
-    const std::string val = tok.substr(eq + 1);
-    try {
-      if (key == "kind") {
-        if (!parse_kind(val, d.kind)) return false;
-      } else if (key == "shape") {
-        const std::size_t x1 = val.find('x');
-        const std::size_t x2 =
-            x1 == std::string::npos ? std::string::npos
-                                    : val.find('x', x1 + 1);
-        if (x2 == std::string::npos) return false;
-        d.shape.nx = std::stoull(val.substr(0, x1));
-        d.shape.ny = std::stoull(val.substr(x1 + 1, x2 - x1 - 1));
-        d.shape.nz = std::stoull(val.substr(x2 + 1));
-      } else if (key == "dir") {
-        if (val != "fwd" && val != "inv") return false;
-        d.dir = val == "fwd" ? Direction::Forward : Direction::Inverse;
-      } else if (key == "prec") {
-        if (val != "f32" && val != "f64") return false;
-        d.precision = val == "f32" ? Precision::F32 : Precision::F64;
-      } else if (key == "transpose") {
-        if (val != "naive" && val != "tiled") return false;
-        d.transpose = val == "naive" ? TransposeStrategy::Naive
-                                     : TransposeStrategy::Tiled;
-      } else if (key == "splits") {
-        d.splits = std::stoull(val);
-      } else if (key == "layout") {
-        if (val == layout_name(Layout::Complex)) {
-          d.layout = Layout::Complex;
-        } else if (val == layout_name(Layout::RealHalfSpectrum)) {
-          d.layout = Layout::RealHalfSpectrum;
-        } else {
-          return false;
-        }
-      } else {
-        return false;
-      }
-    } catch (const std::exception&) {
-      return false;
-    }
+  const std::string& shape = v[1];
+  const std::size_t x1 = shape.find('x');
+  const std::size_t x2 =
+      x1 == std::string::npos ? std::string::npos : shape.find('x', x1 + 1);
+  if (!parse_kind(v[0], d.kind) || x2 == std::string::npos ||
+      !parse_decimal(shape.substr(0, x1), d.shape.nx) ||
+      !parse_decimal(shape.substr(x1 + 1, x2 - x1 - 1), d.shape.ny) ||
+      !parse_decimal(shape.substr(x2 + 1), d.shape.nz) ||
+      !parse_decimal(v[5], d.splits)) {
+    return false;
+  }
+  if (v[2] != "fwd" && v[2] != "inv") return false;
+  d.dir = v[2] == "fwd" ? Direction::Forward : Direction::Inverse;
+  if (v[3] != "f32" && v[3] != "f64") return false;
+  d.precision = v[3] == "f32" ? Precision::F32 : Precision::F64;
+  if (v[4] != "naive" && v[4] != "tiled") return false;
+  d.transpose =
+      v[4] == "naive" ? TransposeStrategy::Naive : TransposeStrategy::Tiled;
+  if (v[6] == layout_name(Layout::Complex)) {
+    d.layout = Layout::Complex;
+  } else if (v[6] == layout_name(Layout::RealHalfSpectrum)) {
+    d.layout = Layout::RealHalfSpectrum;
+  } else {
+    return false;
   }
   desc = d;
+  tune = t;
   return true;
 }
 

@@ -2,18 +2,20 @@
 // own cost model.
 //
 // tune_plan() enumerates every candidate of its fixed search space and
-// scores each one *without executing anything*: per plan step it builds a
-// synthetic sim::LaunchConfig (registers from rank_kernel_regs, flops from
-// the small-FFT tables, shared memory from the fine kernel's layout) plus
-// a synthetic sim::LaunchStats — sampled per-warp DRAM transaction streams
-// that mirror the rank kernels' x-innermost item walk for the coarse
-// steps, and closed-form shared/constant/texture serialization totals for
-// the fine step — and feeds both to sim::estimate_launch. The argmin is
-// the tuned config. Because the scoring path is the very model the
-// simulated Device charges at execute() time, the tuner rediscovers the
-// paper's Table-2 configuration on the 8800-class specs and finds
-// different winners when the spec is mutated (register file, shared-memory
-// bank count, bus width).
+// scores each one *without executing anything*: per plan step it takes the
+// launch the kernel itself would issue (rank_config, fine_config,
+// real_fine_config and mixed_axis_config are the kernels' config()) plus a
+// synthetic sim::LaunchStats — sampled per-warp DRAM transaction streams
+// over the rank kernels' x-innermost item walk and the mixed-radix
+// kernel's own MixedAxisWalk, and closed-form shared/constant/texture
+// serialization totals for the fine step from run_fine_stages' own
+// exchange addresses — and feeds both to sim::estimate_launch. Streamed
+// kinds price the slab plan the executor builds (slab_plan_desc) through
+// the same dispatch. The argmin is the tuned config. Because the scoring
+// path is the very model the simulated Device charges at execute() time,
+// the tuner rediscovers the paper's Table-2 configuration on the
+// 8800-class specs and finds different winners when the spec is mutated
+// (register file, shared-memory bank count, bus width).
 //
 // The default TuneConfig is scored first and a challenger must beat the
 // incumbent by a relative margin, so modeling ties (and sub-resolution
@@ -95,7 +97,9 @@ bool wisdom_header_matches(const std::string& line, const sim::GpuSpec& spec);
 
 /// One wisdom entry: "plan <desc fields> | <tune fields>".
 std::string wisdom_line(const PlanDesc& desc, const TuneConfig& tune);
-/// Parse a wisdom_line(); false on malformed input. `desc.tune` is left at
+/// Parse a wisdom_line(); false on malformed input, which includes a
+/// missing, repeated or unknown field on either side (a truncated or
+/// garbled line) and leaves both outputs untouched. `desc.tune` is left at
 /// the default (the key side never carries a config).
 bool parse_wisdom_line(const std::string& line, PlanDesc& desc,
                        TuneConfig& tune);

@@ -10,6 +10,7 @@
 #include "gpufft/stage_engine.h"
 
 namespace repro::gpufft {
+namespace {
 
 /// Register budgets matching Section 3.1: the 16-point kernels compile to
 /// 51-52 registers; the texture/constant variants need fewer.
@@ -20,6 +21,12 @@ int rank_kernel_regs(TwiddleSource tw, std::size_t factor, bool fp64) {
   const int regs = tw == TwiddleSource::Registers ? base + 12 : base + 4;
   return fp64 ? 2 * regs : regs;
 }
+
+/// Addressing/control cycles per rank-kernel work item beyond FP and
+/// memory (index decomposition of the fused 4-level loop).
+constexpr double kRankAddressingCyclesPerItem = 48.0;
+
+}  // namespace
 
 template <typename T>
 Rank1KernelT<T>::Rank1KernelT(DeviceBuffer<cx<T>>& in,
@@ -51,22 +58,25 @@ Shape5 Rank1KernelT<T>::out_shape() const {
   return Shape5{{e[0], e[4], e[1], e[2], e[3]}};
 }
 
-template <typename T>
-sim::LaunchConfig Rank1KernelT<T>::config() const {
-  const std::size_t L = params_.in_shape.extent[4];
-  const std::size_t items = params_.in_shape.volume() / L;
+sim::LaunchConfig rank_config(const RankKernelParams& p, bool rank1,
+                              bool fp64) {
+  const std::size_t L = p.in_shape.extent[4];
+  const std::size_t items = p.in_shape.volume() / L;
+  const TwiddleSource tw = rank1 ? p.twiddles : TwiddleSource::Registers;
   sim::LaunchConfig c;
-  c.name = "rank1_fft" + std::to_string(L);
-  c.grid_blocks = params_.grid_blocks;
-  c.threads_per_block = params_.threads_per_block;
-  c.regs_per_thread =
-      rank_kernel_regs(params_.twiddles, L, std::is_same_v<T, double>);
-  c.fp64 = std::is_same_v<T, double>;
+  c.name = (rank1 ? "rank1_fft" : "rank2_fft") + std::to_string(L);
+  c.grid_blocks = p.grid_blocks;
+  c.threads_per_block = p.threads_per_block;
+  c.regs_per_thread = rank_kernel_regs(tw, L, fp64);
+  c.fp64 = fp64;
   c.shmem_per_block = 0;
-  // fft_L + (L-1) twiddle multiplies per item (k = 0 is unity).
-  double per_item = fft_small_flops(L) + 6.0 * static_cast<double>(L - 1);
-  if (params_.twiddles == TwiddleSource::Recompute) {
-    per_item += 32.0 * static_cast<double>(L);  // sincos per twiddle
+  double per_item = fft_small_flops(L);
+  if (rank1) {
+    // (L-1) twiddle multiplies per item (k = 0 is unity).
+    per_item += 6.0 * static_cast<double>(L - 1);
+    if (tw == TwiddleSource::Recompute) {
+      per_item += 32.0 * static_cast<double>(L);  // sincos per twiddle
+    }
   }
   c.total_flops = static_cast<double>(items) * per_item;
   c.fma_fraction = 0.5;
@@ -75,6 +85,11 @@ sim::LaunchConfig Rank1KernelT<T>::config() const {
       (static_cast<double>(items) /
        (static_cast<double>(c.grid_blocks) * c.threads_per_block));
   return c;
+}
+
+template <typename T>
+sim::LaunchConfig Rank1KernelT<T>::config() const {
+  return rank_config(params_, /*rank1=*/true, std::is_same_v<T, double>);
 }
 
 template <typename T>
@@ -163,23 +178,7 @@ Shape5 Rank2KernelT<T>::out_shape() const {
 
 template <typename T>
 sim::LaunchConfig Rank2KernelT<T>::config() const {
-  const std::size_t L = params_.in_shape.extent[4];
-  const std::size_t items = params_.in_shape.volume() / L;
-  sim::LaunchConfig c;
-  c.name = "rank2_fft" + std::to_string(L);
-  c.grid_blocks = params_.grid_blocks;
-  c.threads_per_block = params_.threads_per_block;
-  c.regs_per_thread =
-      rank_kernel_regs(TwiddleSource::Registers, L, std::is_same_v<T, double>);
-  c.fp64 = std::is_same_v<T, double>;
-  c.shmem_per_block = 0;
-  c.total_flops = static_cast<double>(items) * fft_small_flops(L);
-  c.fma_fraction = 0.5;
-  c.extra_cycles_per_thread =
-      kRankAddressingCyclesPerItem *
-      (static_cast<double>(items) /
-       (static_cast<double>(c.grid_blocks) * c.threads_per_block));
-  return c;
+  return rank_config(params_, /*rank1=*/false, std::is_same_v<T, double>);
 }
 
 template <typename T>
@@ -246,6 +245,64 @@ MixedAxisTablesT<T> MixedAxisTablesT<T>::make(std::size_t n, Direction dir) {
   return tb;
 }
 
+MixedAxisWalk::MixedAxisWalk(Shape3 volume, std::size_t row_pitch,
+                             MixedAxis pass_axis)
+    : shape(volume), pitch(row_pitch), axis(pass_axis) {
+  switch (axis) {
+    case MixedAxis::X:
+      n = shape.nx;
+      lines = shape.ny * shape.nz;
+      slots = lines;
+      stride = 1;
+      break;
+    case MixedAxis::Y:
+      n = shape.ny;
+      lines = shape.nx * shape.nz;
+      slots = pitch * shape.nz;
+      stride = pitch;
+      break;
+    default:
+      n = shape.nz;
+      lines = shape.nx * shape.ny;
+      slots = pitch * shape.ny;
+      stride = pitch * shape.ny;
+      break;
+  }
+}
+
+sim::LaunchConfig mixed_axis_config(const MixedAxisWalk& walk, bool fp64,
+                                    unsigned grid_blocks,
+                                    unsigned threads_per_block) {
+  const std::size_t n = walk.n;
+  // Same routing as MixedAxisTablesT::make: 7-smooth lines run their radix
+  // schedule, the rest a pair of pow2 Bluestein convolution FFTs.
+  const bool blue = !fft::is_7smooth(n);
+  const std::size_t conv_n = blue ? fft::bluestein_length(n) : 0;
+  sim::LaunchConfig c;
+  c.name = std::string(blue ? "bluestein_axis_" : "mixed_axis_") +
+           mixed_axis_name(walk.axis) + std::to_string(n);
+  c.grid_blocks = grid_blocks;
+  c.threads_per_block = threads_per_block;
+  c.fp64 = fp64;
+  // Whole lines live in thread-local (spilled) storage, so the register
+  // file holds loop state plus one butterfly, not the line.
+  c.regs_per_thread = c.fp64 ? 64 : 32;
+  const double per_line =
+      blue ? 2.0 * mixed_line_flops(conv_n) +
+                 6.0 * static_cast<double>(conv_n + 2 * n)
+           : mixed_line_flops(n);
+  c.total_flops = static_cast<double>(walk.lines) * per_line;
+  c.fma_fraction = 0.5;
+  const double threads = static_cast<double>(grid_blocks) * threads_per_block;
+  const double iters =
+      std::ceil(static_cast<double>(walk.slots) / std::max(threads, 1.0));
+  const std::size_t n_stages = blue ? 2 * fft::radix_schedule(conv_n).size()
+                                    : fft::radix_schedule(n).size();
+  c.extra_cycles_per_thread = iters * static_cast<double>(n_stages) *
+                              static_cast<double>(blue ? conv_n : n) * 4.0;
+  return c;
+}
+
 template <typename T>
 MixedAxisKernelT<T>::MixedAxisKernelT(DeviceBuffer<cx<T>>& data, Shape3 shape,
                                       std::size_t row_pitch, MixedAxis axis,
@@ -253,84 +310,19 @@ MixedAxisKernelT<T>::MixedAxisKernelT(DeviceBuffer<cx<T>>& data, Shape3 shape,
                                       Direction dir, unsigned grid_blocks,
                                       unsigned threads_per_block)
     : data_(data),
-      shape_(shape),
-      pitch_(row_pitch),
-      axis_(axis),
+      walk_(shape, row_pitch, axis),
       tables_(tables),
       dir_(dir),
       grid_(grid_blocks),
       tpb_(threads_per_block) {
-  REPRO_CHECK(pitch_ >= shape_.nx);
-  REPRO_CHECK(data_.size() >= pitch_ * shape_.ny * shape_.nz);
-  switch (axis_) {
-    case MixedAxis::X:
-      REPRO_CHECK(tables_.n == shape_.nx);
-      lines_ = shape_.ny * shape_.nz;
-      slots_ = lines_;
-      stride_ = 1;
-      break;
-    case MixedAxis::Y:
-      REPRO_CHECK(tables_.n == shape_.ny);
-      lines_ = shape_.nx * shape_.nz;
-      slots_ = pitch_ * shape_.nz;
-      stride_ = pitch_;
-      break;
-    default:
-      REPRO_CHECK(tables_.n == shape_.nz);
-      lines_ = shape_.nx * shape_.ny;
-      slots_ = pitch_ * shape_.ny;
-      stride_ = pitch_ * shape_.ny;
-      break;
-  }
-}
-
-template <typename T>
-std::size_t MixedAxisKernelT<T>::line_base(std::size_t li) const {
-  switch (axis_) {
-    case MixedAxis::X:
-      return li * pitch_;
-    case MixedAxis::Y: {
-      // li = (z, x), x fastest over the pitch: consecutive threads walk
-      // consecutive X and every pitch-aligned group shares one row phase.
-      const std::size_t x = li % pitch_;
-      if (x >= shape_.nx) return SIZE_MAX;  // pad slot, idle thread
-      return (li / pitch_) * shape_.ny * pitch_ + x;
-    }
-    default: {
-      const std::size_t x = li % pitch_;
-      if (x >= shape_.nx) return SIZE_MAX;
-      return (li / pitch_) * pitch_ + x;
-    }
-  }
+  REPRO_CHECK(row_pitch >= shape.nx);
+  REPRO_CHECK(data_.size() >= row_pitch * shape.ny * shape.nz);
+  REPRO_CHECK(tables_.n == walk_.n);
 }
 
 template <typename T>
 sim::LaunchConfig MixedAxisKernelT<T>::config() const {
-  const bool blue = tables_.bluestein();
-  const std::size_t n = tables_.n;
-  sim::LaunchConfig c;
-  c.name = std::string(blue ? "bluestein_axis_" : "mixed_axis_") +
-           mixed_axis_name(axis_) + std::to_string(n);
-  c.grid_blocks = grid_;
-  c.threads_per_block = tpb_;
-  c.fp64 = std::is_same_v<T, double>;
-  // Whole lines live in thread-local (spilled) storage, so the register
-  // file holds loop state plus one butterfly, not the line.
-  c.regs_per_thread = c.fp64 ? 64 : 32;
-  const double per_line =
-      blue ? 2.0 * mixed_line_flops(tables_.conv_n) +
-                 6.0 * static_cast<double>(tables_.conv_n + 2 * n)
-           : mixed_line_flops(n);
-  c.total_flops = static_cast<double>(lines_) * per_line;
-  c.fma_fraction = 0.5;
-  const double threads = static_cast<double>(grid_) * tpb_;
-  const double iters =
-      std::ceil(static_cast<double>(slots_) / std::max(threads, 1.0));
-  const std::size_t n_stages =
-      blue ? 2 * tables_.conv_stages.size() : tables_.stages.size();
-  c.extra_cycles_per_thread = iters * static_cast<double>(n_stages) *
-                              static_cast<double>(tables_.line_elems()) * 4.0;
-  return c;
+  return mixed_axis_config(walk_, std::is_same_v<T, double>, grid_, tpb_);
 }
 
 template <typename T>
@@ -348,23 +340,23 @@ void MixedAxisKernelT<T>::run_block(sim::BlockCtx& ctx) {
   ctx.threads([&](sim::ThreadCtx& t) {
     std::vector<cx<T>> u(work);
     std::vector<cx<T>> v(work);
-    for (std::size_t li = t.global_id(); li < slots_;
+    for (std::size_t li = t.global_id(); li < walk_.slots;
          li += t.total_threads()) {
-      const std::size_t base = line_base(li);
+      const std::size_t base = walk_.line_base(li);
       if (base == SIZE_MAX) continue;  // pad slot of the padded layout
       if (!tb.bluestein()) {
         for (std::size_t p = 0; p < n; ++p) {
-          u[p] = buf.load(t, base + p * stride_);
+          u[p] = buf.load(t, base + p * walk_.stride);
         }
         cx<T>* res =
             run_mixed_line<T>(tb.stages, u.data(), v.data(), tb.roots, sign);
         for (std::size_t p = 0; p < n; ++p) {
-          buf.store(t, base + p * stride_, res[p]);
+          buf.store(t, base + p * walk_.stride, res[p]);
         }
       } else {
         // Chirp-premultiply into the zero-padded convolution line.
         for (std::size_t j = 0; j < n; ++j) {
-          u[j] = buf.load(t, base + j * stride_) * tb.chirp[j];
+          u[j] = buf.load(t, base + j * walk_.stride) * tb.chirp[j];
         }
         for (std::size_t j = n; j < work; ++j) u[j] = cx<T>{0, 0};
         cx<T>* res = run_mixed_line<T>(tb.conv_stages, u.data(), v.data(),
@@ -376,7 +368,7 @@ void MixedAxisKernelT<T>::run_block(sim::BlockCtx& ctx) {
         res = run_mixed_line<T>(tb.conv_stages, res, other, tb.conv_inv,
                                 inv_sign);
         for (std::size_t k = 0; k < n; ++k) {
-          buf.store(t, base + k * stride_, res[k] * tb.chirp[k]);
+          buf.store(t, base + k * walk_.stride, res[k] * tb.chirp[k]);
         }
       }
     }

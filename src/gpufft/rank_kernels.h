@@ -26,15 +26,6 @@
 
 namespace repro::gpufft {
 
-/// Register budget of a multirow rank kernel (Section 3.1: the 16-point
-/// kernels compile to 51-52 registers). Shared with the planner's
-/// occupancy model so searched candidates charge what the kernels charge.
-int rank_kernel_regs(TwiddleSource tw, std::size_t factor, bool fp64);
-
-/// Addressing/control cycles per rank-kernel work item beyond FP and
-/// memory (index decomposition of the fused 4-level loop).
-inline constexpr double kRankAddressingCyclesPerItem = 48.0;
-
 /// Configuration shared by both rank kernels.
 struct RankKernelParams {
   Shape5 in_shape;        ///< dims (nx, a, b, c, L); transform along dim 4
@@ -58,6 +49,14 @@ struct RankKernelParams {
     return p;
   }
 };
+
+/// The launch of a coarse rank kernel over `p.in_shape`, in double (`fp64`)
+/// or single precision: one small FFT per item plus, for Rank1 (`rank1`),
+/// the inter-rank twiddle multiplies. Rank2 applies no twiddle, so it
+/// always budgets the register-table variant's registers. Both kernels'
+/// config() and the planner's price of a coarse step.
+sim::LaunchConfig rank_config(const RankKernelParams& p, bool rank1,
+                              bool fp64);
 
 /// One of the five-step plan's four coarse-rank launches (steps 1-4).
 struct CoarseRankStep {
@@ -183,18 +182,62 @@ struct MixedAxisTablesT {
   static MixedAxisTablesT make(std::size_t n, Direction dir);
 };
 
-/// One whole-axis pass of the Mixed3D plan: every line along `axis` is
-/// transformed in place by one thread (gather -> staged mixed-radix FFT in
-/// thread-local storage -> scatter; Bluestein lines run the chirp-multiply
-/// and both pow2 convolution FFTs inside the same pass). Rows are
-/// `row_pitch` elements apart, so the same kernel serves the dense and the
-/// padded layout — the planner's PitchMode only moves the addresses.
+/// The line walk of one whole-axis pass over a `shape` volume whose rows
+/// are `pitch` elements apart: which lines the pass transforms, the thread
+/// index domain it walks and where each line's points sit.
 ///
 /// The Y and Z passes walk their x-major line index over the row *pitch*
 /// rather than nx, idling the threads that land in the pad: with a padded
 /// 16-element pitch every half-warp therefore starts on a coalescing
 /// segment boundary, which is the whole point of padding. Dense layouts
 /// have pitch == nx and the walk degenerates to the obvious one.
+/// MixedAxisKernelT walks it, and the planner samples its addresses.
+struct MixedAxisWalk {
+  MixedAxisWalk(Shape3 shape, std::size_t pitch, MixedAxis axis);
+
+  /// Element offset of line `li`'s first point, or SIZE_MAX when `li`
+  /// addresses a pad slot (x >= nx) and the thread must idle.
+  [[nodiscard]] std::size_t line_base(std::size_t li) const {
+    switch (axis) {
+      case MixedAxis::X:
+        return li * pitch;
+      case MixedAxis::Y: {
+        // li = (z, x), x fastest over the pitch: consecutive threads walk
+        // consecutive X and every pitch-aligned group shares one row phase.
+        const std::size_t x = li % pitch;
+        if (x >= shape.nx) return SIZE_MAX;  // pad slot, idle thread
+        return (li / pitch) * shape.ny * pitch + x;
+      }
+      default: {
+        const std::size_t x = li % pitch;
+        if (x >= shape.nx) return SIZE_MAX;
+        return (li / pitch) * pitch + x;
+      }
+    }
+  }
+
+  Shape3 shape;
+  std::size_t pitch;
+  MixedAxis axis;
+  std::size_t n;       ///< axis length (points per line)
+  std::size_t lines;   ///< lines the pass transforms (the cross-section)
+  std::size_t slots;   ///< indexed thread-walk domain (>= lines)
+  std::size_t stride;  ///< element stride between points of one line
+};
+
+/// The launch of one MixedAxisKernelT pass over `walk`, in double (`fp64`)
+/// or single precision: the kernel's config() and the planner's price of
+/// a Mixed3D axis pass.
+sim::LaunchConfig mixed_axis_config(const MixedAxisWalk& walk, bool fp64,
+                                    unsigned grid_blocks,
+                                    unsigned threads_per_block);
+
+/// One whole-axis pass of the Mixed3D plan: every line along `axis` is
+/// transformed in place by one thread (gather -> staged mixed-radix FFT in
+/// thread-local storage -> scatter; Bluestein lines run the chirp-multiply
+/// and both pow2 convolution FFTs inside the same pass). Rows are
+/// `row_pitch` elements apart, so the same kernel serves the dense and the
+/// padded layout — the planner's PitchMode only moves the addresses.
 template <typename T>
 class MixedAxisKernelT final : public sim::Kernel {
  public:
@@ -207,24 +250,15 @@ class MixedAxisKernelT final : public sim::Kernel {
   void run_block(sim::BlockCtx& ctx) override;
 
   /// Lines this pass transforms (the axis' cross-section).
-  [[nodiscard]] std::size_t lines() const { return lines_; }
+  [[nodiscard]] std::size_t lines() const { return walk_.lines; }
 
  private:
-  /// Element offset of line `li`'s first point, or SIZE_MAX when `li`
-  /// addresses a pad slot (x >= nx) and the thread must idle.
-  [[nodiscard]] std::size_t line_base(std::size_t li) const;
-
   DeviceBuffer<cx<T>>& data_;
-  Shape3 shape_;
-  std::size_t pitch_;
-  MixedAxis axis_;
+  MixedAxisWalk walk_;
   const MixedAxisTablesT<T>& tables_;
   Direction dir_;
   unsigned grid_;
   unsigned tpb_;
-  std::size_t lines_;
-  std::size_t slots_;   ///< indexed thread-walk domain (>= lines_)
-  std::size_t stride_;  ///< element stride between points of one line
 };
 
 extern template struct MixedAxisTablesT<float>;

@@ -42,7 +42,7 @@ std::vector<T> unpack_real_volume(std::span<const cx<T>> packed,
 
 template <typename T>
 RealFft3DT<T>::RealFft3DT(Device& dev, Shape3 shape, Direction dir,
-                          BandwidthPlanOptions options)
+                          TuneConfig options)
     : FftPlanT<T>(dev, PlanDesc::real3d(shape, dir), options),
       sy_(split_axis(shape.ny, options.coarse_radix)),
       sz_(split_axis(shape.nz, options.coarse_radix)),
@@ -141,7 +141,7 @@ std::vector<StepTiming> RealFft3DT<T>::execute_impl(DeviceBuffer<cx<T>>& data) {
 template <typename T>
 double run_real_coarse_slab(Device& dev, DeviceBuffer<cx<T>>& data,
                             Shape3 logical, Direction dir,
-                            const BandwidthPlanOptions& opt) {
+                            const TuneConfig& opt) {
   const std::size_t elems = half_spectrum_elems(logical);
   REPRO_CHECK(data.size() >= elems);
   auto& cache = ResourceCache::of(dev);
@@ -172,6 +172,6 @@ template class RealFft3DT<double>;
 template double run_real_coarse_slab<float>(Device&,
                                             DeviceBuffer<cx<float>>&, Shape3,
                                             Direction,
-                                            const BandwidthPlanOptions&);
+                                            const TuneConfig&);
 
 }  // namespace repro::gpufft

@@ -77,7 +77,7 @@ template <typename T>
 class RealFft3DT final : public FftPlanT<T> {
  public:
   RealFft3DT(Device& dev, Shape3 shape, Direction dir,
-             BandwidthPlanOptions options = {});
+             TuneConfig options = {});
 
   /// Transform the split half-spectrum buffer in place. `data` must hold
   /// at least buffer_elements() == (nx/2+1)*ny*nz complex elements.
@@ -111,10 +111,10 @@ using RealFft3DPlan = RealFft3DT<float>;
 template <typename T>
 double run_real_coarse_slab(Device& dev, DeviceBuffer<cx<T>>& data,
                             Shape3 logical, Direction dir,
-                            const BandwidthPlanOptions& opt = {});
+                            const TuneConfig& opt = {});
 
 extern template double run_real_coarse_slab<float>(
     Device&, DeviceBuffer<cx<float>>&, Shape3, Direction,
-    const BandwidthPlanOptions&);
+    const TuneConfig&);
 
 }  // namespace repro::gpufft

@@ -15,51 +15,15 @@ void check_real_fine(const DeviceBuffer<cx<T>>& data,
   REPRO_CHECK_MSG(is_pow2(p.nx) && p.nx >= 32,
                   "real fine kernels need a power-of-two nx >= 32 "
                   "(half-length stages need nx/2 >= 16)");
-  REPRO_CHECK_MSG(p.threads_per_block % (p.nx / 8) == 0,
-                  "block must hold whole transform groups");
+  REPRO_CHECK_MSG(
+      p.threads_per_block % fine_threads_per_transform(p.nx / 2) == 0,
+      "block must hold whole transform groups");
   REPRO_CHECK(data.size() >= (p.nx / 2 + 1) * p.count);
   if (p.twiddles == TwiddleSource::Texture) {
     REPRO_CHECK_MSG(tw_half != nullptr && tw_half->size() >= p.nx / 2 &&
                         tw_full != nullptr && tw_full->size() >= p.nx,
                     "texture twiddles need device tables at both lengths");
   }
-}
-
-/// Launch config shared by both kernels (they differ only in the fused
-/// pass's flop count).
-template <typename T>
-sim::LaunchConfig real_fine_config(const RealFineParams& p, const char* tag,
-                                   double fused_flops_per_line) {
-  const std::size_t m = p.nx / 2;
-  const std::size_t tpt = m / 4;
-  const std::size_t txs_pb = p.threads_per_block / tpt;
-  sim::LaunchConfig c;
-  c.name = tag + std::to_string(p.nx);
-  c.grid_blocks = p.grid_blocks;
-  c.threads_per_block = p.threads_per_block;
-  c.regs_per_thread = std::is_same_v<T, double> ? 24 : 12;
-  c.fp64 = std::is_same_v<T, double>;
-  c.shmem_per_block =
-      txs_pb *
-      RealFineR2CKernelT<T>::shmem_bytes_per_transform(p.nx,
-                                                       p.shmem_pad_words);
-  double per_line = fine_flops_per_transform(m) + fused_flops_per_line;
-  if (p.twiddles == TwiddleSource::Recompute) {
-    // Stage twiddles plus one full-length twiddle per fused-pass bin;
-    // same sin/cos charge as the rank kernels.
-    per_line += 32.0 * (fine_twiddle_fetches(m) + static_cast<double>(m));
-  }
-  c.total_flops = static_cast<double>(p.count) * per_line;
-  c.fma_fraction = 0.5;
-  const double groups_per_wave =
-      static_cast<double>(c.grid_blocks) * static_cast<double>(txs_pb);
-  const double iterations =
-      std::ceil(static_cast<double>(p.count) / groups_per_wave);
-  // One extra addressed pass (pack/unpack) on top of the stages.
-  c.extra_cycles_per_thread =
-      iterations * static_cast<double>(fine_stages(m).size() + 1) *
-      kFineAddressingCyclesPerStage;
-  return c;
 }
 
 }  // namespace
@@ -78,32 +42,53 @@ RealFineR2CKernelT<T>::RealFineR2CKernelT(
   check_real_fine(data_, params_, device_tw_half_, device_tw_full_);
 }
 
-template <typename T>
-std::size_t RealFineR2CKernelT<T>::shmem_bytes_per_transform(
-    std::size_t nx, std::size_t pad_words) {
-  // Two scalar arrays (re, im) of the natural-order half-length spectrum,
-  // slots 0..nx/2, padded; the stage exchange reuses the first array.
-  return 2 * (shmem_pad(nx / 2, pad_words) + 1) * sizeof(T);
-}
-
-template <typename T>
-std::size_t RealFineC2RKernelT<T>::shmem_bytes_per_transform(
-    std::size_t nx, std::size_t pad_words) {
-  return RealFineR2CKernelT<T>::shmem_bytes_per_transform(nx, pad_words);
+sim::LaunchConfig real_fine_config(const RealFineParams& p, Direction dir,
+                                   bool fp64) {
+  const bool forward = dir == Direction::Forward;
+  const std::size_t m = p.nx / 2;
+  const std::size_t txs_pb =
+      p.threads_per_block / fine_threads_per_transform(m);
+  sim::LaunchConfig c;
+  c.name = (forward ? "real_r2c" : "real_c2r") + std::to_string(p.nx);
+  c.grid_blocks = p.grid_blocks;
+  c.threads_per_block = p.threads_per_block;
+  c.regs_per_thread = fp64 ? 24 : 12;
+  c.fp64 = fp64;
+  c.shmem_per_block =
+      txs_pb * (2 * real_fine_sh_stride(p.nx, p.shmem_pad_words) *
+                (fp64 ? sizeof(double) : sizeof(float)));
+  // Unpack: one E/O recombination (~14 flops) per output bin. Pack: E/O
+  // split + twiddle + scale (~18 flops) per input bin.
+  double per_line = fine_flops_per_transform(m) +
+                    (forward ? 14.0 * static_cast<double>(m + 1)
+                             : 18.0 * static_cast<double>(m));
+  if (p.twiddles == TwiddleSource::Recompute) {
+    // Same sin/cos charge per twiddle as the rank kernels.
+    per_line += 32.0 * real_fine_twiddle_fetches(p.nx);
+  }
+  c.total_flops = static_cast<double>(p.count) * per_line;
+  c.fma_fraction = 0.5;
+  const double groups_per_wave =
+      static_cast<double>(c.grid_blocks) * static_cast<double>(txs_pb);
+  const double iterations =
+      std::ceil(static_cast<double>(p.count) / groups_per_wave);
+  // One extra addressed pass (pack/unpack) on top of the stages.
+  c.extra_cycles_per_thread =
+      iterations * static_cast<double>(fine_stages(m).size() + 1) *
+      kFineAddressingCyclesPerStage;
+  return c;
 }
 
 template <typename T>
 sim::LaunchConfig RealFineR2CKernelT<T>::config() const {
-  // Unpack: one E/O recombination (~14 flops) per output bin.
-  return real_fine_config<T>(params_, "real_r2c",
-                             14.0 * static_cast<double>(params_.nx / 2 + 1));
+  return real_fine_config(params_, Direction::Forward,
+                          std::is_same_v<T, double>);
 }
 
 template <typename T>
 sim::LaunchConfig RealFineC2RKernelT<T>::config() const {
-  // Pack: E/O split + twiddle + scale (~18 flops) per input bin.
-  return real_fine_config<T>(params_, "real_c2r",
-                             18.0 * static_cast<double>(params_.nx / 2));
+  return real_fine_config(params_, Direction::Inverse,
+                          std::is_same_v<T, double>);
 }
 
 namespace {
@@ -140,11 +125,11 @@ template <typename T>
 void RealFineR2CKernelT<T>::run_block(sim::BlockCtx& ctx) {
   const std::size_t nx = params_.nx;
   const std::size_t m = nx / 2;
-  const std::size_t tpt = m / 4;
+  const std::size_t tpt = fine_threads_per_transform(m);
   const unsigned block_dim = params_.threads_per_block;
   const std::size_t txs_pb = block_dim / tpt;
   const std::size_t pad = params_.shmem_pad_words;
-  const std::size_t arr = shmem_pad(m, pad) + 1;  // per-transform stride
+  const std::size_t arr = real_fine_sh_stride(nx, pad);
   const std::size_t nyq = m * params_.count;  // Nyquist tail plane base
   const int sign = fft::direction_sign(Direction::Forward);
   const auto sts = fine_stages(m);
@@ -233,11 +218,11 @@ template <typename T>
 void RealFineC2RKernelT<T>::run_block(sim::BlockCtx& ctx) {
   const std::size_t nx = params_.nx;
   const std::size_t m = nx / 2;
-  const std::size_t tpt = m / 4;
+  const std::size_t tpt = fine_threads_per_transform(m);
   const unsigned block_dim = params_.threads_per_block;
   const std::size_t txs_pb = block_dim / tpt;
   const std::size_t pad = params_.shmem_pad_words;
-  const std::size_t arr = shmem_pad(m, pad) + 1;
+  const std::size_t arr = real_fine_sh_stride(nx, pad);
   const std::size_t nyq = m * params_.count;  // Nyquist tail plane base
   const int sign = fft::direction_sign(Direction::Inverse);
   const auto sts = fine_stages(m);

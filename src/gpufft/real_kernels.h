@@ -47,12 +47,32 @@ struct RealFineParams {
     p.count = count;
     p.twiddles = tune.fine_twiddles;
     p.grid_blocks = tune.grid_for(gpu);
-    p.threads_per_block = static_cast<unsigned>(
-        std::max<std::size_t>(nx / 8, tune.threads_per_block));
+    p.threads_per_block = static_cast<unsigned>(std::max<std::size_t>(
+        fine_threads_per_transform(nx / 2), tune.threads_per_block));
     p.shmem_pad_words = tune.shmem_pad_words;
     return p;
   }
 };
+
+/// Per-line stride of the real kernels' shared arrays, in elements: the
+/// natural-order half-length spectrum, slots 0..nx/2, padded. The stage
+/// exchange reuses the first of the two (re, im) arrays.
+constexpr std::size_t real_fine_sh_stride(std::size_t nx,
+                                          std::size_t pad_words) {
+  return shmem_pad(nx / 2, pad_words) + 1;
+}
+
+/// Twiddles one real line reads: the nx/2-point stages' plus one
+/// full-length twiddle per fused-pass bin.
+inline double real_fine_twiddle_fetches(std::size_t nx) {
+  return fine_twiddle_fetches(nx / 2) + static_cast<double>(nx / 2);
+}
+
+/// The fused real X pass's launch over `p` in double (`fp64`) or single
+/// precision: the forward (r2c unpack) or inverse (c2r pack) kernel's
+/// config() and the planner's price of that step.
+sim::LaunchConfig real_fine_config(const RealFineParams& p, Direction dir,
+                                   bool fp64);
 
 /// Forward fused kernel: packed real rows -> half-spectrum rows, in place.
 /// Needs two twiddle tables when sourced from texture: the (nx/2)-point
@@ -67,11 +87,6 @@ class RealFineR2CKernelT final : public sim::Kernel {
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
-
-  /// Shared bytes one transform group needs: two natural-order scalar
-  /// arrays of nx/2+1 (padded) — exchange reuses the first.
-  [[nodiscard]] static std::size_t shmem_bytes_per_transform(
-      std::size_t nx, std::size_t pad_words = kDefaultShmemPadWords);
 
  private:
   DeviceBuffer<cx<T>>& data_;
@@ -94,9 +109,6 @@ class RealFineC2RKernelT final : public sim::Kernel {
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
-
-  [[nodiscard]] static std::size_t shmem_bytes_per_transform(
-      std::size_t nx, std::size_t pad_words = kDefaultShmemPadWords);
 
  private:
   DeviceBuffer<cx<T>>& data_;

@@ -23,7 +23,7 @@ std::shared_ptr<FftPlanT<T>> make_plan(Device& dev, const PlanDesc& desc,
                                        sim::DeviceGroup* group) {
   REPRO_CHECK_MSG(desc.precision == precision_of<T>,
                   "plan description precision does not match the request");
-  const BandwidthPlanOptions& opt = desc.tune;
+  const TuneConfig& opt = desc.tune;
 
   switch (desc.kind) {
     case PlanKind::Bandwidth3D:

@@ -33,6 +33,12 @@ constexpr std::size_t shmem_pad(std::size_t i) { return shmem_pad(i, 16); }
 /// Addressing/loop cycles per thread per stage of one transform.
 inline constexpr double kFineAddressingCyclesPerStage = 22.0;
 
+/// Threads that cooperate on one staged n-point transform: each holds four
+/// complex values in registers (the paper's fine-grained parallelism).
+constexpr std::size_t fine_threads_per_transform(std::size_t n) {
+  return n / 4;
+}
+
 /// One Stockham rank of the staged fine-grained FFT.
 struct FineStage {
   std::size_t radix;
@@ -89,6 +95,40 @@ inline double fine_twiddle_fetches(std::size_t n) {
 constexpr std::size_t fine_min_sh_stride(std::size_t n,
                                          std::size_t pad_words = 16) {
   return shmem_pad(n - 1, pad_words) + 1;
+}
+
+// Exchange addressing of the staged transform. Thread `lane` of a group of
+// `tpt` owns four values in slots 0..3; slot s holds output (or input) s %
+// radix of work unit u = lane + (s / radix) * tpt. run_fine_stages moves
+// the values through shared memory at these positions, and the planner
+// replays the same positions against the bank-conflict counter.
+
+/// Natural position of the value in `slot` after stage `prev` wrote it.
+constexpr std::size_t fine_out_pos(const FineStage& prev, std::size_t tpt,
+                                   std::size_t lane, std::size_t slot) {
+  const std::size_t b = slot / prev.radix;
+  const std::size_t r = slot % prev.radix;
+  const std::size_t u = lane + b * tpt;
+  const std::size_t j = u / prev.m;
+  const std::size_t k = u % prev.m;
+  return k + prev.m * (prev.radix * j + r);
+}
+
+/// Position stage `st` reads into `slot`.
+constexpr std::size_t fine_in_pos(const FineStage& st, std::size_t tpt,
+                                  std::size_t lane, std::size_t slot) {
+  const std::size_t b = slot / st.radix;
+  const std::size_t q = slot % st.radix;
+  const std::size_t u = lane + b * tpt;
+  const std::size_t j = u / st.m;
+  const std::size_t k = u % st.m;
+  return k + st.m * (j + st.l * q);
+}
+
+/// Twiddle step of work unit `u`'s butterfly in stage `st`: it multiplies
+/// its output r (r >= 1) by W_n^(step * r).
+constexpr std::size_t fine_twiddle_step(const FineStage& st, std::size_t u) {
+  return u / st.m * st.m;
 }
 
 /// Run every mixed-radix Stockham stage of one line held in thread-local
@@ -155,23 +195,23 @@ void run_fine_stages(sim::BlockCtx& ctx, const std::vector<FineStage>& sts,
                      std::size_t sh_stride, std::size_t pad_words,
                      std::size_t base, std::size_t count, cx<T>* vals,
                      T* tmp, Load&& load, Store&& store, Twiddle&& twiddle) {
-  const std::size_t tpt = n / 4;
+  const std::size_t tpt = fine_threads_per_transform(n);
   const std::size_t n_stages = sts.size();
 
   // Butterfly of stage `st` for work unit u, reading from v[0..radix) and
   // writing the twiddled outputs back into v.
   auto butterfly = [&](sim::ThreadCtx& t, const FineStage& st,
                        std::size_t u, cx<T>* v) {
-    const std::size_t j = u / st.m;
+    const std::size_t step = fine_twiddle_step(st, u);
     if (st.radix == 4) {
       fft::fft4(v, sign);
       for (std::size_t r = 1; r < 4; ++r) {
-        v[r] = twiddle(t, j * st.m * r) * v[r];
+        v[r] = twiddle(t, step * r) * v[r];
       }
     } else {
       const cx<T> d = v[0] - v[1];
       v[0] = v[0] + v[1];
-      v[1] = twiddle(t, j * st.m) * d;
+      v[1] = twiddle(t, step) * d;
     }
   };
 
@@ -206,34 +246,18 @@ void run_fine_stages(sim::BlockCtx& ctx, const std::vector<FineStage>& sts,
     const FineStage& st = sts[si];
     const std::size_t bpt = 4 / st.radix;
 
-    // Positions this thread's current values occupy (previous stage's
-    // outputs) and the positions it needs next.
-    auto out_pos = [&](std::size_t lane, std::size_t slot) {
-      const std::size_t b = slot / prev.radix;
-      const std::size_t r = slot % prev.radix;
-      const std::size_t u = lane + b * tpt;
-      const std::size_t j = u / prev.m;
-      const std::size_t k = u % prev.m;
-      return k + prev.m * (prev.radix * j + r);
-    };
-    auto in_pos = [&](std::size_t lane, std::size_t slot) {
-      const std::size_t b = slot / st.radix;
-      const std::size_t q = slot % st.radix;
-      const std::size_t u = lane + b * tpt;
-      const std::size_t j = u / st.m;
-      const std::size_t k = u % st.m;
-      return k + st.m * (j + st.l * q);
-    };
-
     // Real parts: write all, then read all (paper's half-footprint
-    // exchange), then the same for imaginary parts.
+    // exchange), then the same for imaginary parts. Values leave from the
+    // previous stage's output positions and arrive at this stage's input
+    // positions.
     ctx.threads([&](sim::ThreadCtx& t) {
       const std::size_t sub = t.tid / tpt;
       const std::size_t lane = t.tid % tpt;
       if (base + sub >= count) return;
       const std::size_t shb = sub * sh_stride;
       for (std::size_t s = 0; s < 4; ++s) {
-        sh.store(t, shb + shmem_pad(out_pos(lane, s), pad_words),
+        sh.store(t,
+                 shb + shmem_pad(fine_out_pos(prev, tpt, lane, s), pad_words),
                  vals[t.tid * 4 + s].re);
       }
     });
@@ -243,8 +267,8 @@ void run_fine_stages(sim::BlockCtx& ctx, const std::vector<FineStage>& sts,
       if (base + sub >= count) return;
       const std::size_t shb = sub * sh_stride;
       for (std::size_t s = 0; s < 4; ++s) {
-        tmp[t.tid * 4 + s] =
-            sh.load(t, shb + shmem_pad(in_pos(lane, s), pad_words));
+        tmp[t.tid * 4 + s] = sh.load(
+            t, shb + shmem_pad(fine_in_pos(st, tpt, lane, s), pad_words));
       }
     });
     ctx.threads([&](sim::ThreadCtx& t) {
@@ -253,7 +277,8 @@ void run_fine_stages(sim::BlockCtx& ctx, const std::vector<FineStage>& sts,
       if (base + sub >= count) return;
       const std::size_t shb = sub * sh_stride;
       for (std::size_t s = 0; s < 4; ++s) {
-        sh.store(t, shb + shmem_pad(out_pos(lane, s), pad_words),
+        sh.store(t,
+                 shb + shmem_pad(fine_out_pos(prev, tpt, lane, s), pad_words),
                  vals[t.tid * 4 + s].im);
       }
     });
@@ -265,9 +290,10 @@ void run_fine_stages(sim::BlockCtx& ctx, const std::vector<FineStage>& sts,
       // Assemble the next stage's inputs and run its butterflies.
       cx<T> next[4];
       for (std::size_t s = 0; s < 4; ++s) {
-        next[s] = cx<T>{tmp[t.tid * 4 + s],
-                        sh.load(t, shb + shmem_pad(in_pos(lane, s),
-                                                   pad_words))};
+        next[s] = cx<T>{
+            tmp[t.tid * 4 + s],
+            sh.load(t, shb + shmem_pad(fine_in_pos(st, tpt, lane, s),
+                                       pad_words))};
       }
       for (std::size_t b = 0; b < bpt; ++b) {
         const std::size_t u = lane + b * tpt;

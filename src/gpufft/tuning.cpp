@@ -1,6 +1,6 @@
 #include "gpufft/tuning.h"
 
-#include <exception>
+#include <algorithm>
 
 namespace repro::gpufft {
 
@@ -43,8 +43,11 @@ bool parse_pattern(const std::string& s, Pattern& out) {
   return true;
 }
 
-bool parse_tune_config(const std::string& s, TuneConfig& out) {
-  TuneConfig cfg;
+bool parse_fields(const std::string& s,
+                  std::span<const std::string_view> keys,
+                  std::vector<std::string>& values) {
+  values.assign(keys.size(), std::string());
+  std::vector<bool> seen(keys.size(), false);
   std::size_t pos = 0;
   while (pos < s.size()) {
     while (pos < s.size() && s[pos] == ' ') ++pos;
@@ -56,43 +59,42 @@ bool parse_tune_config(const std::string& s, TuneConfig& out) {
     if (tok.empty()) continue;
     const std::size_t eq = tok.find('=');
     if (eq == std::string::npos) return false;
-    const std::string key = tok.substr(0, eq);
-    const std::string val = tok.substr(eq + 1);
-    try {
-      if (key == "ctw") {
-        if (!parse_twiddle_source(val, cfg.coarse_twiddles)) return false;
-      } else if (key == "ftw") {
-        if (!parse_twiddle_source(val, cfg.fine_twiddles)) return false;
-      } else if (key == "grid") {
-        cfg.grid_blocks = static_cast<unsigned>(std::stoul(val));
-      } else if (key == "bps") {
-        cfg.blocks_per_sm = static_cast<unsigned>(std::stoul(val));
-      } else if (key == "tpb") {
-        cfg.threads_per_block = static_cast<unsigned>(std::stoul(val));
-      } else if (key == "radix") {
-        cfg.coarse_radix = static_cast<unsigned>(std::stoul(val));
-      } else if (key == "pad") {
-        cfg.shmem_pad_words = static_cast<unsigned>(std::stoul(val));
-      } else if (key == "slab") {
-        cfg.slab_depth = static_cast<std::size_t>(std::stoull(val));
-      } else if (key == "read") {
-        if (!parse_pattern(val, cfg.coarse_read)) return false;
-      } else if (key == "write") {
-        if (!parse_pattern(val, cfg.coarse_write)) return false;
-      } else if (key == "pitch") {
-        if (val == "dense") {
-          cfg.pitch = PitchMode::Dense;
-        } else if (val == "padded") {
-          cfg.pitch = PitchMode::Padded;
-        } else {
-          return false;
-        }
-      } else {
-        return false;
-      }
-    } catch (const std::exception&) {
-      return false;  // stoul on a non-numeric value
-    }
+    const auto key = std::find(keys.begin(), keys.end(),
+                               std::string_view(tok).substr(0, eq));
+    if (key == keys.end()) return false;
+    const auto i = static_cast<std::size_t>(key - keys.begin());
+    if (seen[i]) return false;
+    seen[i] = true;
+    values[i] = tok.substr(eq + 1);
+  }
+  return std::find(seen.begin(), seen.end(), false) == seen.end();
+}
+
+bool parse_tune_config(const std::string& s, TuneConfig& out) {
+  static constexpr std::string_view kKeys[] = {
+      "ctw", "ftw", "grid", "bps", "tpb", "radix",
+      "pad", "slab", "read", "write", "pitch"};
+  std::vector<std::string> v;
+  if (!parse_fields(s, kKeys, v)) return false;
+  TuneConfig cfg;
+  if (!parse_twiddle_source(v[0], cfg.coarse_twiddles) ||
+      !parse_twiddle_source(v[1], cfg.fine_twiddles) ||
+      !parse_decimal(v[2], cfg.grid_blocks) ||
+      !parse_decimal(v[3], cfg.blocks_per_sm) ||
+      !parse_decimal(v[4], cfg.threads_per_block) ||
+      !parse_decimal(v[5], cfg.coarse_radix) ||
+      !parse_decimal(v[6], cfg.shmem_pad_words) ||
+      !parse_decimal(v[7], cfg.slab_depth) ||
+      !parse_pattern(v[8], cfg.coarse_read) ||
+      !parse_pattern(v[9], cfg.coarse_write)) {
+    return false;
+  }
+  if (v[10] == pitch_mode_name(PitchMode::Dense)) {
+    cfg.pitch = PitchMode::Dense;
+  } else if (v[10] == pitch_mode_name(PitchMode::Padded)) {
+    cfg.pitch = PitchMode::Padded;
+  } else {
+    return false;
   }
   out = cfg;
   return true;

@@ -11,8 +11,12 @@
 // can never alias in the PlanRegistry.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "gpufft/types.h"
 
@@ -130,12 +134,26 @@ bool parse_twiddle_source(const std::string& s, TwiddleSource& out);
 /// Parse a pattern_name ("A".."D").
 bool parse_pattern(const std::string& s, Pattern& out);
 
-/// Round-trip parse of TuneConfig::to_string() (the wisdom format).
-/// Missing tokens keep their defaults; an unknown token fails the parse.
-bool parse_tune_config(const std::string& s, TuneConfig& out);
+/// Split space-separated "key=value" tokens into the value of each of
+/// `keys`, in that order. False unless every key appears exactly once and
+/// no other token does: the wisdom format always writes every field, so a
+/// missing, repeated or unknown key means a truncated or garbled line.
+bool parse_fields(const std::string& s,
+                  std::span<const std::string_view> keys,
+                  std::vector<std::string>& values);
 
-/// Historical name of the bandwidth-plan option block; the fields moved
-/// into TuneConfig unchanged, so existing call sites keep compiling.
-using BandwidthPlanOptions = TuneConfig;
+/// Parse an all-digit decimal into the unsigned `out`; false on a sign, a
+/// suffix, an empty string or a value `out` cannot hold.
+template <typename U>
+bool parse_decimal(const std::string& s, U& out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// Round-trip parse of TuneConfig::to_string() (the wisdom format). Every
+/// field must appear exactly once with a well-formed value; anything else
+/// fails the parse and leaves `out` untouched.
+bool parse_tune_config(const std::string& s, TuneConfig& out);
 
 }  // namespace repro::gpufft

@@ -52,7 +52,7 @@ TEST_P(PlanTwiddleConfigs, AllConfigurationsAgree) {
   const Shape3 shape = cube(32);
   const auto input = random_complex<float>(shape.volume(), 11);
 
-  auto run = [&](BandwidthPlanOptions opt) {
+  auto run = [&](TuneConfig opt) {
     Device dev(sim::geforce_8800_gts());
     auto data = dev.alloc<cxf>(shape.volume());
     dev.h2d(data, std::span<const cxf>(input));
@@ -63,8 +63,8 @@ TEST_P(PlanTwiddleConfigs, AllConfigurationsAgree) {
     return out;
   };
 
-  const auto reference = run(BandwidthPlanOptions{});
-  BandwidthPlanOptions opt;
+  const auto reference = run(TuneConfig{});
+  TuneConfig opt;
   opt.coarse_twiddles = coarse;
   opt.fine_twiddles = fine;
   const auto variant = run(opt);
@@ -108,7 +108,7 @@ TEST(PlanSweep, GridBlockOverrideStaysCorrect) {
     Device dev(sim::geforce_8800_gtx());
     auto data = dev.alloc<cxf>(shape.volume());
     dev.h2d(data, std::span<const cxf>(input));
-    BandwidthPlanOptions opt;
+    TuneConfig opt;
     opt.grid_blocks = grid;
     BandwidthFft3D plan(dev, shape, Direction::Forward, opt);
     plan.execute(data);
@@ -126,7 +126,7 @@ TEST(PlanSweep, FewBlocksAreSlower) {
   auto run = [&](unsigned grid) {
     Device dev(sim::geforce_8800_gt());
     auto data = dev.alloc<cxf>(shape.volume());
-    BandwidthPlanOptions opt;
+    TuneConfig opt;
     opt.grid_blocks = grid;
     BandwidthFft3D plan(dev, shape, Direction::Forward, opt);
     plan.execute(data);

@@ -1,0 +1,133 @@
+// Wisdom import against truncated and garbled input. A wisdom file cut at
+// any byte must import nothing, or only whole entry lines with their
+// original configs; a field with trailing garbage, a sign, a repeat or a
+// gap must fail the parse instead of reading as a different config.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "gpufft/planner.h"
+#include "gpufft/registry.h"
+
+namespace repro::gpufft {
+namespace {
+
+TEST(Wisdom, EveryPrefixImportsWholeEntriesOrNothing) {
+  Device dev(sim::geforce_8800_gtx());
+  const std::string head = "schema " + std::to_string(kWisdomSchemaVersion) +
+                           "\n" + wisdom_header(dev.spec()) + "\n";
+  TuneConfig wide;
+  wide.threads_per_block = 128;
+  wide.coarse_radix = 8;
+  TuneConfig deep;
+  deep.shmem_pad_words = 8;
+  deep.slab_depth = 16;
+  std::string file;
+  {
+    PlanRegistry reg(dev);
+    ASSERT_EQ(
+        reg.import_wisdom(
+            head +
+            wisdom_line(PlanDesc::bandwidth3d(cube(64), Direction::Forward),
+                        wide) +
+            "\n" +
+            wisdom_line(PlanDesc::out_of_core(128, 8, Direction::Inverse),
+                        deep) +
+            "\n"),
+        2u);
+    file = reg.export_wisdom();
+  }
+  // The exported entries in file order, and the offset of each entry
+  // line's newline.
+  std::vector<std::pair<PlanDesc, TuneConfig>> entries;
+  std::vector<std::size_t> ends;
+  for (std::size_t pos = 0; pos < file.size();) {
+    const std::size_t eol = file.find('\n', pos);
+    PlanDesc d;
+    TuneConfig t;
+    if (parse_wisdom_line(file.substr(pos, eol - pos), d, t)) {
+      entries.emplace_back(d, t);
+      ends.push_back(eol);
+    }
+    pos = eol + 1;
+  }
+  ASSERT_EQ(entries.size(), 2u);
+  // A resident entry must survive every rejected import.
+  const std::string resident =
+      head +
+      wisdom_line(PlanDesc::real3d(cube(32), Direction::Forward), {}) + "\n";
+
+  for (std::size_t len = 0; len <= file.size(); ++len) {
+    PlanRegistry reg(dev);
+    ASSERT_EQ(reg.import_wisdom(resident), 1u);
+    const std::size_t got = reg.import_wisdom(file.substr(0, len));
+    // Entry lines the prefix holds whole, with or without their newline.
+    std::size_t whole = 0;
+    while (whole < ends.size() && ends[whole] <= len) ++whole;
+    const bool at_line_end =
+        whole > 0 && (len == ends[whole - 1] || len == ends[whole - 1] + 1);
+    if (got == 0) {
+      EXPECT_EQ(reg.wisdom_size(), 1u) << "prefix of " << len << " bytes";
+      continue;
+    }
+    EXPECT_TRUE(at_line_end) << "imported " << got << " entries from "
+                             << len << " bytes: " << file.substr(0, len);
+    EXPECT_EQ(got, whole) << "prefix of " << len << " bytes";
+    EXPECT_EQ(reg.wisdom_size(), 1 + got);
+    for (std::size_t i = 0; i < std::min(got, whole); ++i) {
+      EXPECT_EQ(reg.tuned_config(entries[i].first), entries[i].second)
+          << "prefix of " << len << " bytes, entry " << i;
+    }
+    EXPECT_EQ(reg.tune_searches(), 0u) << "entries must come from wisdom";
+  }
+}
+
+TEST(Wisdom, GarbledFieldsAreRejected) {
+  TuneConfig back;
+  for (const char* bad : {"tpb=128x", "slab=-1", "tpb=64 tpb=128", ""}) {
+    EXPECT_FALSE(parse_tune_config(bad, back)) << '"' << bad << '"';
+  }
+  // The same defects inside an otherwise complete line, one at a time.
+  const std::string good = TuneConfig{}.to_string();
+  ASSERT_TRUE(parse_tune_config(good, back));
+  const auto garble = [&](const std::string& from, const std::string& to) {
+    std::string s = good;
+    s.replace(s.find(from), from.size(), to);
+    return s;
+  };
+  for (const std::string& bad :
+       {garble("tpb=64", "tpb=64x"), garble("slab=0", "slab=-1"),
+        garble("tpb=64", "tpb=4294967296"), garble("pad=16", "pad="),
+        garble(" pitch=dense", ""), good + " tpb=128"}) {
+    back = TuneConfig{};
+    EXPECT_FALSE(parse_tune_config(bad, back)) << bad;
+    EXPECT_EQ(back, TuneConfig{}) << "a rejected parse must not write";
+  }
+
+  // The description side of an entry line follows the same rule.
+  const std::string line = wisdom_line(
+      PlanDesc::out_of_core(128, 8, Direction::Inverse), TuneConfig{});
+  PlanDesc d;
+  ASSERT_TRUE(parse_wisdom_line(line, d, back));
+  const auto garble_line = [&](const std::string& from,
+                               const std::string& to) {
+    std::string s = line;
+    s.replace(s.find(from), from.size(), to);
+    return s;
+  };
+  for (const std::string& bad :
+       {garble_line("splits=8", "splits=8x"),
+        garble_line("splits=8", "splits=-8"),
+        garble_line("shape=128x128x128", "shape=128x128x128x2"),
+        garble_line("shape=128x128x128", "shape=128x+128x128"),
+        garble_line(" dir=inv", ""),
+        garble_line("kind=outofcore", "kind=outofcore kind=outofcore")}) {
+    EXPECT_FALSE(parse_wisdom_line(bad, d, back)) << bad;
+  }
+}
+
+}  // namespace
+}  // namespace repro::gpufft
