@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     gpufft::RankKernelParams p;
     p.in_shape = shape;
     p.grid_blocks = gpufft::default_grid_blocks(dev.spec());
-    gpufft::Rank1Kernel k(in, outb, p, 256);
+    gpufft::RankKernel k(in, outb, p, /*rank1=*/true, 256);
     const auto r = dev.launch(k);
     t.row({"16-point per thread",
            std::to_string(r.occupancy.active_threads),

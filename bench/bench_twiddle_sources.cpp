@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     p.in_shape = shape;
     p.twiddles = s.src;
     p.grid_blocks = gpufft::default_grid_blocks(spec);
-    gpufft::Rank1Kernel rank(in, out, p, 256, &twd);
+    gpufft::RankKernel rank(in, out, p, /*rank1=*/true, 256, &twd);
     const auto r_rank = dev.launch(rank);
 
     gpufft::FineKernelParams fp;

@@ -39,79 +39,27 @@ void PointwiseMultiplyKernel::run_block(sim::BlockCtx& ctx) {
   });
 }
 
-ArgmaxRealKernel::ArgmaxRealKernel(DeviceBuffer<cxf>& data, std::size_t count,
-                                   DeviceBuffer<cxf>& partial,
-                                   unsigned grid_blocks)
-    : data_(data), count_(count), partial_(partial), grid_(grid_blocks) {
-  REPRO_CHECK(data_.size() >= count_);
+ArgmaxKernel::ArgmaxKernel(DeviceBuffer<cxf>& data, Shape3 shape,
+                           Layout layout, DeviceBuffer<cxf>& partial,
+                           unsigned grid_blocks)
+    : data_(data),
+      shape_(shape),
+      layout_(layout),
+      partial_(partial),
+      grid_(grid_blocks) {
+  REPRO_CHECK(data_.size() >= (layout_ == Layout::Complex
+                                   ? shape_.volume()
+                                   : half_spectrum_elems(shape_)));
   REPRO_CHECK(partial_.size() >= grid_);
   // Candidate indices travel in a float's mantissa (as on the real card's
   // float2 reductions): exact only below 2^24.
-  REPRO_CHECK_MSG(count_ <= (1u << 24),
-                  "argmax index exceeds float mantissa range");
-}
-
-sim::LaunchConfig ArgmaxRealKernel::config() const {
-  sim::LaunchConfig c;
-  c.name = "argmax_real";
-  c.grid_blocks = grid_;
-  c.threads_per_block = kDefaultThreadsPerBlock;
-  c.regs_per_thread = 12;
-  c.shmem_per_block = kDefaultThreadsPerBlock * sizeof(cxf);
-  c.total_flops = static_cast<double>(count_);  // compares
-  c.fma_fraction = 0.0;
-  return c;
-}
-
-void ArgmaxRealKernel::run_block(sim::BlockCtx& ctx) {
-  auto d = ctx.global(data_);
-  auto p = ctx.global(partial_);
-  auto sh = ctx.shared<cxf>(0, kDefaultThreadsPerBlock);
-
-  // Per-thread scan, then a shared-memory tree reduction.
-  ctx.threads([&](sim::ThreadCtx& t) {
-    float best = -std::numeric_limits<float>::infinity();
-    std::size_t best_i = 0;
-    for (std::size_t i = t.global_id(); i < count_; i += t.total_threads()) {
-      const float v = d.load(t, i).re;
-      if (v > best) {
-        best = v;
-        best_i = i;
-      }
-    }
-    sh.store(t, t.tid, cxf{best, static_cast<float>(best_i)});
-  });
-  const unsigned nthreads = ctx.config().threads_per_block;
-  for (unsigned stride = nthreads / 2; stride > 0; stride /= 2) {
-    ctx.threads([&](sim::ThreadCtx& t) {
-      if (t.tid < stride) {
-        const cxf a = sh.load(t, t.tid);
-        const cxf b = sh.load(t, t.tid + stride);
-        sh.store(t, t.tid, b.re > a.re ? b : a);
-      }
-    });
-  }
-  ctx.threads([&](sim::ThreadCtx& t) {
-    if (t.tid == 0) {
-      p.store(t, ctx.block_index(), sh.load(t, 0));
-    }
-  });
-}
-
-ArgmaxPackedRealKernel::ArgmaxPackedRealKernel(DeviceBuffer<cxf>& data,
-                                               Shape3 shape,
-                                               DeviceBuffer<cxf>& partial,
-                                               unsigned grid_blocks)
-    : data_(data), shape_(shape), partial_(partial), grid_(grid_blocks) {
-  REPRO_CHECK(data_.size() >= half_spectrum_elems(shape_));
-  REPRO_CHECK(partial_.size() >= grid_);
   REPRO_CHECK_MSG(shape_.volume() <= (1u << 24),
                   "argmax index exceeds float mantissa range");
 }
 
-sim::LaunchConfig ArgmaxPackedRealKernel::config() const {
+sim::LaunchConfig ArgmaxKernel::config() const {
   sim::LaunchConfig c;
-  c.name = "argmax_packed_real";
+  c.name = layout_ == Layout::Complex ? "argmax_real" : "argmax_packed_real";
   c.grid_blocks = grid_;
   c.threads_per_block = kDefaultThreadsPerBlock;
   c.regs_per_thread = 12;
@@ -121,28 +69,39 @@ sim::LaunchConfig ArgmaxPackedRealKernel::config() const {
   return c;
 }
 
-void ArgmaxPackedRealKernel::run_block(sim::BlockCtx& ctx) {
+void ArgmaxKernel::run_block(sim::BlockCtx& ctx) {
   auto d = ctx.global(data_);
   auto p = ctx.global(partial_);
   auto sh = ctx.shared<cxf>(0, kDefaultThreadsPerBlock);
-  const std::size_t m = shape_.nx / 2;
-  const std::size_t count = m * shape_.ny * shape_.nz;  // main block only
 
-  // Per-thread scan of the main block (two scores per element), then the
-  // same shared-memory tree reduction as ArgmaxRealKernel.
+  // Per-thread scan, then a shared-memory tree reduction.
   ctx.threads([&](sim::ThreadCtx& t) {
     float best = -std::numeric_limits<float>::infinity();
     std::size_t best_i = 0;
-    for (std::size_t i = t.global_id(); i < count; i += t.total_threads()) {
-      const cxf v = d.load(t, i);
-      const std::size_t idx = (i / m) * shape_.nx + 2 * (i % m);
-      if (v.re > best) {
-        best = v.re;
-        best_i = idx;
+    if (layout_ == Layout::Complex) {
+      const std::size_t count = shape_.volume();
+      for (std::size_t i = t.global_id(); i < count; i += t.total_threads()) {
+        const float v = d.load(t, i).re;
+        if (v > best) {
+          best = v;
+          best_i = i;
+        }
       }
-      if (v.im > best) {
-        best = v.im;
-        best_i = idx + 1;
+    } else {
+      // The main block only, two scores per element.
+      const std::size_t m = shape_.nx / 2;
+      const std::size_t count = m * shape_.ny * shape_.nz;
+      for (std::size_t i = t.global_id(); i < count; i += t.total_threads()) {
+        const cxf v = d.load(t, i);
+        const std::size_t idx = (i / m) * shape_.nx + 2 * (i % m);
+        if (v.re > best) {
+          best = v.re;
+          best_i = idx;
+        }
+        if (v.im > best) {
+          best = v.im;
+          best_i = idx + 1;
+        }
       }
     }
     sh.store(t, t.tid, cxf{best, static_cast<float>(best_i)});
@@ -264,6 +223,8 @@ std::vector<float> Convolution3D::correlate_real(
 }
 
 BestMatch Convolution3D::reduce_candidates() {
+  ArgmaxKernel argmax(signal_, desc_.shape, desc_.layout, partial_, grid_);
+  dev_.launch(argmax);
   std::vector<cxf> candidates(grid_);
   dev_.d2h(std::span<cxf>(candidates), partial_);
   BestMatch best{0, -std::numeric_limits<float>::infinity()};
@@ -278,15 +239,11 @@ BestMatch Convolution3D::reduce_candidates() {
 
 BestMatch Convolution3D::best_translation(std::span<const cxf> signal) {
   correlate_on_device(signal);
-  ArgmaxRealKernel argmax(signal_, desc_.shape.volume(), partial_, grid_);
-  dev_.launch(argmax);
   return reduce_candidates();
 }
 
 BestMatch Convolution3D::best_translation_real(std::span<const float> signal) {
   correlate_real_on_device(signal);
-  ArgmaxPackedRealKernel argmax(signal_, desc_.shape, partial_, grid_);
-  dev_.launch(argmax);
   return reduce_candidates();
 }
 

@@ -34,41 +34,28 @@ class PointwiseMultiplyKernel final : public sim::Kernel {
   unsigned grid_;
 };
 
-/// Per-block argmax over the real parts; each block writes one (index,
-/// value) candidate so the host only reads back grid_blocks entries — the
-/// "small data about the best docking positions" of Section 4.4.
-class ArgmaxRealKernel final : public sim::Kernel {
+/// Per-block argmax over a score volume of logical extent `shape`; each
+/// block writes one (value, index) candidate so the host only reads back
+/// grid_blocks entries — the "small data about the best docking
+/// positions" of Section 4.4. In Layout::Complex the scores are the real
+/// parts of shape.volume() elements. In Layout::RealHalfSpectrum the
+/// volume is *packed real* in the split layout (real3d.h): main-block slot
+/// j of row r holds scores x[r*nx + 2j] in .re and x[r*nx + 2j + 1] in
+/// .im, so each candidate carries its reconstructed real linear index,
+/// and the Nyquist tail plane (no time-domain data) is skipped.
+class ArgmaxKernel final : public sim::Kernel {
  public:
-  ArgmaxRealKernel(DeviceBuffer<cxf>& data, std::size_t count,
-                   DeviceBuffer<cxf>& partial, unsigned grid_blocks);
+  ArgmaxKernel(DeviceBuffer<cxf>& data, Shape3 shape, Layout layout,
+               DeviceBuffer<cxf>& partial, unsigned grid_blocks);
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
 
  private:
   DeviceBuffer<cxf>& data_;
-  std::size_t count_;
+  Shape3 shape_;                ///< logical extent
+  Layout layout_;
   DeviceBuffer<cxf>& partial_;  ///< re = best value, im = index as float
-  unsigned grid_;
-};
-
-/// Argmax over a *packed real* volume in the split half-spectrum layout
-/// (real3d.h): main-block slot j of row r holds scores x[r*nx + 2j] in .re
-/// and x[r*nx + 2j + 1] in .im, so each candidate carries its reconstructed
-/// real linear index. The Nyquist tail plane holds no time-domain data and
-/// is skipped.
-class ArgmaxPackedRealKernel final : public sim::Kernel {
- public:
-  ArgmaxPackedRealKernel(DeviceBuffer<cxf>& data, Shape3 shape,
-                         DeviceBuffer<cxf>& partial, unsigned grid_blocks);
-
-  [[nodiscard]] sim::LaunchConfig config() const override;
-  void run_block(sim::BlockCtx& ctx) override;
-
- private:
-  DeviceBuffer<cxf>& data_;
-  Shape3 shape_;                ///< logical real extent
-  DeviceBuffer<cxf>& partial_;  ///< re = best value, im = real index
   unsigned grid_;
 };
 
@@ -128,6 +115,8 @@ class Convolution3D final : public FftPlanT<float> {
   /// Shared pipeline: leaves the score volume in signal_.
   void correlate_on_device(std::span<const cxf> signal);
   void correlate_real_on_device(std::span<const float> signal);
+  /// Argmax launch over the score volume in signal_, then the host's
+  /// reduction of the per-block candidates.
   BestMatch reduce_candidates();
 
   unsigned grid_;

@@ -1,6 +1,5 @@
 #include "gpufft/fine_kernel.h"
 
-#include <numbers>
 #include <type_traits>
 
 namespace repro::gpufft {
@@ -30,12 +29,6 @@ FineFftKernelT<T>::FineFftKernelT(DeviceBuffer<cx<T>>& in,
     REPRO_CHECK_MSG(device_tw_ != nullptr && device_tw_->size() >= params_.n,
                     "texture twiddles need a device table");
   }
-}
-
-template <typename T>
-std::size_t FineFftKernelT<T>::shmem_bytes_per_transform(
-    std::size_t n, std::size_t pad_words) {
-  return fine_min_sh_stride(n, pad_words) * sizeof(T);
 }
 
 sim::LaunchConfig fine_config(const FineKernelParams& p, bool fp64) {
@@ -87,33 +80,12 @@ void FineFftKernelT<T>::run_block(sim::BlockCtx& ctx) {
   auto in = ctx.global(in_);
   auto out = ctx.global(out_);
   auto sh = ctx.shared<T>(0, txs_pb * sh_per_tx);
-  auto tex_tw = params_.twiddles == TwiddleSource::Texture
-                    ? ctx.texture(*device_tw_)
-                    : sim::TextureView<cx<T>>(nullptr, nullptr, 0);
-  auto const_tw = ctx.constant(roots_n_);
+  const TwiddleReader<T> twiddle(ctx, params_.twiddles, roots_n_, device_tw_,
+                                 sign);
 
   // Emulated per-thread registers persisting across barrier phases.
   std::vector<cx<T>> vals(static_cast<std::size_t>(block_dim) * 4);
   std::vector<T> tmp(static_cast<std::size_t>(block_dim) * 4);
-
-  // Twiddle W_n^idx through the configured path.
-  auto twiddle = [&](sim::ThreadCtx& t, std::size_t idx) -> cx<T> {
-    switch (params_.twiddles) {
-      case TwiddleSource::Registers:
-        return roots_n_[idx];
-      case TwiddleSource::Constant:
-        return const_tw.load(t, idx);
-      case TwiddleSource::Texture:
-        return tex_tw.fetch(t, idx);
-      case TwiddleSource::Recompute:
-      default: {
-        const double theta = sign * 2.0 * std::numbers::pi *
-                             static_cast<double>(idx) /
-                             static_cast<double>(n);
-        return polar_unit<T>(theta);
-      }
-    }
-  };
 
   const std::size_t groups_per_wave =
       static_cast<std::size_t>(params_.grid_blocks) * txs_pb;
@@ -122,13 +94,12 @@ void FineFftKernelT<T>::run_block(sim::BlockCtx& ctx) {
        base += groups_per_wave) {
     run_fine_stages<T>(
         ctx, sts, n, sign, sh, sh_per_tx, pad, base, params_.count,
-        vals.data(), tmp.data(),
+        vals.data(), tmp.data(), twiddle,
         [&](sim::ThreadCtx& t, std::size_t tx, std::size_t pos) {
           return in.load(t, tx * n + pos);
         },
         [&](sim::ThreadCtx& t, std::size_t tx, std::size_t pos,
-            const cx<T>& v) { out.store(t, tx * n + pos, v); },
-        twiddle);
+            const cx<T>& v) { out.store(t, tx * n + pos, v); });
   }
 }
 

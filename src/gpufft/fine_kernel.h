@@ -70,10 +70,6 @@ class FineFftKernelT final : public sim::Kernel {
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
 
-  /// Shared-memory bytes one transform group needs (n scalars + padding).
-  [[nodiscard]] static std::size_t shmem_bytes_per_transform(
-      std::size_t n, std::size_t pad_words = kDefaultShmemPadWords);
-
  private:
   DeviceBuffer<cx<T>>& in_;
   DeviceBuffer<cx<T>>& out_;

@@ -38,13 +38,9 @@ void run_coarse_ranks(Device& dev, DeviceBuffer<cx<T>>& data,
     auto& out = *ping_pong[(i + 1) % 2];
     ++i;
     p.in_shape = st.in_shape;
-    if (st.rank1) {
-      Rank1KernelT<T> k(in, out, p, st.axis_n, st.z_axis ? tw_z : tw_y);
-      record(st.name, dev.launch(k));
-    } else {
-      Rank2KernelT<T> k(in, out, p);
-      record(st.name, dev.launch(k));
-    }
+    RankKernelT<T> k(in, out, p, st.rank1, st.axis_n,
+                     st.z_axis ? tw_z : tw_y);
+    record(st.name, dev.launch(k));
   }
 }
 

@@ -41,13 +41,13 @@ std::vector<StepTiming> BandwidthFft2DT<T>::execute_impl(
   // Y axis rank 1: view (nx, 1, 1, f1, f2), transform the high digit.
   p.in_shape = Shape5{{nx, 1, 1, f1, f2}};
   {
-    Rank1KernelT<T> k(data, work, p, ny, tw_y_.get());
+    RankKernelT<T> k(data, work, p, /*rank1=*/true, ny, tw_y_.get());
     record("Y rank1", dev.launch(k));
   }
   // Y axis rank 2: view (nx, f2, 1, 1, f1), transform the low digit.
   p.in_shape = Shape5{{nx, f2, 1, 1, f1}};
   {
-    Rank2KernelT<T> k(work, data, p);
+    RankKernelT<T> k(work, data, p, /*rank1=*/false);
     record("Y rank2", dev.launch(k));
   }
   // X axis: fine-grained shared-memory transform over ny lines.

@@ -364,8 +364,8 @@ double fine_step_ms(const sim::GpuSpec& spec, const FineStep& fs,
   sim::LaunchConfig c;
   FineModel fm;
   if (fs.real) {
-    c = real_fine_config(RealFineParams::tuned(cfg, spec, fs.nx, fs.count),
-                         fs.dir, fp64);
+    c = real_fine_config(
+        RealFineParams::tuned(cfg, spec, fs.nx, fs.count, fs.dir), fp64);
     fm = {fs.nx / 2, real_fine_sh_stride(fs.nx, pad),
           (fs.nx / 2 + 1) * fs.count, real_fine_twiddle_fetches(fs.nx)};
   } else {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <numbers>
 #include <string>
 #include <type_traits>
 
@@ -29,33 +28,28 @@ constexpr double kRankAddressingCyclesPerItem = 48.0;
 }  // namespace
 
 template <typename T>
-Rank1KernelT<T>::Rank1KernelT(DeviceBuffer<cx<T>>& in,
-                              DeviceBuffer<cx<T>>& out,
-                              const RankKernelParams& params, std::size_t n,
-                              const DeviceBuffer<cx<T>>* device_twiddles)
+RankKernelT<T>::RankKernelT(DeviceBuffer<cx<T>>& in, DeviceBuffer<cx<T>>& out,
+                            const RankKernelParams& params, bool rank1,
+                            std::size_t n,
+                            const DeviceBuffer<cx<T>>* device_twiddles)
     : in_(in),
       out_(out),
       params_(params),
-      n_(n),
+      rank1_(rank1),
       roots_l_(make_roots<T>(params.in_shape.extent[4], params.dir)),
-      roots_n_(make_roots<T>(n, params.dir)),
+      roots_n_(rank1 ? make_roots<T>(n, params.dir) : std::vector<cx<T>>{}),
       device_tw_(device_twiddles) {
   REPRO_CHECK(in_.size() >= params_.elem_offset + params_.in_shape.volume());
   REPRO_CHECK(out_.size() >= params_.elem_offset + params_.in_shape.volume());
+  if (!rank1_) return;
   // Twiddle indexing uses c*k < n: c < extent[3], k < extent[4].
   REPRO_CHECK((params_.in_shape.extent[3] - 1) *
                   (params_.in_shape.extent[4] - 1) <
-              n_);
+              n);
   if (params_.twiddles == TwiddleSource::Texture) {
-    REPRO_CHECK_MSG(device_tw_ != nullptr && device_tw_->size() >= n_,
+    REPRO_CHECK_MSG(device_tw_ != nullptr && device_tw_->size() >= n,
                     "texture twiddles need a device table");
   }
-}
-
-template <typename T>
-Shape5 Rank1KernelT<T>::out_shape() const {
-  const auto& e = params_.in_shape.extent;
-  return Shape5{{e[0], e[4], e[1], e[2], e[3]}};
 }
 
 sim::LaunchConfig rank_config(const RankKernelParams& p, bool rank1,
@@ -88,137 +82,57 @@ sim::LaunchConfig rank_config(const RankKernelParams& p, bool rank1,
 }
 
 template <typename T>
-sim::LaunchConfig Rank1KernelT<T>::config() const {
-  return rank_config(params_, /*rank1=*/true, std::is_same_v<T, double>);
+sim::LaunchConfig RankKernelT<T>::config() const {
+  return rank_config(params_, rank1_, std::is_same_v<T, double>);
 }
 
 template <typename T>
-void Rank1KernelT<T>::run_block(sim::BlockCtx& ctx) {
-  const Shape5 in_s = params_.in_shape;
-  const Shape5 out_s = out_shape();
-  const std::size_t L = in_s.extent[4];
-  const std::size_t nx = in_s.extent[0];
-  const std::size_t na = in_s.extent[1];
-  const std::size_t nb = in_s.extent[2];
-  const std::size_t nc = in_s.extent[3];
-  const std::size_t items = nx * na * nb * nc;
-  const int sign = fft::direction_sign(params_.dir);
-
-  auto in = ctx.global(in_, params_.elem_offset);
-  auto out = ctx.global(out_, params_.elem_offset);
-  auto tex_tw = params_.twiddles == TwiddleSource::Texture
-                    ? ctx.texture(*device_tw_)
-                    : sim::TextureView<cx<T>>(nullptr, nullptr, 0);
-  auto const_tw = ctx.constant(roots_n_);
-
-  ctx.threads([&](sim::ThreadCtx& t) {
-    cx<T> v[kMaxFactor];
-    for (std::size_t w = t.global_id(); w < items; w += t.total_threads()) {
-      // Paper loop "for c,b,a,X": X innermost so half-warps stay on
-      // consecutive addresses.
-      const std::size_t x = w % nx;
-      const std::size_t a = (w / nx) % na;
-      const std::size_t b = (w / (nx * na)) % nb;
-      const std::size_t c = w / (nx * na * nb);
-
-      for (std::size_t q = 0; q < L; ++q) {
-        v[q] = in.load(t, in_s.at(x, a, b, c, q));
-      }
-      fft_small(v, L, sign, roots_l_.data());
-
-      // Inter-rank twiddle W_n^(c*k).
-      for (std::size_t k = 1; k < L; ++k) {
-        const std::size_t idx = c * k;  // < n by construction
-        cx<T> w_ck;
-        switch (params_.twiddles) {
-          case TwiddleSource::Registers:
-            w_ck = roots_n_[idx];
-            break;
-          case TwiddleSource::Constant:
-            w_ck = const_tw.load(t, idx);
-            break;
-          case TwiddleSource::Texture:
-            w_ck = tex_tw.fetch(t, idx);
-            break;
-          case TwiddleSource::Recompute: {
-            const double theta = sign * 2.0 * std::numbers::pi *
-                                 static_cast<double>(idx) /
-                                 static_cast<double>(n_);
-            w_ck = polar_unit<T>(theta);
-            break;
-          }
-        }
-        v[k] = w_ck * v[k];
-      }
-
-      for (std::size_t k = 0; k < L; ++k) {
-        out.store(t, out_s.at(x, k, a, b, c), v[k]);
-      }
-    }
-  });
-}
-
-template <typename T>
-Rank2KernelT<T>::Rank2KernelT(DeviceBuffer<cx<T>>& in,
-                              DeviceBuffer<cx<T>>& out,
-                              const RankKernelParams& params)
-    : in_(in),
-      out_(out),
-      params_(params),
-      roots_l_(make_roots<T>(params.in_shape.extent[4], params.dir)) {
-  REPRO_CHECK(in_.size() >= params_.elem_offset + params_.in_shape.volume());
-  REPRO_CHECK(out_.size() >= params_.elem_offset + params_.in_shape.volume());
-}
-
-template <typename T>
-Shape5 Rank2KernelT<T>::out_shape() const {
+void RankKernelT<T>::run_block(sim::BlockCtx& ctx) {
   const auto& e = params_.in_shape.extent;
-  return Shape5{{e[0], e[1], e[4], e[2], e[3]}};
-}
-
-template <typename T>
-sim::LaunchConfig Rank2KernelT<T>::config() const {
-  return rank_config(params_, /*rank1=*/false, std::is_same_v<T, double>);
-}
-
-template <typename T>
-void Rank2KernelT<T>::run_block(sim::BlockCtx& ctx) {
-  const Shape5 in_s = params_.in_shape;
-  const Shape5 out_s = out_shape();
-  const std::size_t L = in_s.extent[4];
-  const std::size_t nx = in_s.extent[0];
-  const std::size_t na = in_s.extent[1];
-  const std::size_t nb = in_s.extent[2];
-  const std::size_t nc = in_s.extent[3];
-  const std::size_t items = nx * na * nb * nc;
+  const std::size_t L = e[4];
+  const std::size_t items = e[0] * e[1] * e[2] * e[3];
+  // Item w = x + nx*(a + na*(b + nb*c)) reads its L points `items` apart.
+  // Its output k lands s*k past w % s + s*L*(w / s): s = nx puts the digit
+  // after X (pattern A), s = nx*na after a (pattern B).
+  const std::size_t s = rank1_ ? e[0] : e[0] * e[1];
+  const std::size_t per_c = e[0] * e[1] * e[2];
   const int sign = fft::direction_sign(params_.dir);
 
   auto in = ctx.global(in_, params_.elem_offset);
   auto out = ctx.global(out_, params_.elem_offset);
+  // Rank 2 reads no twiddle (and binds no device table).
+  const TwiddleReader<T> twiddle(
+      ctx, rank1_ ? params_.twiddles : TwiddleSource::Registers, roots_n_,
+      device_tw_, sign);
 
   ctx.threads([&](sim::ThreadCtx& t) {
     cx<T> v[kMaxFactor];
+    // Paper loop "for c,b,a,X": X innermost so half-warps stay on
+    // consecutive addresses.
     for (std::size_t w = t.global_id(); w < items; w += t.total_threads()) {
-      const std::size_t x = w % nx;
-      const std::size_t a = (w / nx) % na;
-      const std::size_t b = (w / (nx * na)) % nb;
-      const std::size_t c = w / (nx * na * nb);
-
       for (std::size_t q = 0; q < L; ++q) {
-        v[q] = in.load(t, in_s.at(x, a, b, c, q));
+        v[q] = in.load(t, w + items * q);
       }
       fft_small(v, L, sign, roots_l_.data());
+
+      if (rank1_) {
+        // Inter-rank twiddle W_n^(c*k), c = w / (nx*na*nb).
+        const std::size_t c = w / per_c;
+        for (std::size_t k = 1; k < L; ++k) {
+          v[k] = twiddle(t, c * k) * v[k];  // c*k < n by construction
+        }
+      }
+
+      const std::size_t base = w % s + s * L * (w / s);
       for (std::size_t k = 0; k < L; ++k) {
-        out.store(t, out_s.at(x, a, k, b, c), v[k]);
+        out.store(t, base + s * k, v[k]);
       }
     }
   });
 }
 
-template class Rank1KernelT<float>;
-template class Rank1KernelT<double>;
-template class Rank2KernelT<float>;
-template class Rank2KernelT<double>;
+template class RankKernelT<float>;
+template class RankKernelT<double>;
 
 // ---- Mixed-radix / Bluestein line kernels ----
 

@@ -1,15 +1,16 @@
-// Coarse-grained multirow kernels: steps 1-4 of the paper's algorithm.
+// Coarse-grained multirow kernel: steps 1-4 of the paper's algorithm.
 //
 // Each thread computes one small (8/16-point) FFT entirely in registers —
 // the paper's FFT256_1 / FFT256_2 kernels. The transform always runs along
 // dimension 4 of the current 5-D view (the paper's trailing `*`), and the
-// two kernel shapes differ only in where the output digit lands:
+// two ranks differ only in where the output digit lands and in the
+// inter-rank twiddle:
 //
-//   Rank1:  out(x, k, a, b, c) = W_n^(c*k) * FFT_L( in(x, a, b, c, *) )[k]
-//           (reads pattern D, writes pattern A, applies the inter-rank
-//            twiddle; the paper's FFT256_1)
-//   Rank2:  out(x, a, k, b, c) = FFT_L( in(x, a, b, c, *) )[k]
-//           (reads pattern D, writes pattern B; the paper's FFT256_2)
+//   rank 1:  out(x, k, a, b, c) = W_n^(c*k) * FFT_L( in(x, a, b, c, *) )[k]
+//            (reads pattern D, writes pattern A, applies the inter-rank
+//             twiddle; the paper's FFT256_1)
+//   rank 2:  out(x, a, k, b, c) = FFT_L( in(x, a, b, c, *) )[k]
+//            (reads pattern D, writes pattern B; the paper's FFT256_2)
 //
 // Work items iterate with X innermost ("for Z1,Y2,Y1,X"), cyclically over
 // threads and blocks, so half-warps always touch 16 consecutive X values —
@@ -26,7 +27,7 @@
 
 namespace repro::gpufft {
 
-/// Configuration shared by both rank kernels.
+/// Configuration of one coarse rank launch.
 struct RankKernelParams {
   Shape5 in_shape;        ///< dims (nx, a, b, c, L); transform along dim 4
   Direction dir{Direction::Forward};
@@ -51,9 +52,9 @@ struct RankKernelParams {
 };
 
 /// The launch of a coarse rank kernel over `p.in_shape`, in double (`fp64`)
-/// or single precision: one small FFT per item plus, for Rank1 (`rank1`),
-/// the inter-rank twiddle multiplies. Rank2 applies no twiddle, so it
-/// always budgets the register-table variant's registers. Both kernels'
+/// or single precision: one small FFT per item plus, for rank 1 (`rank1`),
+/// the inter-rank twiddle multiplies. Rank 2 applies no twiddle, so it
+/// always budgets the register-table variant's registers. The kernel's
 /// config() and the planner's price of a coarse step.
 sim::LaunchConfig rank_config(const RankKernelParams& p, bool rank1,
                               bool fp64);
@@ -90,61 +91,38 @@ inline std::array<CoarseRankStep, 4> coarse_rank_steps(Shape3 shape,
   }};
 }
 
-/// Step 1/3 kernel (rank 1 with inter-rank twiddle). Templated over the
-/// scalar type: float reproduces the paper; double is its Section 4.5
-/// future work and only runs on fp64-capable specs (GTX 280).
+/// Steps 1-4 kernel: rank 1 (`rank1`, steps 1/3) or rank 2 (steps 2/4).
+/// Templated over the scalar type: float reproduces the paper; double is
+/// its Section 4.5 future work and only runs on fp64-capable specs (GTX
+/// 280).
 template <typename T>
-class Rank1KernelT final : public sim::Kernel {
+class RankKernelT final : public sim::Kernel {
  public:
-  /// `n` is the full axis length f1*f2; the twiddle table has n entries.
-  Rank1KernelT(DeviceBuffer<cx<T>>& in, DeviceBuffer<cx<T>>& out,
-               const RankKernelParams& params, std::size_t n,
-               const DeviceBuffer<cx<T>>* device_twiddles = nullptr);
+  /// `n` is the full axis length f1*f2: rank 1's twiddle table has n
+  /// entries (`device_twiddles` holds them for TwiddleSource::Texture).
+  /// Rank 2 reads no twiddle and ignores both.
+  RankKernelT(DeviceBuffer<cx<T>>& in, DeviceBuffer<cx<T>>& out,
+              const RankKernelParams& params, bool rank1, std::size_t n = 0,
+              const DeviceBuffer<cx<T>>* device_twiddles = nullptr);
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
-
-  /// Output view shape: (nx, L, a, b, c).
-  [[nodiscard]] Shape5 out_shape() const;
 
  private:
   DeviceBuffer<cx<T>>& in_;
   DeviceBuffer<cx<T>>& out_;
   RankKernelParams params_;
-  std::size_t n_;                          ///< full axis length
+  bool rank1_;
   std::vector<cx<T>> roots_l_;             ///< factor-size roots
-  std::vector<cx<T>> roots_n_;             ///< inter-rank twiddles (size n)
+  std::vector<cx<T>> roots_n_;             ///< inter-rank twiddles (rank 1)
   const DeviceBuffer<cx<T>>* device_tw_;   ///< for TwiddleSource::Texture
 };
 
-/// Step 2/4 kernel (rank 2, no twiddle).
-template <typename T>
-class Rank2KernelT final : public sim::Kernel {
- public:
-  Rank2KernelT(DeviceBuffer<cx<T>>& in, DeviceBuffer<cx<T>>& out,
-               const RankKernelParams& params);
+extern template class RankKernelT<float>;
+extern template class RankKernelT<double>;
 
-  [[nodiscard]] sim::LaunchConfig config() const override;
-  void run_block(sim::BlockCtx& ctx) override;
-
-  /// Output view shape: (nx, a, L, b, c).
-  [[nodiscard]] Shape5 out_shape() const;
-
- private:
-  DeviceBuffer<cx<T>>& in_;
-  DeviceBuffer<cx<T>>& out_;
-  RankKernelParams params_;
-  std::vector<cx<T>> roots_l_;
-};
-
-extern template class Rank1KernelT<float>;
-extern template class Rank1KernelT<double>;
-extern template class Rank2KernelT<float>;
-extern template class Rank2KernelT<double>;
-
-/// Single-precision aliases (the paper's configuration).
-using Rank1Kernel = Rank1KernelT<float>;
-using Rank2Kernel = Rank2KernelT<float>;
+/// Single-precision alias (the paper's configuration).
+using RankKernel = RankKernelT<float>;
 
 // ---- Mixed-radix / Bluestein line kernels (the Mixed3D plan's ranks) ----
 

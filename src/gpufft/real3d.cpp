@@ -113,25 +113,22 @@ std::vector<StepTiming> RealFft3DT<T>::execute_impl(DeviceBuffer<cx<T>>& data) {
                             });
   };
   auto fp = RealFineParams::tuned(tune, dev.spec(), shape.nx,
-                                  shape.ny * shape.nz);
-
-  if (dir == Direction::Forward) {
-    // X first: the Hermitian unpack is per-row local before Y/Z mix rows.
-    {
-      RealFineR2CKernelT<T> k(data, fp, tw_half_.get(), tw_x_.get());
-      record("X r2c fine", dev.launch(k));
-    }
-    run_ranks();
-  } else {
-    run_ranks();
+                                  shape.ny * shape.nz, dir);
+  if (dir == Direction::Inverse) {
     // Fold the full normalization into the pack pass: true inverse.
     fp.scale = 1.0 / (static_cast<double>(shape.nx / 2) *
                       static_cast<double>(shape.ny) *
                       static_cast<double>(shape.nz));
-    {
-      RealFineC2RKernelT<T> k(data, fp, tw_half_.get(), tw_x_.get());
-      record("X c2r fine", dev.launch(k));
-    }
+  }
+  RealFineKernelT<T> x_pass(data, fp, tw_half_.get(), tw_x_.get());
+
+  if (dir == Direction::Forward) {
+    // X first: the Hermitian unpack is per-row local before Y/Z mix rows.
+    record("X r2c fine", dev.launch(x_pass));
+    run_ranks();
+  } else {
+    run_ranks();
+    record("X c2r fine", dev.launch(x_pass));
   }
 
   this->finish(steps);

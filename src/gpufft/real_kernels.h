@@ -1,11 +1,11 @@
-// Fine-grained X-axis kernels for real-input (r2c) and real-output (c2r)
+// Fine-grained X-axis kernel for real-input (r2c) and real-output (c2r)
 // transforms over the split half-spectrum layout (real3d.h).
 //
 // Each row of nx reals is stored packed in a power-of-two-pitch row of
 // nx/2 complex slots in the main block: slot j holds (x[2j], x[2j+1]) in
 // time domain and bin X[j] in frequency domain; the row's Nyquist bin
 // X[nx/2] lives in the tail plane at element (nx/2)*count + row. The
-// power-of-two pitch is what keeps every half-warp of these kernels (and
+// power-of-two pitch is what keeps every half-warp of this kernel (and
 // of the coarse ranks that follow) on 16 consecutive, 16-aligned
 // elements — a dense nx/2+1 pitch would break G80 coalescing on every
 // access. The layout lets the classic half-length packing trick of
@@ -29,6 +29,9 @@ namespace repro::gpufft {
 struct RealFineParams {
   std::size_t nx{256};   ///< real line length (power of two, >= 32)
   std::size_t count{};   ///< number of lines (ny*nz)
+  /// Forward: r2c (stages, then the Hermitian unpack); inverse: c2r (the
+  /// pack, then the stages).
+  Direction dir{Direction::Forward};
   TwiddleSource twiddles{TwiddleSource::Texture};
   unsigned grid_blocks{48};
   unsigned threads_per_block{kDefaultThreadsPerBlock};
@@ -41,10 +44,11 @@ struct RealFineParams {
   /// whole groups of nx/8 threads.
   static RealFineParams tuned(const TuneConfig& tune,
                               const sim::GpuSpec& gpu, std::size_t nx,
-                              std::size_t count) {
+                              std::size_t count, Direction dir) {
     RealFineParams p;
     p.nx = nx;
     p.count = count;
+    p.dir = dir;
     p.twiddles = tune.fine_twiddles;
     p.grid_blocks = tune.grid_for(gpu);
     p.threads_per_block = static_cast<unsigned>(std::max<std::size_t>(
@@ -54,7 +58,7 @@ struct RealFineParams {
   }
 };
 
-/// Per-line stride of the real kernels' shared arrays, in elements: the
+/// Per-line stride of the real kernel's shared arrays, in elements: the
 /// natural-order half-length spectrum, slots 0..nx/2, padded. The stage
 /// exchange reuses the first of the two (re, im) arrays.
 constexpr std::size_t real_fine_sh_stride(std::size_t nx,
@@ -69,21 +73,21 @@ inline double real_fine_twiddle_fetches(std::size_t nx) {
 }
 
 /// The fused real X pass's launch over `p` in double (`fp64`) or single
-/// precision: the forward (r2c unpack) or inverse (c2r pack) kernel's
-/// config() and the planner's price of that step.
-sim::LaunchConfig real_fine_config(const RealFineParams& p, Direction dir,
-                                   bool fp64);
+/// precision: the kernel's config() and the planner's price of that step.
+sim::LaunchConfig real_fine_config(const RealFineParams& p, bool fp64);
 
-/// Forward fused kernel: packed real rows -> half-spectrum rows, in place.
-/// Needs two twiddle tables when sourced from texture: the (nx/2)-point
-/// forward roots for the stages and the nx-point forward roots for the
-/// unpack pass.
+/// The fused real X pass, in place. Forward (r2c): packed real rows ->
+/// half-spectrum rows. Inverse (c2r): half-spectrum rows -> packed real
+/// rows, the row's Nyquist tail slot zeroed, scaled by params.scale. Reads
+/// the params.dir roots at two lengths, each from a device table when
+/// sourced from texture: (nx/2)-point for the stages and nx-point for the
+/// unpack or pack pass.
 template <typename T>
-class RealFineR2CKernelT final : public sim::Kernel {
+class RealFineKernelT final : public sim::Kernel {
  public:
-  RealFineR2CKernelT(DeviceBuffer<cx<T>>& data, const RealFineParams& params,
-                     const DeviceBuffer<cx<T>>* half_twiddles = nullptr,
-                     const DeviceBuffer<cx<T>>* unpack_twiddles = nullptr);
+  RealFineKernelT(DeviceBuffer<cx<T>>& data, const RealFineParams& params,
+                  const DeviceBuffer<cx<T>>* half_twiddles = nullptr,
+                  const DeviceBuffer<cx<T>>* full_twiddles = nullptr);
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
@@ -92,39 +96,14 @@ class RealFineR2CKernelT final : public sim::Kernel {
   DeviceBuffer<cx<T>>& data_;
   RealFineParams params_;
   std::vector<cx<T>> roots_half_;  ///< (nx/2)-point stage roots
-  std::vector<cx<T>> roots_full_;  ///< nx-point unpack roots
+  std::vector<cx<T>> roots_full_;  ///< nx-point unpack/pack roots
   const DeviceBuffer<cx<T>>* device_tw_half_;
   const DeviceBuffer<cx<T>>* device_tw_full_;
 };
 
-/// Inverse fused kernel: half-spectrum rows -> packed real rows (the
-/// row's Nyquist tail slot zeroed), in place, scaled by params.scale.
-/// Twiddle tables are the *inverse* roots at both lengths.
-template <typename T>
-class RealFineC2RKernelT final : public sim::Kernel {
- public:
-  RealFineC2RKernelT(DeviceBuffer<cx<T>>& data, const RealFineParams& params,
-                     const DeviceBuffer<cx<T>>* half_twiddles = nullptr,
-                     const DeviceBuffer<cx<T>>* pack_twiddles = nullptr);
+extern template class RealFineKernelT<float>;
+extern template class RealFineKernelT<double>;
 
-  [[nodiscard]] sim::LaunchConfig config() const override;
-  void run_block(sim::BlockCtx& ctx) override;
-
- private:
-  DeviceBuffer<cx<T>>& data_;
-  RealFineParams params_;
-  std::vector<cx<T>> roots_half_;
-  std::vector<cx<T>> roots_full_;
-  const DeviceBuffer<cx<T>>* device_tw_half_;
-  const DeviceBuffer<cx<T>>* device_tw_full_;
-};
-
-extern template class RealFineR2CKernelT<float>;
-extern template class RealFineR2CKernelT<double>;
-extern template class RealFineC2RKernelT<float>;
-extern template class RealFineC2RKernelT<double>;
-
-using RealFineR2CKernel = RealFineR2CKernelT<float>;
-using RealFineC2RKernel = RealFineC2RKernelT<float>;
+using RealFineKernel = RealFineKernelT<float>;
 
 }  // namespace repro::gpufft

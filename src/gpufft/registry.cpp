@@ -1,7 +1,6 @@
 #include "gpufft/registry.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -181,10 +180,14 @@ std::size_t PlanRegistry::import_wisdom(const std::string& text,
     if (line.rfind("schema ", 0) == 0) {
       // Versioned cost model: wisdom tuned under a different schema would
       // silently pin an older model's winners, so any mismatch rejects
-      // the whole file — same all-or-nothing rule as the fingerprint.
-      const int found = std::atoi(line.c_str() + 7);
-      if (found != kWisdomSchemaVersion) {
-        return reject("wisdom schema " + std::to_string(found) +
+      // the whole file — same all-or-nothing rule as the fingerprint. The
+      // rest of the line must be the bare decimal version: a garbled
+      // line is not this build's schema either.
+      const std::string found = line.substr(7);
+      unsigned version = 0;
+      if (!parse_decimal(found, version) ||
+          version != static_cast<unsigned>(kWisdomSchemaVersion)) {
+        return reject("wisdom schema " + found +
                       " does not match this build's schema " +
                       std::to_string(kWisdomSchemaVersion) +
                       " (cost model changed; re-tune and re-save)");

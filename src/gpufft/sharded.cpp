@@ -970,10 +970,10 @@ void ShardedRealFft3DPlan::phase2_epilogue(std::size_t e,
   // 1/(n/2 * n * n) normalization (true inverse).
   Device& dev = group_->device(e);
   auto fp = RealFineParams::tuned(desc_.tune, dev.spec(), n_,
-                                  n_ * shards_);
+                                  n_ * shards_, desc_.dir);
   fp.scale = 1.0 / (static_cast<double>(n_ / 2) * static_cast<double>(n_) *
                     static_cast<double>(n_));
-  RealFineC2RKernel c2r(group, fp, tw_half_[e].get(), tw_full_[e].get());
+  RealFineKernel c2r(group, fp, tw_half_[e].get(), tw_full_[e].get());
   ms += dev.launch_async(c2r, s).total_ms;
 }
 

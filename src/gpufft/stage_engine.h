@@ -5,14 +5,16 @@
 // fixup for n = 2*4^k) ranks, and between stages the values cross threads
 // through shared memory exchanging all real parts first, then all
 // imaginary parts (Section 3.2's half-footprint exchange). The complex
-// step-5 kernel (fine_kernel.*) and the real pack/unpack kernels
+// step-5 kernel (fine_kernel.*) and the fused real pack/unpack pass
 // (real_kernels.*) differ only in how stage-0 inputs are produced and
 // where the natural-order outputs go, so run_fine_stages() takes those as
 // callbacks and keeps every butterfly, twiddle index, and shared-memory
-// access pattern in one place.
+// access pattern in one place. TwiddleReader is the one twiddle read of
+// every rank, fine and real fine kernel.
 #pragma once
 
 #include <cmath>
+#include <numbers>
 #include <vector>
 
 #include "fft/factor.h"
@@ -20,6 +22,51 @@
 #include "gpufft/types.h"
 
 namespace repro::gpufft {
+
+/// W_len^idx through one TwiddleSource (Section 3.2's twiddle placement),
+/// for a table of len = roots.size() entries: the kernel's register copy
+/// `roots`, a constant-memory broadcast of it, a texture fetch from its
+/// device copy, or a sincos of sign*2*pi*idx/len in double.
+template <typename T>
+class TwiddleReader {
+ public:
+  /// `device_table` is bound only for TwiddleSource::Texture.
+  TwiddleReader(sim::BlockCtx& ctx, TwiddleSource src,
+                const std::vector<cx<T>>& roots,
+                const DeviceBuffer<cx<T>>* device_table, int sign)
+      : src_(src),
+        sign_(sign),
+        roots_(roots),
+        cst_(ctx.constant(roots)),
+        tex_(src == TwiddleSource::Texture
+                 ? ctx.texture(*device_table)
+                 : sim::TextureView<cx<T>>(nullptr, nullptr, 0)) {}
+
+  cx<T> operator()(const sim::ThreadCtx& t, std::size_t idx) const {
+    switch (src_) {
+      case TwiddleSource::Registers:
+        return roots_[idx];
+      case TwiddleSource::Constant:
+        return cst_.load(t, idx);
+      case TwiddleSource::Texture:
+        return tex_.fetch(t, idx);
+      case TwiddleSource::Recompute:
+      default: {
+        const double theta = sign_ * 2.0 * std::numbers::pi *
+                             static_cast<double>(idx) /
+                             static_cast<double>(roots_.size());
+        return polar_unit<T>(theta);
+      }
+    }
+  }
+
+ private:
+  TwiddleSource src_;
+  int sign_;
+  const std::vector<cx<T>>& roots_;
+  sim::ConstView<cx<T>> cst_;
+  sim::TextureView<cx<T>> tex_;
+};
 
 /// Padded shared-memory index: insert one word every `pad_words` so that
 /// the power-of-two strides of the butterfly exchange spread across banks.
@@ -179,22 +226,22 @@ inline double mixed_line_flops(std::size_t n) {
 
 /// Run every stage of one wave of transforms: the block's `txs_pb`
 /// transform groups starting at group index `base` (groups past `count`
-/// are idle). Callbacks:
+/// are idle), reading W_n^idx through `twiddle`. Callbacks:
 ///   load(t, tx, pos)      -> cx<T>   stage-0 input `pos` of transform tx
 ///   store(t, tx, pos, v)             natural-order output `pos`
-///   twiddle(t, idx)       -> cx<T>   W_n^idx through the kernel's path
 /// `sh` is the exchange window (stride `sh_stride` >= fine_min_sh_stride(n)
 /// elements per transform); `vals`/`tmp` are the emulated per-thread
 /// registers (4 per thread), allocated once by the caller across waves.
 /// The callbacks run inside barrier phases: `load` may read shared data
 /// written in a phase before this call, and `store` may overwrite the
 /// exchange window (the final phase no longer reads it).
-template <typename T, typename Load, typename Store, typename Twiddle>
+template <typename T, typename Load, typename Store>
 void run_fine_stages(sim::BlockCtx& ctx, const std::vector<FineStage>& sts,
                      std::size_t n, int sign, sim::SharedView<T>& sh,
                      std::size_t sh_stride, std::size_t pad_words,
                      std::size_t base, std::size_t count, cx<T>* vals,
-                     T* tmp, Load&& load, Store&& store, Twiddle&& twiddle) {
+                     T* tmp, const TwiddleReader<T>& twiddle, Load&& load,
+                     Store&& store) {
   const std::size_t tpt = fine_threads_per_transform(n);
   const std::size_t n_stages = sts.size();
 

@@ -142,10 +142,15 @@ TEST(FineKernel, RejectsBadGeometry) {
 }
 
 TEST(FineKernel, ShmemFootprintMatchesPaperScale) {
-  // n floats + padding: ~1.06 KB for a 256-point transform.
-  EXPECT_EQ(FineFftKernel::shmem_bytes_per_transform(256),
-            (255 + 255 / 16 + 1) * 4u);
-  EXPECT_LT(FineFftKernel::shmem_bytes_per_transform(256), 1100u);
+  // n floats + padding: ~1.06 KB for a 256-point transform, the one
+  // transform group of a 64-thread block.
+  FineKernelParams p;
+  p.n = 256;
+  p.count = 1;
+  p.threads_per_block = 64;
+  const std::size_t shmem = fine_config(p, /*fp64=*/false).shmem_per_block;
+  EXPECT_EQ(shmem, (255 + 255 / 16 + 1) * 4u);
+  EXPECT_LT(shmem, 1100u);
 }
 
 }  // namespace

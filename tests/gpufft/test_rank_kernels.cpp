@@ -44,12 +44,12 @@ std::vector<cxf> transform_axis_via_ranks(std::span<const cxf> input,
   // Rank1 twiddle digit c must be the low digit Z1: our plan always has the
   // low digit in dim 3 ('c') when the high digit is in dim 4. Rearrange:
   p.in_shape = Shape5{{nx, 1, 1, f1, f2}};
-  Rank1Kernel k1(v, w, p, n, &twd);
+  RankKernel k1(v, w, p, /*rank1=*/true, n, &twd);
   dev.launch(k1);
 
   // After rank1: (nx, f2, 1, 1, f1): transform along dim 4 (the low digit).
   p.in_shape = Shape5{{nx, f2, 1, 1, f1}};
-  Rank2Kernel k2(w, v, p);
+  RankKernel k2(w, v, p, /*rank1=*/false);
   dev.launch(k2);
 
   // After rank2: (nx, f2, f1, 1, 1) with k = K2 + f2*K1 natural.
@@ -111,7 +111,7 @@ TEST(RankKernels, ReadsCoalesced) {
   RankKernelParams p;
   p.in_shape = shape;
   p.grid_blocks = default_grid_blocks(dev.spec());
-  Rank1Kernel k(v, w, p, 256);
+  RankKernel k(v, w, p, /*rank1=*/true, 256);
   const auto r = dev.launch(k);
   EXPECT_GT(r.coalesced_fraction, 0.99);
   EXPECT_EQ(r.dram_bytes, 2ull * shape.volume() * sizeof(cxf));
@@ -125,7 +125,7 @@ TEST(RankKernels, OccupancySustains128ThreadsPerSM) {
   auto w = dev.alloc<cxf>(shape.volume());
   RankKernelParams p;
   p.in_shape = shape;
-  Rank1Kernel k(v, w, p, 256);
+  RankKernel k(v, w, p, /*rank1=*/true, 256);
   const auto r = dev.launch(k);
   EXPECT_EQ(r.occupancy.active_threads, 128);
 }
@@ -141,7 +141,7 @@ TEST(RankKernels, Rank2PreservesEnergy) {
   RankKernelParams p;
   p.in_shape = shape;
   p.grid_blocks = 4;
-  Rank2Kernel k(v, w, p);
+  RankKernel k(v, w, p, /*rank1=*/false);
   dev.launch(k);
   std::vector<cxf> out(shape.volume());
   dev.d2h(std::span<cxf>(out), w);

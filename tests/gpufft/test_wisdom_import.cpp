@@ -129,5 +129,42 @@ TEST(Wisdom, GarbledFieldsAreRejected) {
   }
 }
 
+TEST(Wisdom, GarbledSchemaLineRejectsTheFile) {
+  Device dev(sim::geforce_8800_gtx());
+  const std::string version = std::to_string(kWisdomSchemaVersion);
+  const std::string schema = "schema " + version;
+  std::string file;
+  {
+    PlanRegistry reg(dev);
+    ASSERT_EQ(reg.import_wisdom(
+                  schema + "\n" + wisdom_header(dev.spec()) + "\n" +
+                  wisdom_line(PlanDesc::bandwidth3d(cube(64),
+                                                    Direction::Forward),
+                              TuneConfig{}) +
+                  "\n"),
+              1u);
+    file = reg.export_wisdom();
+  }
+  const std::size_t at = file.find(schema + "\n");
+  ASSERT_NE(at, std::string::npos);
+  // The schema number must be the whole rest of the line: a suffix, a
+  // second token, a fraction, an extra space or a sign is no schema.
+  for (const std::string& bad : {version + "x", version + " 7",
+                                 version + ".9", " " + version,
+                                 "+" + version}) {
+    std::string garbled = file;
+    garbled.replace(at, schema.size(), "schema " + bad);
+    PlanRegistry reg(dev);
+    std::string reason;
+    EXPECT_EQ(reg.import_wisdom(garbled, &reason), 0u) << bad;
+    EXPECT_EQ(reg.wisdom_size(), 0u) << bad;
+    EXPECT_NE(reason.find("does not match this build's schema"),
+              std::string::npos)
+        << bad << ": " << reason;
+  }
+  PlanRegistry reg(dev);
+  EXPECT_EQ(reg.import_wisdom(file), 1u);
+}
+
 }  // namespace
 }  // namespace repro::gpufft
