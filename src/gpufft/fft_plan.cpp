@@ -36,9 +36,6 @@ void finish_accumulation(std::vector<StepTiming>& total,
 template <typename T>
 FftPlanT<T>::FftPlanT(Device& dev, PlanDesc desc, const TuneConfig& tune)
     : dev_(dev), desc_(std::move(desc)) {
-  REPRO_CHECK_MSG(tune.executable_patterns(),
-                  "only the paper's read-D/write-A coarse pattern pairing "
-                  "is implemented; other pairs are model-only knobs");
   desc_.precision = precision_of<T>;
   desc_.tune = tune;
 }

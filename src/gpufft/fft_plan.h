@@ -152,9 +152,7 @@ class FftPlanT {
   FftPlanT(Device& dev, const PlanDesc& desc) : dev_(dev), desc_(desc) {}
 
   /// Base of the plans that launch the paper's kernels under `tune`:
-  /// `desc` takes T's precision and carries `tune`. Throws unless `tune`
-  /// pairs the coarse patterns read-D/write-A, the only pairing the rank
-  /// kernels implement (the others are model-only knobs).
+  /// `desc` takes T's precision and carries `tune`.
   FftPlanT(Device& dev, PlanDesc desc, const TuneConfig& tune);
 
   /// The plan body: one unverified in-place transform. Concrete plans

@@ -100,22 +100,14 @@ struct PlanDesc {
   Direction dir{Direction::Forward};
   Precision precision{Precision::F32};
   /// Tunable knobs (twiddle placement, grid, block size, radix, pad,
-  /// slab depth, pattern pair). Part of the identity: a tuned plan and a
+  /// slab depth, row pitch). Part of the identity: a tuned plan and a
   /// default-config plan of the same shape are different registry entries.
   TuneConfig tune{};
   TransposeStrategy transpose{TransposeStrategy::Naive};  ///< Conventional3D
   std::size_t splits{0};  ///< OutOfCore / Sharded3D decimation factor
   Layout layout{Layout::Complex};  ///< element layout (Real3D: half-spectrum)
 
-  friend bool operator==(const PlanDesc& a, const PlanDesc& b) {
-    return a.kind == b.kind && a.shape == b.shape && a.dir == b.dir &&
-           a.precision == b.precision && a.tune == b.tune &&
-           a.transpose == b.transpose && a.splits == b.splits &&
-           a.layout == b.layout;
-  }
-  friend bool operator!=(const PlanDesc& a, const PlanDesc& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const PlanDesc&, const PlanDesc&) = default;
 
   /// True for the Z-decimated kinds (OutOfCore, Sharded3D,
   /// BatchSharded3D): `splits` is their decimation factor, their device

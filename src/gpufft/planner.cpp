@@ -107,34 +107,11 @@ bool launchable(const sim::GpuSpec& spec, const sim::LaunchConfig& c) {
 // Coarse (rank-kernel) step model
 // ---------------------------------------------------------------------------
 
-/// 5-D view with the transform extent at `pos` (the Table-2 pattern value,
-/// 1..4) and the item extents at the remaining dims in order. pos 4 with
-/// items (x,a,b,c) is exactly the rank kernels' in_shape walk.
-Shape5 view_with_l(const std::array<std::size_t, 4>& items, std::size_t l,
-                   std::size_t pos) {
-  Shape5 s;
-  std::size_t ii = 0;
-  for (std::size_t d = 0; d < 5; ++d) {
-    s.extent[d] = d == pos ? l : items[ii++];
-  }
-  return s;
-}
-
-std::size_t index_with_l(const Shape5& s, std::size_t pos,
-                         const std::array<std::size_t, 4>& it,
-                         std::size_t q) {
-  std::array<std::size_t, 5> idx{};
-  std::size_t ii = 0;
-  for (std::size_t d = 0; d < 5; ++d) idx[d] = d == pos ? q : it[ii++];
-  return s.at(idx[0], idx[1], idx[2], idx[3], idx[4]);
-}
-
 /// Score one coarse step: the rank kernel's own launch, plus a synthetic
 /// sample of its memory behaviour replayed through sim::estimate_launch —
-/// per-warp transaction streams built from the kernels' x-innermost item
-/// walk over the step's (x, a, b, c) items, each an l-point per-thread
-/// FFT; loads run along the read pattern's dimension and stores along the
-/// write pattern's.
+/// per-warp transaction streams over the kernels' x-innermost item walk,
+/// each item's loads and stores at the very RankWalk addresses the kernel
+/// issues.
 double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
                       const PlanDesc& d) {
   const TuneConfig& cfg = d.tune;
@@ -144,12 +121,10 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
   const sim::LaunchConfig c = rank_config(p, st.rank1, fp64);
   if (!launchable(spec, c)) return kInfeasible;
 
-  const auto& e = st.in_shape.extent;
-  const std::array<std::size_t, 4> items{e[0], e[1], e[2], e[3]};
-  const std::size_t l = e[4];
+  const RankWalk walk(st.in_shape, st.rank1);
+  const std::size_t l = walk.L;
   const std::size_t esize = fp64 ? 16 : 8;  // sizeof(cx<T>)
-  const std::size_t items_total = items[0] * items[1] * items[2] * items[3];
-  const std::size_t volume = items_total * l;
+  const std::size_t volume = walk.items * l;
   const unsigned grid = c.grid_blocks;
   const unsigned tpb = c.threads_per_block;
   const TwiddleSource tw =
@@ -160,10 +135,6 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
   stats.elem_bytes_loaded = volume * esize;
   stats.elem_bytes_stored = volume * esize;
 
-  const auto rd = static_cast<std::size_t>(cfg.coarse_read);
-  const auto wr = static_cast<std::size_t>(cfg.coarse_write);
-  const Shape5 rview = view_with_l(items, l, rd);
-  const Shape5 wview = view_with_l(items, l, wr);
   const std::uint64_t in_base = 0;
   const std::uint64_t out_base = (volume * esize + 255) / 256 * 256;
 
@@ -172,36 +143,28 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
   const std::size_t sampled_warps = std::min<std::size_t>(total_warps, 64);
   stats.warp_streams.resize(sampled_warps);
   const auto threads = static_cast<std::size_t>(grid) * tpb;
-  const std::size_t per_thread = (items_total + threads - 1) / threads;
+  const std::size_t per_thread = (walk.items + threads - 1) / threads;
   const std::size_t rounds = std::min<std::size_t>(per_thread, 6);
 
   std::vector<sim::LaneAccess> lanes;
-  std::array<std::size_t, 4> it{};
   for (std::size_t w = 0; w < sampled_warps; ++w) {
     auto& stream = stats.warp_streams[w];
     for (std::size_t r = 0; r < rounds; ++r) {
       for (unsigned half = 0; half < 2; ++half) {
         const std::size_t gid0 = w * 32 + half * 16;
-        // One item per lane; the kernels issue the l loads (along the
-        // read view), then the l stores (along the write view),
-        // slot-aligned across the half-warp.
+        // One item per lane; the kernels issue the l loads, then the l
+        // stores, slot-aligned across the half-warp.
         for (const bool store : {false, true}) {
-          const Shape5& view = store ? wview : rview;
-          const std::size_t pos = store ? wr : rd;
           const std::uint64_t base = store ? out_base : in_base;
           for (std::size_t q = 0; q < l; ++q) {
             lanes.clear();
             for (unsigned ln = 0; ln < 16; ++ln) {
-              const std::size_t widx = gid0 + ln + r * threads;
-              if (widx >= items_total) continue;
-              it[0] = widx % items[0];
-              it[1] = (widx / items[0]) % items[1];
-              it[2] = (widx / (items[0] * items[1])) % items[2];
-              it[3] = widx / (items[0] * items[1] * items[2]);
-              const std::uint64_t addr =
-                  base + index_with_l(view, pos, it, q) * esize;
+              const std::size_t item = gid0 + ln + r * threads;
+              if (item >= walk.items) continue;
+              const std::size_t elem =
+                  store ? walk.store(item, q) : walk.load(item, q);
               lanes.push_back(sim::LaneAccess{
-                  static_cast<int>(ln), addr,
+                  static_cast<int>(ln), base + elem * esize,
                   static_cast<std::uint32_t>(esize)});
             }
             if (lanes.empty()) continue;
@@ -227,7 +190,7 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
     }
   }
   if (st.rank1 && tw == TwiddleSource::Texture) {
-    stats.tex_elem_bytes = items_total * (l - 1) * esize;
+    stats.tex_elem_bytes = walk.items * (l - 1) * esize;
     stats.sampled_tex_elem_bytes = stats.tex_elem_bytes;
     stats.sampled_tex_miss_bytes = texture_miss_bytes(
         spec, st.axis_n * esize, stats.tex_elem_bytes, grid);
@@ -245,8 +208,6 @@ double coarse_step_ms_memo(const sim::GpuSpec& spec, const CoarseRankStep& st,
        cfg.threads_per_block,
        static_cast<std::uint64_t>(st.rank1 ? cfg.coarse_twiddles
                                            : TwiddleSource::Registers),
-       static_cast<std::uint64_t>(cfg.coarse_read),
-       static_cast<std::uint64_t>(cfg.coarse_write),
        static_cast<std::uint64_t>(d.precision)});
   const auto it = memo.find(key);
   if (it != memo.end()) return it->second;
@@ -706,8 +667,7 @@ double mixed_pitch_amplification(const sim::GpuSpec& spec, Shape3 shape,
          static_cast<double>(s.stats.sampled_elem_bytes);
 }
 
-TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc,
-                     const PlannerOptions& opts) {
+TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc) {
   Memo memo;
   TuneResult res;
   const TuneConfig def{};
@@ -716,16 +676,6 @@ TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc,
   res.model_ms = res.default_ms;
   res.evaluated = 1;
 
-  std::vector<std::pair<Pattern, Pattern>> patterns;
-  if (opts.executable_only) {
-    patterns = {{Pattern::D, Pattern::A}};
-  } else {
-    // Every Table-2 pairing that contains the unavoidable decimation hop.
-    patterns = {{Pattern::D, Pattern::A}, {Pattern::D, Pattern::B},
-                {Pattern::D, Pattern::C}, {Pattern::D, Pattern::D},
-                {Pattern::A, Pattern::D}, {Pattern::B, Pattern::D},
-                {Pattern::C, Pattern::D}};
-  }
   static constexpr std::size_t kKeepSplits[] = {0};
   const std::span<const std::size_t> slabs =
       desc.z_decimated() ? std::span<const std::size_t>(kSlabDepths)
@@ -740,35 +690,30 @@ TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc,
 
   for (const TwiddleSource ctw : kCoarseTwiddles) {
     for (const TwiddleSource ftw : kFineTwiddles) {
-      for (const auto& [rd, wr] : patterns) {
-        for (const unsigned tpb : kThreadsPerBlock) {
-          for (const unsigned bps : kBlocksPerSm) {
-            for (const unsigned radix : kCoarseRadix) {
-              for (const unsigned pad : kShmemPadWords) {
-                for (const std::size_t slab : slabs) {
-                  for (const PitchMode pitch : pitches) {
-                    TuneConfig cfg;
-                    cfg.coarse_twiddles = ctw;
-                    cfg.fine_twiddles = ftw;
-                    cfg.coarse_read = rd;
-                    cfg.coarse_write = wr;
-                    cfg.threads_per_block = tpb;
-                    cfg.blocks_per_sm = bps;
-                    cfg.coarse_radix = radix;
-                    cfg.shmem_pad_words = pad;
-                    cfg.slab_depth = slab;
-                    cfg.pitch = pitch;
-                    if (cfg == def) continue;  // scored first, above
-                    const double ms =
-                        plan_ms(spec, with_tune(desc, cfg), memo);
-                    ++res.evaluated;
-                    // Strict-improvement margin: ties within the model's
-                    // resolution keep the earlier candidate, so the
-                    // paper's defaults survive equivalent alternatives.
-                    if (ms < res.model_ms * (1.0 - kImprovementMargin)) {
-                      res.best = cfg;
-                      res.model_ms = ms;
-                    }
+      for (const unsigned tpb : kThreadsPerBlock) {
+        for (const unsigned bps : kBlocksPerSm) {
+          for (const unsigned radix : kCoarseRadix) {
+            for (const unsigned pad : kShmemPadWords) {
+              for (const std::size_t slab : slabs) {
+                for (const PitchMode pitch : pitches) {
+                  TuneConfig cfg;
+                  cfg.coarse_twiddles = ctw;
+                  cfg.fine_twiddles = ftw;
+                  cfg.threads_per_block = tpb;
+                  cfg.blocks_per_sm = bps;
+                  cfg.coarse_radix = radix;
+                  cfg.shmem_pad_words = pad;
+                  cfg.slab_depth = slab;
+                  cfg.pitch = pitch;
+                  if (cfg == def) continue;  // scored first, above
+                  const double ms = plan_ms(spec, with_tune(desc, cfg), memo);
+                  ++res.evaluated;
+                  // Strict-improvement margin: ties within the model's
+                  // resolution keep the earlier candidate, so the paper's
+                  // defaults survive equivalent alternatives.
+                  if (ms < res.model_ms * (1.0 - kImprovementMargin)) {
+                    res.best = cfg;
+                    res.model_ms = ms;
                   }
                 }
               }

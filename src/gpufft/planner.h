@@ -6,8 +6,8 @@
 // launch the kernel itself would issue (rank_config, fine_config,
 // real_fine_config and mixed_axis_config are the kernels' config()) plus a
 // synthetic sim::LaunchStats — sampled per-warp DRAM transaction streams
-// over the rank kernels' x-innermost item walk and the mixed-radix
-// kernel's own MixedAxisWalk, and closed-form shared/constant/texture
+// over the rank kernels' own RankWalk and the mixed-radix kernel's own
+// MixedAxisWalk, and closed-form shared/constant/texture
 // serialization totals for the fine step from run_fine_stages' own
 // exchange addresses — and feeds both to sim::estimate_launch. Streamed
 // kinds price the slab plan the executor builds (slab_plan_desc) through
@@ -16,6 +16,11 @@
 // the tuner rediscovers the paper's Table-2 configuration on the
 // 8800-class specs and finds different winners when the spec is mutated
 // (register file, shared-memory bank count, bus width).
+//
+// The coarse steps' access patterns are not searched: the rank kernels fix
+// them as Table 2 does (read D; write A for rank 1, B for rank 2), and
+// bench_access_patterns measures every other pairing with copy kernels
+// (Tables 3/4).
 //
 // The default TuneConfig is scored first and a challenger must beat the
 // incumbent by a relative margin, so modeling ties (and sub-resolution
@@ -41,21 +46,7 @@ namespace repro::gpufft {
 /// rejects any file whose schema line is missing (pre-versioned files
 /// from older builds) or different — all-or-nothing, like a GpuSpec
 /// fingerprint mismatch.
-inline constexpr int kWisdomSchemaVersion = 3;
-
-/// Search bounds of the tuner. The candidate list of every knob is fixed
-/// (planner.cpp) and covers every value the executors accept; patterns
-/// other than the paper's read-D/write-A pairing are model-only (the rank
-/// kernels do not implement them), so they are searched only when
-/// `executable_only` is lowered — the planner then demonstrates that D->A
-/// is the argmin, as in the paper's Tables 3/4.
-struct PlannerOptions {
-  /// Restrict the pattern pairing to the executable read-D/write-A choice.
-  /// When false, every Table-2 pair containing the decimation hop D is
-  /// scored (the hop to/from the transform's home dimension is
-  /// unavoidable; pairing it with A, B or C is the design choice).
-  bool executable_only{true};
-};
+inline constexpr int kWisdomSchemaVersion = 4;
 
 /// Outcome of one tuning search.
 struct TuneResult {
@@ -81,10 +72,9 @@ double model_plan_ms(const sim::GpuSpec& spec, const PlanDesc& desc,
 double mixed_pitch_amplification(const sim::GpuSpec& spec, Shape3 shape,
                                  PitchMode pitch);
 
-/// Exhaustive search within `opts` bounds; pure function of (spec, desc,
-/// opts) — deterministic and execution-free.
-TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc,
-                     const PlannerOptions& opts = {});
+/// Exhaustive search of the fixed candidate lists (planner.cpp); a pure
+/// function of (spec, desc) — deterministic and execution-free.
+TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc);
 
 /// FNV-1a fingerprint over the GpuSpec fields the cost model reads.
 /// Wisdom is only valid on the spec it was tuned for.

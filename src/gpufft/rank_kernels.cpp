@@ -89,12 +89,8 @@ sim::LaunchConfig RankKernelT<T>::config() const {
 template <typename T>
 void RankKernelT<T>::run_block(sim::BlockCtx& ctx) {
   const auto& e = params_.in_shape.extent;
-  const std::size_t L = e[4];
-  const std::size_t items = e[0] * e[1] * e[2] * e[3];
-  // Item w = x + nx*(a + na*(b + nb*c)) reads its L points `items` apart.
-  // Its output k lands s*k past w % s + s*L*(w / s): s = nx puts the digit
-  // after X (pattern A), s = nx*na after a (pattern B).
-  const std::size_t s = rank1_ ? e[0] : e[0] * e[1];
+  const RankWalk walk(params_.in_shape, rank1_);
+  const std::size_t L = walk.L;
   const std::size_t per_c = e[0] * e[1] * e[2];
   const int sign = fft::direction_sign(params_.dir);
 
@@ -109,9 +105,10 @@ void RankKernelT<T>::run_block(sim::BlockCtx& ctx) {
     cx<T> v[kMaxFactor];
     // Paper loop "for c,b,a,X": X innermost so half-warps stay on
     // consecutive addresses.
-    for (std::size_t w = t.global_id(); w < items; w += t.total_threads()) {
+    for (std::size_t w = t.global_id(); w < walk.items;
+         w += t.total_threads()) {
       for (std::size_t q = 0; q < L; ++q) {
-        v[q] = in.load(t, w + items * q);
+        v[q] = in.load(t, walk.load(w, q));
       }
       fft_small(v, L, sign, roots_l_.data());
 
@@ -123,9 +120,8 @@ void RankKernelT<T>::run_block(sim::BlockCtx& ctx) {
         }
       }
 
-      const std::size_t base = w % s + s * L * (w / s);
       for (std::size_t k = 0; k < L; ++k) {
-        out.store(t, base + s * k, v[k]);
+        out.store(t, walk.store(w, k), v[k]);
       }
     }
   });

@@ -51,6 +51,33 @@ struct RankKernelParams {
   }
 };
 
+/// The addresses of one coarse rank launch over `in_shape` (dims (nx, a,
+/// b, c, L), transform along dim 4), as element offsets into the input
+/// and output views. Item w = x + nx*(a + na*(b + nb*c)) loads its L
+/// points `items` apart (Table 2's pattern D) and stores output k at
+/// w % s + s*L*(w / s) + s*k: s = nx puts the digit after X for rank 1
+/// (pattern A, the paper's FFT256_1), s = nx*na after a for rank 2
+/// (pattern B, FFT256_2). RankKernelT walks it and the planner samples it.
+struct RankWalk {
+  RankWalk(const Shape5& in_shape, bool rank1)
+      : items(in_shape.extent[0] * in_shape.extent[1] * in_shape.extent[2] *
+              in_shape.extent[3]),
+        L(in_shape.extent[4]),
+        s(rank1 ? in_shape.extent[0]
+                : in_shape.extent[0] * in_shape.extent[1]) {}
+
+  [[nodiscard]] std::size_t load(std::size_t w, std::size_t q) const {
+    return w + items * q;
+  }
+  [[nodiscard]] std::size_t store(std::size_t w, std::size_t k) const {
+    return w % s + s * L * (w / s) + s * k;
+  }
+
+  std::size_t items;  ///< work items, one L-point FFT each
+  std::size_t L;      ///< points per item
+  std::size_t s;      ///< element stride of the output digit
+};
+
 /// The launch of a coarse rank kernel over `p.in_shape`, in double (`fp64`)
 /// or single precision: one small FFT per item plus, for rank 1 (`rank1`),
 /// the inter-rank twiddle multiplies. Rank 2 applies no twiddle, so it

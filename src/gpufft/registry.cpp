@@ -102,15 +102,14 @@ std::shared_ptr<FftPlanT<T>> PlanRegistry::get_or_create_tuned_as(
   return get_or_create_as<T>(tuned);
 }
 
-const TuneConfig& PlanRegistry::tuned_config(const PlanDesc& desc,
-                                             const PlannerOptions& opts) {
+const TuneConfig& PlanRegistry::tuned_config(const PlanDesc& desc) {
   REPRO_CHECK_MSG(desc.tune == TuneConfig{},
                   "tuned lookups take a default-tune description; the "
                   "tuner owns the knobs");
   const auto it = wisdom_.find(desc);
   if (it != wisdom_.end()) return it->second;
   if (group_ == nullptr) {
-    const TuneResult r = tune_plan(dev_.spec(), desc, opts);
+    const TuneResult r = tune_plan(dev_.spec(), desc);
     ++tune_searches_;
     tune_evaluations_ += r.evaluated;
     return wisdom_.emplace(desc, r.best).first->second;
@@ -132,7 +131,7 @@ const TuneConfig& PlanRegistry::tuned_config(const PlanDesc& desc,
       if (warm != member.wisdom_.end()) {
         found = by_fp.emplace(fp, warm->second).first;
       } else {
-        const TuneResult r = tune_plan(dev.spec(), desc, opts);
+        const TuneResult r = tune_plan(dev.spec(), desc);
         ++tune_searches_;
         tune_evaluations_ += r.evaluated;
         found = by_fp.emplace(fp, r.best).first;

@@ -94,8 +94,7 @@ class PlanRegistry {
   /// its warm wisdom reused) and the winning config is seeded into every
   /// matching member's wisdom, so a homogeneous group of N costs one
   /// evaluation instead of N.
-  const TuneConfig& tuned_config(const PlanDesc& desc,
-                                 const PlannerOptions& opts = {});
+  const TuneConfig& tuned_config(const PlanDesc& desc);
 
   // ---- wisdom: persisted tuning results (FFTW-style) ----
 

@@ -28,21 +28,6 @@ bool parse_twiddle_source(const std::string& s, TwiddleSource& out) {
   return true;
 }
 
-bool parse_pattern(const std::string& s, Pattern& out) {
-  if (s == "A") {
-    out = Pattern::A;
-  } else if (s == "B") {
-    out = Pattern::B;
-  } else if (s == "C") {
-    out = Pattern::C;
-  } else if (s == "D") {
-    out = Pattern::D;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool parse_fields(const std::string& s,
                   std::span<const std::string_view> keys,
                   std::vector<std::string>& values) {
@@ -72,8 +57,7 @@ bool parse_fields(const std::string& s,
 
 bool parse_tune_config(const std::string& s, TuneConfig& out) {
   static constexpr std::string_view kKeys[] = {
-      "ctw", "ftw", "grid", "bps", "tpb", "radix",
-      "pad", "slab", "read", "write", "pitch"};
+      "ctw", "ftw", "grid", "bps", "tpb", "radix", "pad", "slab", "pitch"};
   std::vector<std::string> v;
   if (!parse_fields(s, kKeys, v)) return false;
   TuneConfig cfg;
@@ -84,14 +68,12 @@ bool parse_tune_config(const std::string& s, TuneConfig& out) {
       !parse_decimal(v[4], cfg.threads_per_block) ||
       !parse_decimal(v[5], cfg.coarse_radix) ||
       !parse_decimal(v[6], cfg.shmem_pad_words) ||
-      !parse_decimal(v[7], cfg.slab_depth) ||
-      !parse_pattern(v[8], cfg.coarse_read) ||
-      !parse_pattern(v[9], cfg.coarse_write)) {
+      !parse_decimal(v[7], cfg.slab_depth)) {
     return false;
   }
-  if (v[10] == pitch_mode_name(PitchMode::Dense)) {
+  if (v[8] == pitch_mode_name(PitchMode::Dense)) {
     cfg.pitch = PitchMode::Dense;
-  } else if (v[10] == pitch_mode_name(PitchMode::Padded)) {
+  } else if (v[8] == pitch_mode_name(PitchMode::Padded)) {
     cfg.pitch = PitchMode::Padded;
   } else {
     return false;
@@ -112,10 +94,6 @@ std::string TuneConfig::to_string() const {
   s += " radix=" + std::to_string(coarse_radix);
   s += " pad=" + std::to_string(shmem_pad_words);
   s += " slab=" + std::to_string(slab_depth);
-  s += " read=";
-  s += pattern_name(coarse_read);
-  s += " write=";
-  s += pattern_name(coarse_write);
   s += " pitch=";
   s += pitch_mode_name(pitch);
   return s;

@@ -2,13 +2,15 @@
 //
 // Every knob the five-step plans used to hard-code — twiddle placement,
 // grid shape, threads per block, the coarse radix split, the fine kernel's
-// anti-bank-conflict pad, the streamed plans' slab depth, and the Table-2
-// access-pattern pairing — lives in TuneConfig. A default-constructed
-// TuneConfig reproduces the paper's published configuration bit-for-bit;
-// the planner (planner.h) searches this space per (GpuSpec, PlanDesc) and
-// the registry persists winners as human-readable wisdom. TuneConfig is
-// part of PlanDesc identity, so tuned and default plans of the same shape
-// can never alias in the PlanRegistry.
+// anti-bank-conflict pad, the streamed plans' slab depth and the Mixed3D
+// row pitch — lives in TuneConfig. A default-constructed TuneConfig
+// reproduces the paper's published configuration bit-for-bit; the planner
+// (planner.h) searches this space per (GpuSpec, PlanDesc) and the registry
+// persists winners as human-readable wisdom. TuneConfig is part of
+// PlanDesc identity, so tuned and default plans of the same shape can
+// never alias in the PlanRegistry. The coarse steps' Table-2 access
+// patterns are not a knob: the rank kernels fix them (RankWalk in
+// rank_kernels.h).
 #pragma once
 
 #include <charconv>
@@ -65,31 +67,12 @@ struct TuneConfig {
   /// Streamed plans (out-of-core / sharded): slab decimation override;
   /// 0 = the plan description's own `splits`.
   std::size_t slab_depth{0};
-  /// Table-2 access-pattern pairing of the coarse steps. Only the paper's
-  /// read-D/write-A pairing is executable; the planner scores the others
-  /// closed-form to show D->A is the argmin (Tables 3/4).
-  Pattern coarse_read{Pattern::D};
-  Pattern coarse_write{Pattern::A};
   /// Row-pitch layout of Mixed3D (non-pow2) volumes. Searched by the
   /// planner for that kind only; pow2 kinds keep Dense (their rows are
   /// already segment-aligned), so default plans stay bit-identical.
   PitchMode pitch{PitchMode::Dense};
 
-  friend bool operator==(const TuneConfig& a, const TuneConfig& b) {
-    return a.coarse_twiddles == b.coarse_twiddles &&
-           a.fine_twiddles == b.fine_twiddles &&
-           a.grid_blocks == b.grid_blocks &&
-           a.blocks_per_sm == b.blocks_per_sm &&
-           a.threads_per_block == b.threads_per_block &&
-           a.coarse_radix == b.coarse_radix &&
-           a.shmem_pad_words == b.shmem_pad_words &&
-           a.slab_depth == b.slab_depth &&
-           a.coarse_read == b.coarse_read &&
-           a.coarse_write == b.coarse_write && a.pitch == b.pitch;
-  }
-  friend bool operator!=(const TuneConfig& a, const TuneConfig& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const TuneConfig&, const TuneConfig&) = default;
 
   /// FNV-1a over the fields (mixed into PlanDesc::hash()).
   [[nodiscard]] std::size_t hash() const {
@@ -106,8 +89,6 @@ struct TuneConfig {
     mix(coarse_radix);
     mix(shmem_pad_words);
     mix(slab_depth);
-    mix(static_cast<std::uint64_t>(coarse_read));
-    mix(static_cast<std::uint64_t>(coarse_write));
     mix(static_cast<std::uint64_t>(pitch));
     return static_cast<std::size_t>(h);
   }
@@ -118,12 +99,6 @@ struct TuneConfig {
     return blocks_per_sm * static_cast<unsigned>(gpu.num_sms);
   }
 
-  /// True for the paper's read-D/write-A pairing — the only one the rank
-  /// kernels implement (the rest exist for the planner's pattern model).
-  [[nodiscard]] bool executable_patterns() const {
-    return coarse_read == Pattern::D && coarse_write == Pattern::A;
-  }
-
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -131,8 +106,6 @@ struct TuneConfig {
 const char* twiddle_source_name(TwiddleSource t);
 /// Parse a twiddle_source_name (returns false on unknown token).
 bool parse_twiddle_source(const std::string& s, TwiddleSource& out);
-/// Parse a pattern_name ("A".."D").
-bool parse_pattern(const std::string& s, Pattern& out);
 
 /// Split space-separated "key=value" tokens into the value of each of
 /// `keys`, in that order. False unless every key appears exactly once and

@@ -591,7 +591,7 @@ TEST(PlanLayerPins, TuneBandwidth3D) {
       sim::geforce_8800_gtx(),
       PlanDesc::bandwidth3d(cube(16), Direction::Forward),
       {"ctw=registers ftw=texture grid=0 bps=3 tpb=64 radix=16 "
-       "pad=16 slab=0 read=D write=A pitch=dense",
+       "pad=16 slab=0 pitch=dense",
        4588105183017214367ull, 864u});
 }
 
@@ -601,7 +601,7 @@ TEST(PlanLayerPins, TuneBandwidth3DDouble) {
       PlanDesc::bandwidth3d(Shape3{32, 16, 16}, Direction::Inverse,
                             Precision::F64),
       {"ctw=registers ftw=texture grid=0 bps=2 tpb=64 radix=16 "
-       "pad=8 slab=0 read=D write=A pitch=dense",
+       "pad=8 slab=0 pitch=dense",
        4590737620516221674ull, 864u});
 }
 
@@ -610,7 +610,7 @@ TEST(PlanLayerPins, TuneReal3D) {
       sim::geforce_8800_gts(),
       PlanDesc::real3d(Shape3{32, 16, 16}, Direction::Forward),
       {"ctw=registers ftw=texture grid=0 bps=3 tpb=64 radix=16 "
-       "pad=16 slab=0 read=D write=A pitch=dense",
+       "pad=16 slab=0 pitch=dense",
        4591626027108494708ull, 864u});
 }
 
@@ -619,7 +619,7 @@ TEST(PlanLayerPins, TuneMixed3D) {
       sim::geforce_8800_gtx(),
       PlanDesc::mixed3d(kMixed, Direction::Forward),
       {"ctw=registers ftw=texture grid=0 bps=1 tpb=64 radix=16 "
-       "pad=0 slab=0 read=D write=A pitch=padded",
+       "pad=0 slab=0 pitch=padded",
        4586506921050061218ull, 1728u});
 }
 

@@ -34,20 +34,6 @@ TEST(Tuner, RediscoversTable2OnPaperHardware) {
   }
 }
 
-TEST(Tuner, AllPatternPairsStillPickDToA) {
-  // Lowering executable_only widens the search to every Table-2 pairing
-  // that contains the decimation hop; read-D/write-A must still win, as
-  // in the paper's Tables 3/4.
-  PlannerOptions opts;
-  opts.executable_only = false;
-  const TuneResult r = tune_plan(
-      sim::geforce_8800_gtx(),
-      PlanDesc::bandwidth3d(cube(256), Direction::Forward), opts);
-  EXPECT_EQ(r.best.coarse_read, Pattern::D);
-  EXPECT_EQ(r.best.coarse_write, Pattern::A);
-  EXPECT_TRUE(r.best.executable_patterns());
-}
-
 TEST(Tuner, RediscoversDefaultForRealPlans) {
   const TuneResult r =
       tune_plan(sim::geforce_8800_gtx(),

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "fft/dft_ref.h"
@@ -150,6 +152,65 @@ TEST(RankKernels, Rank2PreservesEnergy) {
   for (const auto& z : input) ein += z.norm2();
   for (const auto& z : out) eout += z.norm2();
   EXPECT_NEAR(eout / (16.0 * ein), 1.0, 1e-4);
+}
+
+TEST(RankKernel, WalkIsTable2sPairing) {
+  // Table 2: both ranks read pattern D (the digit in dim 4 of the input
+  // view); rank 1 writes pattern A (digit in dim 1 of the output view),
+  // rank 2 pattern B (digit in dim 2). RankWalk is what the kernel issues
+  // and the tuner prices, so check it on every coarse view: the paper's
+  // 256^3 at radix 16, a non-cube at radix 8 and the real plan's 1-wide
+  // Nyquist tail pencils.
+  struct Volume {
+    Shape3 shape;
+    unsigned radix;
+  };
+  for (const auto& [shape, radix] :
+       {Volume{cube(256), 16}, Volume{Shape3{64, 16, 8}, 8},
+        Volume{Shape3{1, 256, 256}, 16}}) {
+    const auto steps = coarse_rank_steps(shape, split_axis(shape.ny, radix),
+                                         split_axis(shape.nz, radix));
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      const CoarseRankStep& st = steps[i];
+      SCOPED_TRACE(std::to_string(shape.nx) + "x" + std::to_string(shape.ny) +
+                   "x" + std::to_string(shape.nz) + " " + st.name);
+      const Shape5& in = st.in_shape;
+      const auto& e = in.extent;
+      const std::size_t L = e[4];
+      const Shape5 out = st.rank1 ? Shape5{{e[0], L, e[1], e[2], e[3]}}
+                                  : Shape5{{e[0], e[1], L, e[2], e[3]}};
+      if (i + 1 < steps.size()) {
+        EXPECT_EQ(out.extent, steps[i + 1].in_shape.extent)
+            << "each step's output view is the next step's input view";
+      }
+      const RankWalk walk(in, st.rank1);
+      ASSERT_EQ(walk.items * walk.L, in.volume());
+      std::size_t mismatches = 0;
+      std::string first;
+      std::size_t w = 0;  // the kernel's item index, X innermost
+      for (std::size_t c = 0; c < e[3]; ++c) {
+        for (std::size_t b = 0; b < e[2]; ++b) {
+          for (std::size_t a = 0; a < e[1]; ++a) {
+            for (std::size_t x = 0; x < e[0]; ++x, ++w) {
+              for (std::size_t q = 0; q < L; ++q) {
+                const std::size_t want_store =
+                    st.rank1 ? out.at(x, q, a, b, c) : out.at(x, a, q, b, c);
+                if (walk.load(w, q) == in.at(x, a, b, c, q) &&
+                    walk.store(w, q) == want_store) {
+                  continue;
+                }
+                if (mismatches++ == 0) {
+                  first = "item " + std::to_string(w) + " point " +
+                          std::to_string(q);
+                }
+              }
+            }
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "first at " << first;
+    }
+  }
 }
 
 }  // namespace

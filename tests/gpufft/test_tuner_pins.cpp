@@ -3,12 +3,12 @@
 // evaluated count, plus an FNV-1a hash over the bits of model_plan_ms for a
 // covering candidate list: every coarse x fine twiddle source, every block
 // size and blocks-per-SM value, both coarse radices, every pad, both row
-// pitches, every slab depth and every Table-2 pattern pairing. A change to
-// a losing candidate's cost therefore shows here even when the winner
-// stays put. The descriptions cover every kind the tuner models: the
-// five-step plan in both precisions, the real forward and inverse plans, a
-// 7-smooth and a Bluestein Mixed3D shape, pow2 and mixed-radix out-of-core
-// slabs, complex and real sharded cubes and the dealt batch. The bits of
+// pitches and every slab depth. A change to a losing candidate's cost
+// therefore shows here even when the winner stays put. The descriptions
+// cover every kind the tuner models: the five-step plan in both
+// precisions, the real forward and inverse plans, a 7-smooth and a
+// Bluestein Mixed3D shape, pow2 and mixed-radix out-of-core slabs, complex
+// and real sharded cubes and the dealt batch. The bits of
 // mixed_pitch_amplification are pinned too.
 //
 // The cost model is deterministic, so a refactor of the tuner or of the
@@ -56,15 +56,6 @@ std::vector<TuneConfig> covering_candidates() {
   constexpr std::array<std::size_t, 6> kSlab{0, 2, 4, 8, 16, 32};
   constexpr std::array<PitchMode, 2> kPitch{PitchMode::Dense,
                                             PitchMode::Padded};
-  constexpr std::array<std::array<Pattern, 2>, 7> kPatterns{{
-      {Pattern::D, Pattern::A},
-      {Pattern::D, Pattern::B},
-      {Pattern::D, Pattern::C},
-      {Pattern::D, Pattern::D},
-      {Pattern::A, Pattern::D},
-      {Pattern::B, Pattern::D},
-      {Pattern::C, Pattern::D},
-  }};
   std::vector<TuneConfig> out;
   for (std::size_t i = 0; i < 24; ++i) {
     TuneConfig c;
@@ -76,8 +67,6 @@ std::vector<TuneConfig> covering_candidates() {
     c.shmem_pad_words = kPad[(i / 2) % 3];
     c.slab_depth = kSlab[i % 6];
     c.pitch = kPitch[(i / 6) % 2];
-    c.coarse_read = kPatterns[i % 7][0];
-    c.coarse_write = kPatterns[i % 7][1];
     out.push_back(c);
   }
   return out;
@@ -114,8 +103,8 @@ TEST(TunerPins, Bandwidth3DF32) {
                    PlanDesc::bandwidth3d(Shape3{512, 8, 16},
                                          Direction::Forward),
                    {"ctw=registers ftw=texture grid=0 bps=2 tpb=64 radix=16 "
-                    "pad=16 slab=0 read=D write=A pitch=dense",
-                    4594181937061623278ull, 864u, 1837488633237607685ull});
+                    "pad=16 slab=0 pitch=dense",
+                    4594181359641226793ull, 864u, 13137288162128385479ull});
 }
 
 TEST(TunerPins, Bandwidth3DF64) {
@@ -123,15 +112,15 @@ TEST(TunerPins, Bandwidth3DF64) {
                    PlanDesc::bandwidth3d(Shape3{64, 16, 8},
                                          Direction::Inverse, Precision::F64),
                    {"ctw=registers ftw=texture grid=0 bps=2 tpb=64 radix=16 "
-                    "pad=8 slab=0 read=D write=A pitch=dense",
-                    4590786120186282868ull, 864u, 16419728718382000566ull});
+                    "pad=8 slab=0 pitch=dense",
+                    4590786120186282868ull, 864u, 104257262539424107ull});
 }
 
 TEST(TunerPins, Real3DForward) {
   expect_landscape(sim::geforce_8800_gts(),
                    PlanDesc::real3d(Shape3{64, 16, 8}, Direction::Forward),
                    {"ctw=registers ftw=texture grid=0 bps=3 tpb=64 radix=16 "
-                    "pad=16 slab=0 read=D write=A pitch=dense",
+                    "pad=16 slab=0 pitch=dense",
                     4591673203276899026ull, 864u, 14708211948234806923ull});
 }
 
@@ -140,15 +129,15 @@ TEST(TunerPins, Real3DInverse) {
                    PlanDesc::real3d(Shape3{1024, 8, 4}, Direction::Inverse,
                                     Precision::F64),
                    {"ctw=registers ftw=texture grid=0 bps=1 tpb=64 radix=16 "
-                    "pad=8 slab=0 read=D write=A pitch=dense",
-                    4596389702920511228ull, 864u, 14816075342969133052ull});
+                    "pad=8 slab=0 pitch=dense",
+                    4596390135266075456ull, 864u, 5852703918317384483ull});
 }
 
 TEST(TunerPins, Mixed3DSevenSmooth) {
   expect_landscape(sim::geforce_8800_gtx(),
                    PlanDesc::mixed3d(Shape3{60, 28, 12}, Direction::Forward),
                    {"ctw=registers ftw=texture grid=0 bps=2 tpb=64 radix=16 "
-                    "pad=0 slab=0 read=D write=A pitch=padded",
+                    "pad=0 slab=0 pitch=padded",
                     4588983598893333918ull, 1728u, 16423957418240000691ull});
 }
 
@@ -156,7 +145,7 @@ TEST(TunerPins, Mixed3DBluestein) {
   expect_landscape(sim::geforce_8800_gtx(),
                    PlanDesc::mixed3d(Shape3{33, 17, 8}, Direction::Inverse),
                    {"ctw=registers ftw=texture grid=0 bps=1 tpb=64 radix=16 "
-                    "pad=0 slab=0 read=D write=A pitch=padded",
+                    "pad=0 slab=0 pitch=padded",
                     4590474365568144900ull, 1728u, 3087111125639461507ull});
 }
 
@@ -164,15 +153,15 @@ TEST(TunerPins, OutOfCorePow2Slab) {
   expect_landscape(sim::geforce_8800_gtx(),
                    PlanDesc::out_of_core(32, 4, Direction::Forward),
                    {"ctw=registers ftw=texture grid=0 bps=2 tpb=64 radix=16 "
-                    "pad=0 slab=2 read=D write=A pitch=dense",
-                    4601207198974432226ull, 5184u, 12012763820620906940ull});
+                    "pad=0 slab=2 pitch=dense",
+                    4601206910744056074ull, 5184u, 6457492104250991944ull});
 }
 
 TEST(TunerPins, OutOfCoreMixedRadixSlab) {
   expect_landscape(sim::geforce_8800_gtx(),
                    PlanDesc::out_of_core(48, 4, Direction::Inverse),
                    {"ctw=registers ftw=texture grid=0 bps=2 tpb=64 radix=16 "
-                    "pad=0 slab=2 read=D write=A pitch=dense",
+                    "pad=0 slab=2 pitch=dense",
                     4606817720371613194ull, 5184u, 16441842955240811207ull});
 }
 
@@ -180,7 +169,7 @@ TEST(TunerPins, Sharded3DComplex) {
   expect_landscape(sim::geforce_8800_gts(),
                    PlanDesc::sharded3d(32, 4, Direction::Forward),
                    {"ctw=registers ftw=texture grid=0 bps=1 tpb=64 radix=16 "
-                    "pad=0 slab=32 read=D write=A pitch=dense",
+                    "pad=0 slab=32 pitch=dense",
                     4596118025771491258ull, 5184u, 17366306106832919565ull});
 }
 
@@ -188,7 +177,7 @@ TEST(TunerPins, Sharded3DReal) {
   expect_landscape(sim::geforce_8800_gts(),
                    PlanDesc::sharded_real3d(32, 4, Direction::Inverse),
                    {"ctw=registers ftw=texture grid=0 bps=2 tpb=64 radix=16 "
-                    "pad=0 slab=8 read=D write=A pitch=dense",
+                    "pad=0 slab=8 pitch=dense",
                     4598754584937485471ull, 5184u, 14593377571311152815ull});
 }
 
@@ -196,8 +185,8 @@ TEST(TunerPins, BatchSharded3D) {
   expect_landscape(sim::geforce_8800_gt(),
                    PlanDesc::batch_sharded3d(32, 8, Direction::Forward),
                    {"ctw=registers ftw=texture grid=0 bps=2 tpb=64 radix=16 "
-                    "pad=0 slab=2 read=D write=A pitch=dense",
-                    4600292980991710220ull, 5184u, 3585463011429243990ull});
+                    "pad=0 slab=2 pitch=dense",
+                    4600299322059985557ull, 5184u, 1650263392559606223ull});
 }
 
 TEST(TunerPins, MixedPitchAmplification) {

@@ -1,7 +1,9 @@
 // Wisdom import against truncated and garbled input. A wisdom file cut at
 // any byte must import nothing, or only whole entry lines with their
 // original configs; a field with trailing garbage, a sign, a repeat or a
-// gap must fail the parse instead of reading as a different config.
+// gap must fail the parse instead of reading as a different config; and
+// whatever a seeded garbler does to a file, the import takes all of its
+// entry lines or none.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "gpufft/planner.h"
 #include "gpufft/registry.h"
 
@@ -164,6 +167,112 @@ TEST(Wisdom, GarbledSchemaLineRejectsTheFile) {
   }
   PlanRegistry reg(dev);
   EXPECT_EQ(reg.import_wisdom(file), 1u);
+}
+
+TEST(Wisdom, SeededGarblerIsAllOrNothing) {
+  Device dev(sim::geforce_8800_gtx());
+  const std::string head = "schema " + std::to_string(kWisdomSchemaVersion) +
+                           "\n" + wisdom_header(dev.spec()) + "\n";
+  TuneConfig wide;
+  wide.threads_per_block = 128;
+  wide.coarse_radix = 8;
+  TuneConfig deep;
+  deep.shmem_pad_words = 8;
+  deep.slab_depth = 16;
+  TuneConfig padded;
+  padded.coarse_twiddles = TwiddleSource::Constant;
+  padded.pitch = PitchMode::Padded;
+  std::string file;
+  {
+    PlanRegistry reg(dev);
+    ASSERT_EQ(
+        reg.import_wisdom(
+            head +
+            wisdom_line(PlanDesc::bandwidth3d(cube(64), Direction::Forward),
+                        wide) +
+            "\n" +
+            wisdom_line(PlanDesc::out_of_core(128, 8, Direction::Inverse),
+                        deep) +
+            "\n" +
+            wisdom_line(PlanDesc::mixed3d(cube(100), Direction::Forward),
+                        padded) +
+            "\n"),
+        3u);
+    file = reg.export_wisdom();
+  }
+  std::vector<std::string> lines;
+  for (std::size_t pos = 0; pos < file.size();) {
+    const std::size_t eol = file.find('\n', pos);
+    lines.push_back(file.substr(pos, eol - pos));
+    pos = eol + 1;
+  }
+  ASSERT_EQ(lines.size(), 6u) << file;
+  const auto join = [](const std::vector<std::string>& ls) {
+    std::string s;
+    for (const std::string& l : ls) s += l + "\n";
+    return s;
+  };
+  const auto plan_lines = [](const std::string& text) {
+    std::size_t n = text.rfind("plan ", 0) == 0 ? 1 : 0;
+    for (std::size_t at = text.find("\nplan "); at != std::string::npos;
+         at = text.find("\nplan ", at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  const std::string resident =
+      head +
+      wisdom_line(PlanDesc::real3d(cube(32), Direction::Forward), {}) + "\n";
+
+  SplitMix64 rng(0x9a4b1e5);
+  for (int i = 0; i < 400; ++i) {
+    std::vector<std::string> ls = lines;
+    std::string garbled;
+    std::string what;
+    const std::size_t a = rng.below(ls.size());
+    switch (i % 4) {
+      case 0: {
+        garbled = file;
+        const std::size_t at = rng.below(garbled.size());
+        garbled[at] = static_cast<char>(
+            static_cast<unsigned char>(garbled[at]) ^ (1 + rng.below(255)));
+        what = "byte " + std::to_string(at) + " flipped";
+        break;
+      }
+      case 1: {
+        const std::size_t b = (a + 1 + rng.below(ls.size() - 1)) % ls.size();
+        std::swap(ls[a], ls[b]);
+        what = "lines " + std::to_string(a) + " and " + std::to_string(b) +
+               " swapped";
+        break;
+      }
+      case 2: {
+        const std::size_t to = rng.below(ls.size() + 1);
+        ls.insert(ls.begin() + static_cast<std::ptrdiff_t>(to), ls[a]);
+        what = "line " + std::to_string(a) + " duplicated at " +
+               std::to_string(to);
+        break;
+      }
+      default:
+        ls.erase(ls.begin() + static_cast<std::ptrdiff_t>(a));
+        what = "line " + std::to_string(a) + " dropped";
+        break;
+    }
+    if (garbled.empty()) garbled = join(ls);
+    PlanRegistry reg(dev);
+    ASSERT_EQ(reg.import_wisdom(resident), 1u);
+    const std::string before = reg.export_wisdom();
+    std::string reason;
+    std::size_t got = 0;
+    EXPECT_NO_THROW(got = reg.import_wisdom(garbled, &reason)) << what;
+    if (got == 0) {
+      EXPECT_FALSE(reason.empty()) << what;
+      EXPECT_EQ(reg.wisdom_size(), 1u) << what;
+      EXPECT_EQ(reg.export_wisdom(), before) << what;
+    } else {
+      EXPECT_EQ(got, plan_lines(garbled)) << what << ":\n" << garbled;
+    }
+  }
 }
 
 }  // namespace
