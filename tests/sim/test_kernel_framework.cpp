@@ -3,6 +3,10 @@
 // sampling options, and the global/shared accessor plumbing.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <span>
+#include <vector>
+
 #include "sim/device.h"
 
 namespace repro::sim {
@@ -188,6 +192,75 @@ TEST(Framework, SamplingBudgetCapsRecordedStreams) {
   const auto r = dev.launch(k);
   // Exact byte totals are NOT affected by the sampling budget.
   EXPECT_EQ(r.dram_bytes, 2ull * (1u << 18) * sizeof(float));
+}
+
+TEST(Framework, RepeatedLaunchResultsAreIdentical) {
+  // Blocks do uneven work (1 to 8 rounds each) through global, texture,
+  // constant and shared views, so a block loop that merged its blocks in
+  // the order they finish would change the DRAM replay's stream order.
+  constexpr unsigned kGrid = 24;
+  constexpr unsigned kBlock = 64;
+  constexpr std::size_t kN = std::size_t{kGrid} * kBlock * 8;
+  Device dev(geforce_8800_gtx());
+  auto in = dev.alloc<float>(kN);
+  auto out = dev.alloc<float>(kN);
+  auto table = dev.alloc<float>(4096);
+  std::vector<float> init(kN);
+  for (std::size_t i = 0; i < kN; ++i) init[i] = static_cast<float>(i % 97);
+  dev.h2d(in, std::span<const float>(init));
+  dev.h2d(table, std::span<const float>(init.data(), 4096));
+  const std::vector<float> coeffs(256, 0.5f);
+
+  ProbeKernel k(small_cfg(kGrid, kBlock, kBlock * sizeof(float)),
+                [&](BlockCtx& ctx) {
+    auto src = ctx.global(in);
+    auto dst = ctx.global(out);
+    auto tex = ctx.texture(table);
+    auto c = ctx.constant(coeffs);
+    auto sh = ctx.shared<float>(0, kBlock);
+    const unsigned b = ctx.block_index();
+    const unsigned rounds = 1 + (b * 5) % 8;
+    ctx.threads([&](ThreadCtx& t) {
+      float acc = 0.0f;
+      for (unsigned r = 0; r < rounds; ++r) {
+        acc += src.load(t, (t.global_id() * (r + 1)) % kN);
+        acc += tex.fetch(t, (t.tid * 33 + r * 129 + b * 517) % 4096) *
+               c.load(t, (t.tid + r) % 256);
+      }
+      sh.store(t, t.tid, acc);
+    });
+    ctx.threads([&](ThreadCtx& t) {
+      const float v = sh.load(t, (t.tid * 17) % kBlock);
+      for (unsigned r = 0; r < rounds; ++r) {
+        dst.store(t, t.global_id() + r * (kN / 8), v + static_cast<float>(r));
+      }
+    });
+  });
+
+  const LaunchResult first = dev.launch(k);
+  std::vector<float> first_out(kN);
+  dev.d2h(std::span<float>(first_out), out);
+  for (int i = 1; i < 50; ++i) {
+    SCOPED_TRACE(i);
+    const LaunchResult r = dev.launch(k);
+    EXPECT_EQ(r.name, first.name);
+    EXPECT_EQ(r.total_ms, first.total_ms);
+    EXPECT_EQ(r.mem_ms, first.mem_ms);
+    EXPECT_EQ(r.compute_ms, first.compute_ms);
+    EXPECT_EQ(r.dram_bytes, first.dram_bytes);
+    EXPECT_EQ(r.achieved_gbs, first.achieved_gbs);
+    EXPECT_EQ(r.effective_gbs, first.effective_gbs);
+    EXPECT_EQ(r.coalesced_fraction, first.coalesced_fraction);
+    EXPECT_EQ(r.occupancy.blocks_per_sm, first.occupancy.blocks_per_sm);
+    EXPECT_EQ(r.occupancy.active_threads, first.occupancy.active_threads);
+    EXPECT_EQ(r.occupancy.active_warps, first.occupancy.active_warps);
+    EXPECT_EQ(r.occupancy.occupancy, first.occupancy.occupancy);
+    EXPECT_EQ(r.occupancy.limiter, first.occupancy.limiter);
+    EXPECT_EQ(r.gflops, first.gflops);
+    std::vector<float> got(kN);
+    dev.d2h(std::span<float>(got), out);
+    EXPECT_EQ(got, first_out);
+  }
 }
 
 TEST(Framework, ZeroSampledBlocksFallsBackGracefully) {
