@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <string_view>
@@ -51,6 +52,41 @@ constexpr std::array<std::size_t, 6> kSlabDepths{0, 2, 4, 8, 16, 32};
 /// boundary. Other kinds always keep the dense default.
 constexpr std::array<PitchMode, 2> kPitchModes{PitchMode::Dense,
                                                PitchMode::Padded};
+
+/// The slab overrides searched for `desc`.
+std::span<const std::size_t> slab_candidates(const PlanDesc& desc) {
+  static constexpr std::size_t kKeepSplits[] = {0};
+  return desc.z_decimated() ? std::span<const std::size_t>(kSlabDepths)
+                            : kKeepSplits;
+}
+
+/// The row layouts searched for `desc`. The row-pitch knob only exists for
+/// the mixed-radix executor; every other kind keeps the dense default so
+/// its candidate count (and the wisdom it pins) is untouched by this
+/// dimension.
+std::span<const PitchMode> pitch_candidates(const PlanDesc& desc) {
+  static constexpr PitchMode kDenseOnly[] = {PitchMode::Dense};
+  return desc.kind == PlanKind::Mixed3D
+             ? std::span<const PitchMode>(kPitchModes)
+             : kDenseOnly;
+}
+
+/// Whether tune_plan can return `t` for `desc`: no grid override, and
+/// every knob on its candidate list (the default is on each of them).
+bool searchable(const PlanDesc& desc, const TuneConfig& t) {
+  const auto on = [](const auto& list, const auto& v) {
+    return std::find(std::begin(list), std::end(list), v) != std::end(list);
+  };
+  return t.grid_blocks == 0 && on(kCoarseTwiddles, t.coarse_twiddles) &&
+         on(kFineTwiddles, t.fine_twiddles) &&
+         on(kThreadsPerBlock, t.threads_per_block) &&
+         on(kBlocksPerSm, t.blocks_per_sm) &&
+         on(kCoarseRadix, t.coarse_radix) &&
+         on(kShmemPadWords, t.shmem_pad_words) &&
+         on(slab_candidates(desc), t.slab_depth) &&
+         on(pitch_candidates(desc), t.pitch);
+}
+
 /// A challenger must beat the incumbent by this relative margin; ties
 /// within the model's resolution keep the earlier (default-first)
 /// candidate.
@@ -676,17 +712,8 @@ TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc) {
   res.model_ms = res.default_ms;
   res.evaluated = 1;
 
-  static constexpr std::size_t kKeepSplits[] = {0};
-  const std::span<const std::size_t> slabs =
-      desc.z_decimated() ? std::span<const std::size_t>(kSlabDepths)
-                         : kKeepSplits;
-  // The row-pitch knob only exists for the mixed-radix executor; every
-  // other kind keeps the dense default so their candidate counts (and the
-  // wisdom they pin) are untouched by this dimension.
-  static constexpr PitchMode kDenseOnly[] = {PitchMode::Dense};
-  const std::span<const PitchMode> pitches =
-      desc.kind == PlanKind::Mixed3D ? std::span<const PitchMode>(kPitchModes)
-                                     : kDenseOnly;
+  const std::span<const std::size_t> slabs = slab_candidates(desc);
+  const std::span<const PitchMode> pitches = pitch_candidates(desc);
 
   for (const TwiddleSource ctw : kCoarseTwiddles) {
     for (const TwiddleSource ftw : kFineTwiddles) {
@@ -850,6 +877,7 @@ bool parse_wisdom_line(const std::string& line, PlanDesc& desc,
   } else {
     return false;
   }
+  if (!searchable(d, t)) return false;
   desc = d;
   tune = t;
   return true;

@@ -89,8 +89,10 @@ bool wisdom_header_matches(const std::string& line, const sim::GpuSpec& spec);
 std::string wisdom_line(const PlanDesc& desc, const TuneConfig& tune);
 /// Parse a wisdom_line(); false on malformed input, which includes a
 /// missing, repeated or unknown field on either side (a truncated or
-/// garbled line) and leaves both outputs untouched. `desc.tune` is left at
-/// the default (the key side never carries a config).
+/// garbled line) and a config tune_plan cannot return for the description
+/// (a grid override, or a knob off the search's candidate lists), and
+/// leaves both outputs untouched. `desc.tune` is left at the default (the
+/// key side never carries a config).
 bool parse_wisdom_line(const std::string& line, PlanDesc& desc,
                        TuneConfig& tune);
 

@@ -1,10 +1,118 @@
 #include "sim/device.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <exception>
+#include <functional>
+#include <mutex>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 namespace repro::sim {
+namespace {
+
+/// The host threads that run a launch's blocks, as the hardware runs a
+/// grid's blocks with no order between them: one per CPU in the process's
+/// affinity mask, the launching thread included, so the pool owns one
+/// fewer worker than that. It holds no simulation state, only the job in
+/// flight. Workers sleep on a condition variable between jobs and are
+/// joined when the process exits.
+class BlockPool {
+ public:
+  explicit BlockPool(unsigned threads) {
+    workers_.reserve(threads - 1);
+    for (unsigned i = 1; i < threads; ++i) {
+      try {
+        workers_.emplace_back([this] { work(); });
+      } catch (const std::system_error&) {
+        break;  // run with the workers the system would start
+      }
+    }
+  }
+  ~BlockPool() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    wake_.notify_all();
+    for (std::thread& w : workers_) w.join();
+  }
+  BlockPool(const BlockPool&) = delete;
+  BlockPool& operator=(const BlockPool&) = delete;
+
+  /// Run `job` on the calling thread and on up to `helpers` workers at
+  /// once; return when every run of it has returned. `job` claims work
+  /// until none is left and must not throw, so once the caller's own run
+  /// returns, a worker that has not started yet would find nothing: its
+  /// place is withdrawn rather than waited for. A job submitted while
+  /// another is in flight (from a second host thread) runs on its calling
+  /// thread alone.
+  void run(unsigned helpers, const std::function<void()>& job) {
+    std::unique_lock<std::mutex> turn(turn_, std::try_to_lock);
+    helpers = std::min<unsigned>(helpers,
+                                 static_cast<unsigned>(workers_.size()));
+    if (!turn.owns_lock() || helpers == 0) {
+      job();
+      return;
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      job_ = &job;
+      open_ = helpers;
+    }
+    for (unsigned i = 0; i < helpers; ++i) wake_.notify_one();
+    job();
+    std::unique_lock<std::mutex> lock(mutex_);
+    open_ = 0;
+    done_.wait(lock, [this] { return running_ == 0; });
+    job_ = nullptr;
+  }
+
+ private:
+  void work() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      wake_.wait(lock, [this] { return stopping_ || open_ > 0; });
+      if (stopping_) return;
+      --open_;
+      ++running_;
+      const std::function<void()>& job = *job_;
+      lock.unlock();
+      job();
+      lock.lock();
+      if (--running_ == 0) done_.notify_one();
+    }
+  }
+
+  std::mutex turn_;  ///< held by the one launch using the workers
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::condition_variable done_;
+  // Guarded by mutex_.
+  const std::function<void()>* job_ = nullptr;
+  unsigned open_ = 0;     ///< places in job_ no worker has taken yet
+  unsigned running_ = 0;  ///< workers inside job_
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;  ///< last: the threads use the above
+};
+
+unsigned affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+}
+
+BlockPool& block_pool() {
+  static BlockPool pool(affinity_cpus());
+  return pool;
+}
+
+}  // namespace
 
 Device::Device(GpuSpec spec) : spec_(std::move(spec)) {
   REPRO_CHECK_MSG(spec_.dma_engines == 1 || spec_.dma_engines == 2,
@@ -119,37 +227,63 @@ LaunchResult Device::launch(Kernel& kernel) {
     return LaunchResult{};
   }
 
-  LaunchStats stats;
-  stats.total_threads =
-      static_cast<std::uint64_t>(cfg.grid_blocks) * cfg.threads_per_block;
-
-  const unsigned warps_per_block = (cfg.threads_per_block + 31) / 32;
   const unsigned sampled_blocks =
       std::min<unsigned>(cfg.grid_blocks, options_.max_sampled_blocks);
-  stats.warp_streams.resize(static_cast<std::size_t>(sampled_blocks) *
-                            warps_per_block);
   const auto tex_lines = static_cast<std::size_t>(
       spec_.texture_cache_bytes / kMinTransactionBytes);
 
-  // KernelCorrupt: decide before the blocks run so the last global store
-  // of the launch can be captured; the kernel still runs every block and
-  // claims its full simulated time below — only the data goes wrong.
-  StoreTarget corrupt_target;
-  StoreTarget* capture =
-      faults_ != nullptr && faults_->fire(FaultKind::KernelCorrupt)
-          ? &corrupt_target
-          : nullptr;
+  // KernelCorrupt: decide before the blocks run so each block can capture
+  // its last global store; the one the launch corrupts is the highest
+  // storing block's. The kernel still runs every block and claims its full
+  // simulated time below: only the data goes wrong.
+  const bool capture =
+      faults_ != nullptr && faults_->fire(FaultKind::KernelCorrupt);
 
-  for (unsigned b = 0; b < cfg.grid_blocks; ++b) {
-    const bool recording = b < sampled_blocks;
-    BlockCtx ctx(cfg, stats, options_, b, recording,
-                 static_cast<std::size_t>(b) * warps_per_block, tex_lines,
-                 capture);
-    kernel.run_block(ctx);
+  // Every block fills its own record, on whichever host thread claims it.
+  // Blocks are claimed in increasing order, so once a block fails every
+  // lower block is already claimed and runs to its end: no more are
+  // handed out, and the lowest failing block is always among those run.
+  struct alignas(64) BlockRecord {  // one cache line apart: no false sharing
+    LaunchStats stats;
+    StoreTarget last_store;
+    std::exception_ptr error;
+  };
+  std::vector<BlockRecord> blocks(cfg.grid_blocks);
+  std::atomic<unsigned> next_block{0};
+  std::atomic<bool> failed{false};
+  const std::function<void()> run_blocks = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const unsigned b = next_block.fetch_add(1, std::memory_order_relaxed);
+      if (b >= cfg.grid_blocks) return;
+      BlockRecord& record = blocks[b];
+      try {
+        BlockCtx ctx(cfg, record.stats, options_, b, b < sampled_blocks,
+                     tex_lines, capture ? &record.last_store : nullptr);
+        kernel.run_block(ctx);
+      } catch (...) {
+        record.error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  if (cfg.grid_blocks == 1) {
+    run_blocks();
+  } else {
+    block_pool().run(cfg.grid_blocks - 1, run_blocks);
   }
-  if (capture != nullptr && corrupt_target.valid()) {
-    corrupt_target.corrupt(corrupt_target.ptr);
+
+  // Merge in block order: the result is the one a serial loop gives. The
+  // lowest failed block's error propagates and nothing is charged.
+  LaunchStats stats;
+  stats.total_threads =
+      static_cast<std::uint64_t>(cfg.grid_blocks) * cfg.threads_per_block;
+  const StoreTarget* last_store = nullptr;
+  for (BlockRecord& record : blocks) {
+    if (record.error != nullptr) std::rethrow_exception(record.error);
+    stats.merge(std::move(record.stats));
+    if (record.last_store.valid()) last_store = &record.last_store;
   }
+  if (last_store != nullptr) last_store->corrupt(last_store->ptr);
 
   LaunchResult result = estimate_launch(spec_, cfg, stats);
   schedule(active_stream_, Engine::Compute, result.total_ms * 1e6,

@@ -2,9 +2,13 @@
 //
 // Owns the virtual device address space, enforces the card's memory
 // capacity, accounts PCIe transfer time on h2d/d2h, and runs kernel
-// launches: every block executes functionally (block 0 .. grid-1), sampled
-// blocks are instrumented, and the timing model converts the observed
-// statistics into simulated time on the device clock.
+// launches: every block executes functionally, the sampled prefix of
+// blocks is instrumented, and the timing model converts the observed
+// statistics into simulated time on the device clock. As on the hardware,
+// a grid's blocks run concurrently, on a process-wide pool of host threads
+// (one per CPU the process may use); each block fills its own statistics
+// and the launch merges them in block order, so every result and every
+// simulated time is the one a serial block loop would give.
 //
 // Execution model (see stream.h): transfers and launches are timed
 // operations on one of the device's engines — a single compute engine plus
@@ -187,7 +191,9 @@ class Device {
 
   /// Run a kernel: functional execution of every block + timing estimate.
   /// The launch occupies the compute engine on the active stream (default:
-  /// the serial queue) and is appended to the launch history.
+  /// the serial queue) and is appended to the launch history. If a block
+  /// throws, the lowest such block's exception propagates once every
+  /// block in flight has finished, and nothing is charged or recorded.
   LaunchResult launch(Kernel& kernel);
 
   /// Enqueue the launch on `stream` instead of the serial queue.

@@ -1,23 +1,44 @@
 #include "sim/kernel.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace repro::sim {
 
+void LaunchStats::merge(LaunchStats&& block) {
+  elem_bytes_loaded += block.elem_bytes_loaded;
+  elem_bytes_stored += block.elem_bytes_stored;
+  tex_elem_bytes += block.tex_elem_bytes;
+  barriers += block.barriers;
+  total_threads += block.total_threads;
+  sampled_elem_bytes += block.sampled_elem_bytes;
+  sampled_txn_bytes += block.sampled_txn_bytes;
+  coalesced_slots += block.coalesced_slots;
+  uncoalesced_slots += block.uncoalesced_slots;
+  shmem_slots += block.shmem_slots;
+  shmem_thread_cycles += block.shmem_thread_cycles;
+  const_thread_cycles += block.const_thread_cycles;
+  sampled_tex_elem_bytes += block.sampled_tex_elem_bytes;
+  sampled_tex_miss_bytes += block.sampled_tex_miss_bytes;
+  warp_streams.insert(warp_streams.end(),
+                      std::make_move_iterator(block.warp_streams.begin()),
+                      std::make_move_iterator(block.warp_streams.end()));
+}
+
 BlockCtx::BlockCtx(const LaunchConfig& cfg, LaunchStats& stats,
                    const SimOptions& opt, unsigned block_index,
-                   bool recording, std::size_t warp_stream_base,
-                   std::size_t tex_cache_lines, StoreTarget* capture)
+                   bool recording, std::size_t tex_cache_lines,
+                   StoreTarget* capture)
     : cfg_(cfg),
       stats_(stats),
       opt_(opt),
       block_(block_index),
       recording_(recording),
-      warp_stream_base_(warp_stream_base),
       capture_(capture),
       shmem_(cfg.shmem_per_block) {
   if (recording_) {
     const std::size_t n = cfg.threads_per_block;
+    stats_.warp_streams.resize((n + 31) / 32);
     glog_.resize(n);
     slog_.resize(n);
     clog_.resize(n);
@@ -40,17 +61,14 @@ void BlockCtx::record_texture_impl(unsigned tid, std::uint64_t addr,
   const std::uint64_t first_line = addr / kMinTransactionBytes;
   const std::uint64_t last_line =
       (addr + bytes - 1) / kMinTransactionBytes;
-  const std::size_t warp =
-      warp_stream_base_ + tid / 32;
+  auto& stream = stats_.warp_streams[tid / 32];
   for (std::uint64_t line = first_line; line <= last_line; ++line) {
     auto& tag = tex_tags_[line % tex_tags_.size()];
     if (tag != static_cast<std::int64_t>(line)) {
       tag = static_cast<std::int64_t>(line);
       stats_.sampled_tex_miss_bytes += kMinTransactionBytes;
-      if (warp < stats_.warp_streams.size()) {
-        stats_.warp_streams[warp].push_back(
-            Transaction{line * kMinTransactionBytes, kMinTransactionBytes});
-      }
+      stream.push_back(
+          Transaction{line * kMinTransactionBytes, kMinTransactionBytes});
     }
   }
 }
@@ -71,7 +89,7 @@ void BlockCtx::end_phase() {
     for (unsigned t = t0; t < t1; ++t) {
       max_slots = std::max(max_slots, glog_[t].size());
     }
-    const std::size_t warp = warp_stream_base_ + t0 / 32;
+    auto& stream = stats_.warp_streams[t0 / 32];
     for (std::size_t s = 0; s < max_slots; ++s) {
       lanes.clear();
       for (unsigned t = t0; t < t1; ++t) {
@@ -90,9 +108,7 @@ void BlockCtx::end_phase() {
       }
       for (const Transaction& txn : r.transactions) {
         stats_.sampled_txn_bytes += txn.bytes;
-        if (warp < stats_.warp_streams.size()) {
-          stats_.warp_streams[warp].push_back(txn);
-        }
+        stream.push_back(txn);
       }
     }
   }

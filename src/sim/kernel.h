@@ -40,10 +40,12 @@
 
 namespace repro::sim {
 
-/// Type-erased handle to one stored element, captured at the last global
-/// store of a launch when a KernelCorrupt fault fires. Corrupting the
-/// *last* store guarantees the perturbation lands on output the kernel
-/// actually produced — never on a scratch buffer nobody reads again.
+/// Type-erased handle to one stored element, captured at each block's last
+/// global store when a KernelCorrupt fault fires; the launch corrupts the
+/// highest storing block's, the last store a serial block loop makes.
+/// Corrupting the *last* store guarantees the perturbation lands on output
+/// the kernel actually produced — never on a scratch buffer nobody reads
+/// again.
 struct StoreTarget {
   void* ptr = nullptr;
   void (*corrupt)(void*) = nullptr;
@@ -88,7 +90,9 @@ struct LaunchConfig {
   bool fp64 = false;  ///< flops are double precision (needs DP units)
 };
 
-/// Everything the framework observed during one launch.
+/// Everything the framework observed during one launch. Each block fills
+/// its own LaunchStats while it runs, and the launch merges them in block
+/// order (see Device::launch).
 struct LaunchStats {
   // Exact functional counts.
   std::uint64_t elem_bytes_loaded = 0;
@@ -107,8 +111,14 @@ struct LaunchStats {
   std::uint64_t const_thread_cycles = 0;
   std::uint64_t sampled_tex_elem_bytes = 0;
   std::uint64_t sampled_tex_miss_bytes = 0;
-  /// One DRAM transaction stream per warp (ordered by block, then warp).
+  /// One DRAM transaction stream per warp of each recording block
+  /// (ordered by block, then warp).
   std::vector<std::vector<Transaction>> warp_streams;
+
+  /// Fold the next block's stats into these: the counters add and its
+  /// warp streams are appended. Every counter is an integer, so the
+  /// merged totals do not depend on how the blocks were scheduled.
+  void merge(LaunchStats&& block);
 
   /// Fraction of sampled global slots that coalesced.
   [[nodiscard]] double coalesced_fraction() const {
@@ -202,12 +212,15 @@ class SharedView {
   std::size_t word_offset_;  ///< element 0's offset in 4-byte words
 };
 
-/// Execution context of one thread block.
+/// Execution context of one thread block. A block writes only its own
+/// `stats` (a recording block sizes its warp streams, one per warp) and
+/// its own `capture` target, so the blocks of a launch can run on
+/// different host threads.
 class BlockCtx {
  public:
   BlockCtx(const LaunchConfig& cfg, LaunchStats& stats, const SimOptions& opt,
-           unsigned block_index, bool recording, std::size_t warp_stream_base,
-           std::size_t tex_cache_lines, StoreTarget* capture = nullptr);
+           unsigned block_index, bool recording, std::size_t tex_cache_lines,
+           StoreTarget* capture = nullptr);
 
   [[nodiscard]] unsigned block_index() const { return block_; }
   [[nodiscard]] const LaunchConfig& config() const { return cfg_; }
@@ -328,8 +341,7 @@ class BlockCtx {
   const SimOptions& opt_;
   unsigned block_;
   bool recording_;
-  std::size_t warp_stream_base_;  ///< index of this block's warp 0 stream
-  StoreTarget* capture_;          ///< non-null only under a fired KernelCorrupt
+  StoreTarget* capture_;  ///< non-null only under a fired KernelCorrupt
 
   std::vector<std::byte> shmem_;
 
@@ -350,7 +362,11 @@ class BlockCtx {
   std::vector<std::int64_t> tex_tags_;
 };
 
-/// Interface implemented by every simulated kernel.
+/// Interface implemented by every simulated kernel. A launch calls
+/// run_block for its blocks concurrently, from several host threads, on
+/// the one kernel object: run_block must not write the kernel's members,
+/// and a global element one block writes must be one that no other block
+/// of the launch reads or writes.
 class Kernel {
  public:
   virtual ~Kernel() = default;

@@ -132,6 +132,51 @@ TEST(Wisdom, GarbledFieldsAreRejected) {
   }
 }
 
+TEST(Wisdom, OutOfRangeValuesAreRejected) {
+  // Well-formed values the tuner can never return: each would build a
+  // plan that fails at its first launch (bps=0, tpb=0) or runs a config
+  // nobody searched. The whole file is rejected, resident wisdom kept.
+  Device dev(sim::geforce_8800_gtx());
+  const std::string head = "schema " + std::to_string(kWisdomSchemaVersion) +
+                           "\n" + wisdom_header(dev.spec()) + "\n";
+  const PlanDesc in_core = PlanDesc::bandwidth3d(cube(64), Direction::Forward);
+  const std::string good_line = wisdom_line(in_core, TuneConfig{});
+  const std::string other_line =
+      wisdom_line(PlanDesc::out_of_core(128, 8, Direction::Inverse), {});
+  const std::string resident =
+      head +
+      wisdom_line(PlanDesc::real3d(cube(32), Direction::Forward), {}) + "\n";
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"bps=3", "bps=0"},
+           {"tpb=64", "tpb=0"},
+           {"tpb=64", "tpb=4"},
+           {"radix=16", "radix=3"},
+           {"pad=16", "pad=7"},
+           {"ftw=texture", "ftw=registers"},
+           {"grid=0", "grid=5"},
+           // Knobs the search tries only for other kinds of plan.
+           {"slab=0", "slab=8"},
+           {"pitch=dense", "pitch=padded"}}) {
+    std::string bad = good_line;
+    bad.replace(bad.find(from), from.size(), to);
+    PlanDesc d;
+    TuneConfig t;
+    EXPECT_FALSE(parse_wisdom_line(bad, d, t)) << bad;
+
+    PlanRegistry reg(dev);
+    ASSERT_EQ(reg.import_wisdom(resident), 1u);
+    const std::string before = reg.export_wisdom();
+    std::string reason;
+    EXPECT_EQ(
+        reg.import_wisdom(head + other_line + "\n" + bad + "\n", &reason),
+        0u)
+        << bad;
+    EXPECT_NE(reason.find(bad), std::string::npos) << bad << ": " << reason;
+    EXPECT_EQ(reg.export_wisdom(), before) << bad;
+  }
+}
+
 TEST(Wisdom, GarbledSchemaLineRejectsTheFile) {
   Device dev(sim::geforce_8800_gtx());
   const std::string version = std::to_string(kWisdomSchemaVersion);
