@@ -1,25 +1,9 @@
 #include "gpufft/copy_kernels.h"
 
 #include "fft/stockham.h"
+#include "gpufft/rank_kernels.h"
 
 namespace repro::gpufft {
-namespace {
-
-/// Index into the 5-D pattern array with element q on dimension `p` and
-/// the three remaining outer coordinates r0..r2 in ascending dim order.
-std::size_t pattern_index(const Shape5& s, std::size_t x, Pattern p,
-                          std::size_t q, std::size_t r0, std::size_t r1,
-                          std::size_t r2) {
-  std::size_t coord[5] = {x, 0, 0, 0, 0};
-  const std::size_t r[3] = {r0, r1, r2};
-  std::size_t ri = 0;
-  for (std::size_t d = 1; d < 5; ++d) {
-    coord[d] = (d == static_cast<std::size_t>(p)) ? q : r[ri++];
-  }
-  return s.at(coord[0], coord[1], coord[2], coord[3], coord[4]);
-}
-
-}  // namespace
 
 PatternCopyKernel::PatternCopyKernel(DeviceBuffer<cxf>& in,
                                      DeviceBuffer<cxf>& out, Pattern in_pattern,
@@ -48,23 +32,23 @@ sim::LaunchConfig PatternCopyKernel::config() const {
 }
 
 void PatternCopyKernel::run_block(sim::BlockCtx& ctx) {
-  const Shape5 s = pattern_shape();
-  const std::size_t items = s.volume() / 16;  // 16 elements per item
+  // Pattern p puts the digit at dim p (A = 1 ... D = 4).
+  const RankWalk walk(pattern_shape(), static_cast<std::size_t>(in_p_),
+                      static_cast<std::size_t>(out_p_));
   auto in = ctx.global(in_);
   auto out = ctx.global(out_);
 
   ctx.threads([&](sim::ThreadCtx& t) {
     cxf v[16];
-    for (std::size_t w = t.global_id(); w < items; w += t.total_threads()) {
-      const std::size_t x = w % 256;
-      const std::size_t r0 = (w / 256) % 16;
-      const std::size_t r1 = (w / (256 * 16)) % 16;
-      const std::size_t r2 = w / (256 * 16 * 16);
+    for (std::size_t w = t.global_id(); w < walk.items;
+         w += t.total_threads()) {
+      const std::size_t load0 = walk.load_base(w);
       for (std::size_t q = 0; q < 16; ++q) {
-        v[q] = in.load(t, pattern_index(s, x, in_p_, q, r0, r1, r2));
+        v[q] = in.load(t, load0 + walk.load_stride * q);
       }
+      const std::size_t store0 = walk.store_base(w);
       for (std::size_t q = 0; q < 16; ++q) {
-        out.store(t, pattern_index(s, x, out_p_, q, r0, r1, r2), v[q]);
+        out.store(t, store0 + walk.store_stride * q, v[q]);
       }
     }
   });

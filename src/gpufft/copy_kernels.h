@@ -3,7 +3,9 @@
 // PatternCopyKernel reproduces the Table 3/4 measurement: copy the 5-D
 // array V(256,16,16,16,16) where each thread moves 16 elements along one
 // of the four outer dimensions of the input (patterns A-D of Table 2) and
-// writes them along a possibly different dimension of the output.
+// writes them along a possibly different dimension of the output. It
+// walks RankWalk (rank_kernels.h), the map the FFT kernels issue, so each
+// measured pair is a pair a kernel can move data along.
 //
 // MultiStreamCopyKernel reproduces the Section 2.1 stream-count sweep: the
 // multirow access shape, S concurrent streams advancing in lockstep, whose

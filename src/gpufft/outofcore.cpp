@@ -5,6 +5,7 @@
 
 #include "fft/factor.h"
 #include "gpufft/cache.h"
+#include "gpufft/rank_kernels.h"
 #include "gpufft/registry.h"
 #include "gpufft/smallfft.h"
 #include "gpufft/staging.h"
@@ -42,19 +43,23 @@ sim::LaunchConfig ZPencilFftKernel::config() const {
 }
 
 void ZPencilFftKernel::run_block(sim::BlockCtx& ctx) {
-  const std::size_t items = slab_.nx * slab_.ny;
+  // The Z digit is dim 4 on both sides (pattern D in place); item w is
+  // (x + nx*y), x innermost.
+  const RankWalk walk(Shape5{{slab_.nx, slab_.ny, 1, 1, slab_.nz}}, 4, 4);
   const int sign = fft::direction_sign(dir_);
   auto d = ctx.global(data_, offset_);
   ctx.threads([&](sim::ThreadCtx& t) {
     cxf v[kMaxFactor];
-    for (std::size_t w = t.global_id(); w < items; w += t.total_threads()) {
-      // w is already (x + nx*y): x innermost keeps half-warps sequential.
-      for (std::size_t q = 0; q < slab_.nz; ++q) {
-        v[q] = d.load(t, w + items * q);
+    for (std::size_t w = t.global_id(); w < walk.items;
+         w += t.total_threads()) {
+      const std::size_t load0 = walk.load_base(w);
+      for (std::size_t q = 0; q < walk.L; ++q) {
+        v[q] = d.load(t, load0 + walk.load_stride * q);
       }
-      fft_small(v, slab_.nz, sign, roots_.data());
-      for (std::size_t q = 0; q < slab_.nz; ++q) {
-        d.store(t, w + items * q, v[q]);
+      fft_small(v, walk.L, sign, roots_.data());
+      const std::size_t store0 = walk.store_base(w);
+      for (std::size_t q = 0; q < walk.L; ++q) {
+        d.store(t, store0 + walk.store_stride * q, v[q]);
       }
     }
   });

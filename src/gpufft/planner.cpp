@@ -167,7 +167,6 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
       st.rank1 ? cfg.coarse_twiddles : TwiddleSource::Registers;
 
   sim::LaunchStats stats;
-  stats.total_threads = static_cast<std::uint64_t>(grid) * tpb;
   stats.elem_bytes_loaded = volume * esize;
   stats.elem_bytes_stored = volume * esize;
 
@@ -183,38 +182,36 @@ double coarse_step_ms(const sim::GpuSpec& spec, const CoarseRankStep& st,
   const std::size_t rounds = std::min<std::size_t>(per_thread, 6);
 
   std::vector<sim::LaneAccess> lanes;
+  std::array<std::uint64_t, 16> lane0{};  // each lane's point-0 address
   for (std::size_t w = 0; w < sampled_warps; ++w) {
     auto& stream = stats.warp_streams[w];
     for (std::size_t r = 0; r < rounds; ++r) {
       for (unsigned half = 0; half < 2; ++half) {
-        const std::size_t gid0 = w * 32 + half * 16;
-        // One item per lane; the kernels issue the l loads, then the l
-        // stores, slot-aligned across the half-warp.
+        // One item per lane, consecutive items on consecutive lanes; the
+        // kernels issue the l loads, then the l stores, slot-aligned
+        // across the half-warp.
+        const std::size_t item0 = w * 32 + half * 16 + r * threads;
+        if (item0 >= walk.items) continue;
+        const std::size_t n_lanes =
+            std::min<std::size_t>(16, walk.items - item0);
         for (const bool store : {false, true}) {
           const std::uint64_t base = store ? out_base : in_base;
+          const std::size_t stride =
+              store ? walk.store_stride : walk.load_stride;
+          for (std::size_t ln = 0; ln < n_lanes; ++ln) {
+            const std::size_t item = item0 + ln;
+            lane0[ln] = base + (store ? walk.store_base(item)
+                                      : walk.load_base(item)) *
+                                   esize;
+          }
           for (std::size_t q = 0; q < l; ++q) {
             lanes.clear();
-            for (unsigned ln = 0; ln < 16; ++ln) {
-              const std::size_t item = gid0 + ln + r * threads;
-              if (item >= walk.items) continue;
-              const std::size_t elem =
-                  store ? walk.store(item, q) : walk.load(item, q);
+            for (std::size_t ln = 0; ln < n_lanes; ++ln) {
               lanes.push_back(sim::LaneAccess{
-                  static_cast<int>(ln), base + elem * esize,
+                  static_cast<int>(ln), lane0[ln] + stride * q * esize,
                   static_cast<std::uint32_t>(esize)});
             }
-            if (lanes.empty()) continue;
-            stats.sampled_elem_bytes += lanes.size() * esize;
-            sim::CoalesceResult cr = sim::coalesce_half_warp(lanes);
-            if (cr.coalesced) {
-              ++stats.coalesced_slots;
-            } else {
-              ++stats.uncoalesced_slots;
-            }
-            for (const sim::Transaction& t : cr.transactions) {
-              stats.sampled_txn_bytes += t.bytes;
-              stream.push_back(t);
-            }
+            sim::account_global_slot(lanes, stream, stats);
             if (st.rank1 && tw == TwiddleSource::Constant) {
               // Inter-rank twiddle W^(c*k): c is constant across the
               // x-consecutive half-warp, so the constant load broadcasts.
@@ -336,10 +333,7 @@ std::uint64_t fine_const_cycles_per_block(const FineModel& fm,
             const std::size_t u = (hw * 16 + ln) % tpt + b * tpt;
             idxs.push_back(fine_twiddle_step(st, u) * r);
           }
-          const std::size_t lanes_in_slot = idxs.size();
-          std::sort(idxs.begin(), idxs.end());
-          idxs.erase(std::unique(idxs.begin(), idxs.end()), idxs.end());
-          cycles += idxs.size() * lanes_in_slot;
+          cycles += sim::const_slot_cycles(idxs);
         }
       }
     }
@@ -378,7 +372,6 @@ double fine_step_ms(const sim::GpuSpec& spec, const FineStep& fs,
   if (!launchable(spec, c)) return kInfeasible;
 
   sim::LaunchStats stats;
-  stats.total_threads = static_cast<std::uint64_t>(c.grid_blocks) * tpb;
   stats.elem_bytes_loaded = fm.io_elems * esize;
   stats.elem_bytes_stored = fm.io_elems * esize;
   // No sampled streams: sampled_elem_bytes stays 0, so estimate_launch
@@ -497,7 +490,6 @@ MixedAxisSample mixed_axis_sample(const sim::GpuSpec& spec,
 
   const std::size_t n = walk.n;
   sim::LaunchStats& stats = out.stats;
-  stats.total_threads = static_cast<std::uint64_t>(grid) * tpb;
   stats.elem_bytes_loaded = walk.lines * n * esize;
   stats.elem_bytes_stored = walk.lines * n * esize;
 
@@ -535,17 +527,7 @@ MixedAxisSample mixed_axis_sample(const sim::GpuSpec& spec,
           // The kernel gathers the line then scatters it back in place:
           // the load and the store slot see the same addresses.
           for (int pass = 0; pass < 2; ++pass) {
-            stats.sampled_elem_bytes += lanes.size() * esize;
-            sim::CoalesceResult cr = sim::coalesce_half_warp(lanes);
-            if (cr.coalesced) {
-              ++stats.coalesced_slots;
-            } else {
-              ++stats.uncoalesced_slots;
-            }
-            for (const sim::Transaction& t : cr.transactions) {
-              stats.sampled_txn_bytes += t.bytes;
-              stream.push_back(t);
-            }
+            sim::account_global_slot(lanes, stream, stats);
           }
         }
       }

@@ -107,8 +107,9 @@ void RankKernelT<T>::run_block(sim::BlockCtx& ctx) {
     // consecutive addresses.
     for (std::size_t w = t.global_id(); w < walk.items;
          w += t.total_threads()) {
+      const std::size_t load0 = walk.load_base(w);
       for (std::size_t q = 0; q < L; ++q) {
-        v[q] = in.load(t, walk.load(w, q));
+        v[q] = in.load(t, load0 + walk.load_stride * q);
       }
       fft_small(v, L, sign, roots_l_.data());
 
@@ -120,8 +121,9 @@ void RankKernelT<T>::run_block(sim::BlockCtx& ctx) {
         }
       }
 
+      const std::size_t store0 = walk.store_base(w);
       for (std::size_t k = 0; k < L; ++k) {
-        out.store(t, walk.store(w, k), v[k]);
+        out.store(t, store0 + walk.store_stride * k, v[k]);
       }
     }
   });

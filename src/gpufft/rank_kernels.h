@@ -51,31 +51,48 @@ struct RankKernelParams {
   }
 };
 
-/// The addresses of one coarse rank launch over `in_shape` (dims (nx, a,
-/// b, c, L), transform along dim 4), as element offsets into the input
-/// and output views. Item w = x + nx*(a + na*(b + nb*c)) loads its L
-/// points `items` apart (Table 2's pattern D) and stores output k at
-/// w % s + s*L*(w / s) + s*k: s = nx puts the digit after X for rank 1
-/// (pattern A, the paper's FFT256_1), s = nx*na after a for rank 2
-/// (pattern B, FFT256_2). RankKernelT walks it and the planner samples it.
+/// Table 2's access patterns as one index map: the addresses of a kernel
+/// that moves one L-point digit per work item through a 5-D view. The
+/// digit is dim `load_dim` of `in_shape` and lands at dim `store_dim` of
+/// the output view: the item view (the input without the digit's dim, X
+/// fastest) with the digit inserted there. Item w's point q, with the
+/// digit at dim p, sits at w % s + s*L*(w / s) + s*q, where s is the
+/// product of the item view's first p extents; dims 1-4 are patterns A-D.
+/// The rank kernels, the Z pencil and the pattern copies issue it, and
+/// the planner samples it.
 struct RankWalk {
+  RankWalk(const Shape5& in_shape, std::size_t load_dim,
+           std::size_t store_dim)
+      : items(in_shape.volume() / in_shape.extent[load_dim]),
+        L(in_shape.extent[load_dim]),
+        load_stride(in_shape.stride(load_dim)),
+        store_stride(store_dim <= load_dim
+                         ? in_shape.stride(store_dim)
+                         : in_shape.stride(store_dim + 1) / L) {}
+
+  /// A coarse rank launch: both ranks read pattern D (dim 4); rank 1
+  /// writes pattern A (dim 1, the paper's FFT256_1), rank 2 pattern B
+  /// (dim 2, FFT256_2).
   RankWalk(const Shape5& in_shape, bool rank1)
-      : items(in_shape.extent[0] * in_shape.extent[1] * in_shape.extent[2] *
-              in_shape.extent[3]),
-        L(in_shape.extent[4]),
-        s(rank1 ? in_shape.extent[0]
-                : in_shape.extent[0] * in_shape.extent[1]) {}
+      : RankWalk(in_shape, 4, rank1 ? 1 : 2) {}
 
-  [[nodiscard]] std::size_t load(std::size_t w, std::size_t q) const {
-    return w + items * q;
+  /// Item w's point 0 on each side; point q is `stride * q` further.
+  [[nodiscard]] std::size_t load_base(std::size_t w) const {
+    return base(w, load_stride);
   }
-  [[nodiscard]] std::size_t store(std::size_t w, std::size_t k) const {
-    return w % s + s * L * (w / s) + s * k;
+  [[nodiscard]] std::size_t store_base(std::size_t w) const {
+    return base(w, store_stride);
   }
 
-  std::size_t items;  ///< work items, one L-point FFT each
-  std::size_t L;      ///< points per item
-  std::size_t s;      ///< element stride of the output digit
+  std::size_t items;         ///< work items, one digit each
+  std::size_t L;             ///< points per item
+  std::size_t load_stride;   ///< element stride of the input digit
+  std::size_t store_stride;  ///< element stride of the output digit
+
+ private:
+  [[nodiscard]] std::size_t base(std::size_t w, std::size_t s) const {
+    return w % s + s * L * (w / s);
+  }
 };
 
 /// The launch of a coarse rank kernel over `p.in_shape`, in double (`fp64`)

@@ -118,7 +118,6 @@ Device::Device(GpuSpec spec) : spec_(std::move(spec)) {
   REPRO_CHECK_MSG(spec_.dma_engines == 1 || spec_.dma_engines == 2,
                   "GpuSpec.dma_engines must be 1 or 2");
   REPRO_CHECK_MSG(spec_.shmem_banks > 0, "GpuSpec.shmem_banks must be > 0");
-  options_.shmem_banks = spec_.shmem_banks;
 }
 
 Device::~Device() {
@@ -258,7 +257,8 @@ LaunchResult Device::launch(Kernel& kernel) {
       BlockRecord& record = blocks[b];
       try {
         BlockCtx ctx(cfg, record.stats, options_, b, b < sampled_blocks,
-                     tex_lines, capture ? &record.last_store : nullptr);
+                     tex_lines, spec_.shmem_banks,
+                     capture ? &record.last_store : nullptr);
         kernel.run_block(ctx);
       } catch (...) {
         record.error = std::current_exception();
@@ -275,8 +275,6 @@ LaunchResult Device::launch(Kernel& kernel) {
   // Merge in block order: the result is the one a serial loop gives. The
   // lowest failed block's error propagates and nothing is charged.
   LaunchStats stats;
-  stats.total_threads =
-      static_cast<std::uint64_t>(cfg.grid_blocks) * cfg.threads_per_block;
   const StoreTarget* last_store = nullptr;
   for (BlockRecord& record : blocks) {
     if (record.error != nullptr) std::rethrow_exception(record.error);

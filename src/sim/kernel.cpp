@@ -9,13 +9,10 @@ void LaunchStats::merge(LaunchStats&& block) {
   elem_bytes_loaded += block.elem_bytes_loaded;
   elem_bytes_stored += block.elem_bytes_stored;
   tex_elem_bytes += block.tex_elem_bytes;
-  barriers += block.barriers;
-  total_threads += block.total_threads;
   sampled_elem_bytes += block.sampled_elem_bytes;
   sampled_txn_bytes += block.sampled_txn_bytes;
   coalesced_slots += block.coalesced_slots;
   uncoalesced_slots += block.uncoalesced_slots;
-  shmem_slots += block.shmem_slots;
   shmem_thread_cycles += block.shmem_thread_cycles;
   const_thread_cycles += block.const_thread_cycles;
   sampled_tex_elem_bytes += block.sampled_tex_elem_bytes;
@@ -25,15 +22,40 @@ void LaunchStats::merge(LaunchStats&& block) {
                       std::make_move_iterator(block.warp_streams.end()));
 }
 
+void account_global_slot(std::span<const LaneAccess> lanes,
+                         std::vector<Transaction>& stream,
+                         LaunchStats& stats) {
+  for (const LaneAccess& a : lanes) stats.sampled_elem_bytes += a.bytes;
+  const CoalesceResult r = coalesce_half_warp(lanes);
+  if (r.coalesced) {
+    ++stats.coalesced_slots;
+  } else {
+    ++stats.uncoalesced_slots;
+  }
+  for (const Transaction& txn : r.transactions) {
+    stats.sampled_txn_bytes += txn.bytes;
+    stream.push_back(txn);
+  }
+}
+
+std::uint64_t const_slot_cycles(std::vector<std::uint64_t>& addrs) {
+  const std::size_t lanes = addrs.size();
+  std::sort(addrs.begin(), addrs.end());
+  const auto distinct = static_cast<std::size_t>(
+      std::unique(addrs.begin(), addrs.end()) - addrs.begin());
+  return distinct * lanes;
+}
+
 BlockCtx::BlockCtx(const LaunchConfig& cfg, LaunchStats& stats,
                    const SimOptions& opt, unsigned block_index,
                    bool recording, std::size_t tex_cache_lines,
-                   StoreTarget* capture)
+                   int shmem_banks, StoreTarget* capture)
     : cfg_(cfg),
       stats_(stats),
       opt_(opt),
       block_(block_index),
       recording_(recording),
+      shmem_banks_(shmem_banks),
       capture_(capture),
       shmem_(cfg.shmem_per_block) {
   if (recording_) {
@@ -73,56 +95,46 @@ void BlockCtx::record_texture_impl(unsigned tid, std::uint64_t addr,
   }
 }
 
+namespace {
+
+/// Slots of the half-warp of threads [t0, t1) in `logs`: its longest log.
+template <typename Log>
+std::size_t slot_count(const std::vector<Log>& logs, unsigned t0,
+                       unsigned t1) {
+  std::size_t n = 0;
+  for (unsigned t = t0; t < t1; ++t) n = std::max(n, logs[t].size());
+  return n;
+}
+
+}  // namespace
+
 void BlockCtx::end_phase() {
   if (!recording_) {
     return;
   }
   const unsigned nthreads = cfg_.threads_per_block;
-  const unsigned n_halfwarps = (nthreads + 15) / 16;
-
-  // --- global memory: coalesce per half-warp instruction slot ---
   std::vector<LaneAccess> lanes;
-  for (unsigned hw = 0; hw < n_halfwarps; ++hw) {
-    const unsigned t0 = hw * 16;
+  std::vector<ShmemLaneAccess> sh_lanes;
+  std::vector<std::uint64_t> addrs;
+  for (unsigned t0 = 0; t0 < nthreads; t0 += 16) {
     const unsigned t1 = std::min(t0 + 16, nthreads);
-    std::size_t max_slots = 0;
-    for (unsigned t = t0; t < t1; ++t) {
-      max_slots = std::max(max_slots, glog_[t].size());
-    }
+
+    // --- global memory: coalesced into the warp's DRAM stream ---
     auto& stream = stats_.warp_streams[t0 / 32];
-    for (std::size_t s = 0; s < max_slots; ++s) {
+    for (std::size_t s = 0, n = slot_count(glog_, t0, t1); s < n; ++s) {
       lanes.clear();
       for (unsigned t = t0; t < t1; ++t) {
         if (s < glog_[t].size()) {
           const GlobalAccess& a = glog_[t][s];
           lanes.push_back(
               LaneAccess{static_cast<int>(t - t0), a.addr, a.bytes});
-          stats_.sampled_elem_bytes += a.bytes;
         }
       }
-      CoalesceResult r = coalesce_half_warp(lanes);
-      if (r.coalesced) {
-        ++stats_.coalesced_slots;
-      } else {
-        ++stats_.uncoalesced_slots;
-      }
-      for (const Transaction& txn : r.transactions) {
-        stats_.sampled_txn_bytes += txn.bytes;
-        stream.push_back(txn);
-      }
+      account_global_slot(lanes, stream, stats_);
     }
-  }
 
-  // --- shared memory: bank-conflict degree per half-warp slot ---
-  std::vector<ShmemLaneAccess> sh_lanes;
-  for (unsigned hw = 0; hw < n_halfwarps; ++hw) {
-    const unsigned t0 = hw * 16;
-    const unsigned t1 = std::min(t0 + 16, nthreads);
-    std::size_t max_slots = 0;
-    for (unsigned t = t0; t < t1; ++t) {
-      max_slots = std::max(max_slots, slog_[t].size());
-    }
-    for (std::size_t s = 0; s < max_slots; ++s) {
+    // --- shared memory: bank-conflict degree ---
+    for (std::size_t s = 0, n = slot_count(slog_, t0, t1); s < n; ++s) {
       sh_lanes.clear();
       for (unsigned t = t0; t < t1; ++t) {
         if (s < slog_[t].size()) {
@@ -131,33 +143,18 @@ void BlockCtx::end_phase() {
                                              slog_[t][s].words});
         }
       }
-      const int degree = shmem_conflict_degree(sh_lanes, opt_.shmem_banks);
-      ++stats_.shmem_slots;
+      const int degree = shmem_conflict_degree(sh_lanes, shmem_banks_);
       stats_.shmem_thread_cycles +=
           static_cast<std::uint64_t>(degree) * sh_lanes.size();
     }
-  }
 
-  // --- constant memory: distinct addresses serialize within a slot ---
-  for (unsigned hw = 0; hw < n_halfwarps; ++hw) {
-    const unsigned t0 = hw * 16;
-    const unsigned t1 = std::min(t0 + 16, nthreads);
-    std::size_t max_slots = 0;
-    for (unsigned t = t0; t < t1; ++t) {
-      max_slots = std::max(max_slots, clog_[t].size());
-    }
-    std::vector<std::uint64_t> addrs;
-    for (std::size_t s = 0; s < max_slots; ++s) {
+    // --- constant memory: distinct addresses serialize ---
+    for (std::size_t s = 0, n = slot_count(clog_, t0, t1); s < n; ++s) {
       addrs.clear();
       for (unsigned t = t0; t < t1; ++t) {
-        if (s < clog_[t].size()) {
-          addrs.push_back(clog_[t][s]);
-        }
+        if (s < clog_[t].size()) addrs.push_back(clog_[t][s]);
       }
-      const std::size_t lanes_in_slot = addrs.size();
-      std::sort(addrs.begin(), addrs.end());
-      addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
-      stats_.const_thread_cycles += addrs.size() * lanes_in_slot;
+      stats_.const_thread_cycles += const_slot_cycles(addrs);
     }
   }
 

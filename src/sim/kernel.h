@@ -29,6 +29,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -98,15 +99,12 @@ struct LaunchStats {
   std::uint64_t elem_bytes_loaded = 0;
   std::uint64_t elem_bytes_stored = 0;
   std::uint64_t tex_elem_bytes = 0;
-  std::uint64_t barriers = 0;
-  std::uint64_t total_threads = 0;
 
   // Sampled while recording.
   std::uint64_t sampled_elem_bytes = 0;  ///< global element bytes in slots
   std::uint64_t sampled_txn_bytes = 0;   ///< post-coalescing DRAM bytes
   std::uint64_t coalesced_slots = 0;
   std::uint64_t uncoalesced_slots = 0;
-  std::uint64_t shmem_slots = 0;
   std::uint64_t shmem_thread_cycles = 0;  ///< serialization cost, per lane
   std::uint64_t const_thread_cycles = 0;
   std::uint64_t sampled_tex_elem_bytes = 0;
@@ -128,13 +126,25 @@ struct LaunchStats {
   }
 };
 
+// The half-warp slot rule. A slot is the k-th access of every thread of
+// one half-warp that made k or more; BlockCtx accounts each recorded slot
+// with these, and the planner prices its synthetic slots with the same.
+
+/// Account one global-memory slot of `lanes`: count its element bytes,
+/// coalesce it with the G80 rules, count it as coalesced or not, and append
+/// its DRAM transactions (and their bytes) to the warp's `stream`.
+void account_global_slot(std::span<const LaneAccess> lanes,
+                         std::vector<Transaction>& stream, LaunchStats& stats);
+
+/// Serialization cycles of one constant-memory slot whose lanes read
+/// `addrs` (reordered in place): each distinct address is one pass over
+/// the slot's lanes, 32 bits per cycle, so a broadcast costs one.
+std::uint64_t const_slot_cycles(std::vector<std::uint64_t>& addrs);
+
 /// Sampling knobs (owned by Device).
 struct SimOptions {
   std::uint32_t sample_accesses_per_thread = 1536;
   std::uint32_t max_sampled_blocks = 256;
-  /// Shared-memory bank count for conflict accounting; the Device ctor
-  /// copies it from GpuSpec::shmem_banks.
-  int shmem_banks = 16;
 };
 
 /// Per-thread identity passed to the phase function.
@@ -220,7 +230,7 @@ class BlockCtx {
  public:
   BlockCtx(const LaunchConfig& cfg, LaunchStats& stats, const SimOptions& opt,
            unsigned block_index, bool recording, std::size_t tex_cache_lines,
-           StoreTarget* capture = nullptr);
+           int shmem_banks, StoreTarget* capture = nullptr);
 
   [[nodiscard]] unsigned block_index() const { return block_; }
   [[nodiscard]] const LaunchConfig& config() const { return cfg_; }
@@ -239,10 +249,6 @@ class BlockCtx {
     }
     end_phase();
   }
-
-  /// Extra explicit barrier (cost accounting only; threads() already
-  /// synchronizes functionally).
-  void barrier() { ++stats_.barriers; }
 
   template <typename T>
   GlobalView<T> global(DeviceBuffer<T>& buf) {
@@ -341,6 +347,7 @@ class BlockCtx {
   const SimOptions& opt_;
   unsigned block_;
   bool recording_;
+  int shmem_banks_;  ///< bank count for conflict accounting (GpuSpec's)
   StoreTarget* capture_;  ///< non-null only under a fired KernelCorrupt
 
   std::vector<std::byte> shmem_;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 #include "common/metrics.h"
@@ -195,8 +196,10 @@ TEST(RankKernel, WalkIsTable2sPairing) {
               for (std::size_t q = 0; q < L; ++q) {
                 const std::size_t want_store =
                     st.rank1 ? out.at(x, q, a, b, c) : out.at(x, a, q, b, c);
-                if (walk.load(w, q) == in.at(x, a, b, c, q) &&
-                    walk.store(w, q) == want_store) {
+                if (walk.load_base(w) + walk.load_stride * q ==
+                        in.at(x, a, b, c, q) &&
+                    walk.store_base(w) + walk.store_stride * q ==
+                        want_store) {
                   continue;
                 }
                 if (mismatches++ == 0) {
@@ -209,6 +212,80 @@ TEST(RankKernel, WalkIsTable2sPairing) {
         }
       }
       EXPECT_EQ(mismatches, 0u) << "first at " << first;
+    }
+  }
+}
+
+/// The coordinates of a view whose item coordinates are `r` and whose
+/// digit sits at dim `dim` (its value is set per point).
+std::array<std::size_t, 5> with_digit(const std::array<std::size_t, 4>& r,
+                                      std::size_t dim) {
+  std::array<std::size_t, 5> c{};
+  for (std::size_t d = 0, k = 0; d < 5; ++d) c[d] = d == dim ? 0 : r[k++];
+  return c;
+}
+
+std::size_t at(const Shape5& view, const std::array<std::size_t, 5>& c) {
+  return view.at(c[0], c[1], c[2], c[3], c[4]);
+}
+
+TEST(RankWalk, EveryDimPairIsShape5At) {
+  // The walk generalized to every (load dim, store dim) in {1..4}^2: the
+  // digit at the load dim of the input view lands at the store dim of the
+  // output view, which is the item view (the input without the digit's
+  // dim, X fastest) with the digit inserted there. Checked on Table 2's
+  // V(256,16,16,16,16) (the 16 pattern copies) and on a view whose outer
+  // extents all differ, where the store stride is not the input's.
+  for (const Shape5& in :
+       {Shape5{{256, 16, 16, 16, 16}}, Shape5{{6, 3, 5, 2, 7}}}) {
+    for (std::size_t load_dim = 1; load_dim <= 4; ++load_dim) {
+      for (std::size_t store_dim = 1; store_dim <= 4; ++store_dim) {
+        SCOPED_TRACE("view " + std::to_string(in.extent[0]) + "x" +
+                     std::to_string(in.extent[1]) + " load dim " +
+                     std::to_string(load_dim) + " store dim " +
+                     std::to_string(store_dim));
+        const std::size_t L = in.extent[load_dim];
+        std::array<std::size_t, 4> item{};  // the item view's extents
+        for (std::size_t d = 0, k = 0; d < 5; ++d) {
+          if (d != load_dim) item[k++] = in.extent[d];
+        }
+        Shape5 out;
+        for (std::size_t d = 0, k = 0; d < 5; ++d) {
+          out.extent[d] = d == store_dim ? L : item[k++];
+        }
+        const RankWalk walk(in, load_dim, store_dim);
+        ASSERT_EQ(walk.items * walk.L, in.volume());
+        ASSERT_EQ(walk.L, L);
+        std::size_t mismatches = 0;
+        std::string first;
+        std::size_t w = 0;  // the kernels' item index, X innermost
+        std::array<std::size_t, 4> r{};
+        for (r[3] = 0; r[3] < item[3]; ++r[3]) {
+          for (r[2] = 0; r[2] < item[2]; ++r[2]) {
+            for (r[1] = 0; r[1] < item[1]; ++r[1]) {
+              for (r[0] = 0; r[0] < item[0]; ++r[0], ++w) {
+                const std::size_t load0 = walk.load_base(w);
+                const std::size_t store0 = walk.store_base(w);
+                auto ic = with_digit(r, load_dim);
+                auto oc = with_digit(r, store_dim);
+                for (std::size_t q = 0; q < L; ++q) {
+                  ic[load_dim] = q;
+                  oc[store_dim] = q;
+                  if (load0 + walk.load_stride * q == at(in, ic) &&
+                      store0 + walk.store_stride * q == at(out, oc)) {
+                    continue;
+                  }
+                  if (mismatches++ == 0) {
+                    first = "item " + std::to_string(w) + " point " +
+                            std::to_string(q);
+                  }
+                }
+              }
+            }
+          }
+        }
+        EXPECT_EQ(mismatches, 0u) << "first at " << first;
+      }
     }
   }
 }

@@ -1,6 +1,6 @@
 // Focused tests of the kernel-execution framework's instrumentation:
-// texture-cache modelling, constant-memory serialization, barriers,
-// sampling options, and the global/shared accessor plumbing.
+// texture-cache modelling, constant-memory serialization, shared-memory
+// bank conflicts, sampling options, and the global/shared accessor plumbing.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -134,16 +134,6 @@ TEST(Framework, SharedMemoryConflictsRaiseComputeTime) {
   const auto rc = dev.launch(clean);
   const auto rx = dev.launch(conflict);
   EXPECT_GT(rx.compute_ms, 4.0 * rc.compute_ms);
-}
-
-TEST(Framework, BarrierCountingWorks) {
-  Device dev(geforce_8800_gt());
-  ProbeKernel k(small_cfg(4, 32), [&](BlockCtx& ctx) {
-    ctx.threads([](ThreadCtx&) {});
-    ctx.barrier();
-    ctx.barrier();
-  });
-  EXPECT_NO_THROW(dev.launch(k));
 }
 
 TEST(Framework, GlobalOffsetViewAddressesCorrectly) {
