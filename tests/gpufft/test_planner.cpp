@@ -228,6 +228,8 @@ TEST(Wisdom, FingerprintSeesModelRelevantMutations) {
             spec_fingerprint(sim::geforce_8800_gtx()));
   EXPECT_TRUE(wisdom_header_matches(wisdom_header(base), base));
   EXPECT_FALSE(wisdom_header_matches(wisdom_header(banks), base));
+  // Wisdom files persist the fingerprint, so its value is pinned too.
+  EXPECT_EQ(wisdom_header(base), "gpu 8800_GTX fp=0xff3fba2303d252de");
 }
 
 TEST(Wisdom, RegistryRoundTripSkipsTheSearch) {
