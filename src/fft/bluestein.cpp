@@ -36,8 +36,7 @@ Bluestein<T>::Bluestein(std::size_t n, Direction dir)
       bf_(m_),
       tw_fwd_(m_, Direction::Forward),
       tw_inv_(m_, Direction::Inverse),
-      work_(m_),
-      scratch_(m_) {
+      stages_(radix_schedule(m_)) {
   REPRO_CHECK_MSG(n >= 2, "Bluestein needs n >= 2, got " + std::to_string(n));
   // Kernel b: the chirp conjugate laid out circularly (negative indices
   // wrap to the top of the length-m buffer), then its spectrum scaled by
@@ -47,49 +46,61 @@ Bluestein<T>::Bluestein(std::size_t n, Direction dir)
     b[t] = a_[t].conj();
     if (t != 0) b[m_ - t] = a_[t].conj();
   }
-  stockham_multirow<T>(b.data(), scratch_.data(),
-                       MultirowLayout{m_, 1, 1, m_}, tw_fwd_);
+  std::vector<cx<T>> partner(m_);
+  stockham_multirow<T>(b.data(), partner.data(),
+                       MultirowLayout{m_, 1, 1, m_}, tw_fwd_, stages_);
   const T inv_m = static_cast<T>(1.0 / static_cast<double>(m_));
   for (std::size_t i = 0; i < m_; ++i) bf_[i] = b[i] * inv_m;
 }
 
 template <typename T>
-void Bluestein<T>::execute(cx<T>* data, const MultirowLayout& lo) {
+void Bluestein<T>::execute(cx<T>* data, cx<T>* scratch,
+                           const MultirowLayout& lo) const {
   REPRO_CHECK(lo.n == n_);
   const MultirowLayout conv{m_, 1, 1, m_};
+  cx<T>* work = scratch;          // m-length convolution line
+  cx<T>* partner = scratch + m_;  // its Stockham ping-pong partner
   for (std::size_t row = 0; row < lo.nrows; ++row) {
     const std::size_t ro = row * lo.row_stride;
     // Pre-multiply by the chirp into the zero-padded convolution buffer.
     for (std::size_t j = 0; j < n_; ++j) {
-      work_[j] = data[ro + j * lo.point_stride] * a_[j];
+      work[j] = data[ro + j * lo.point_stride] * a_[j];
     }
-    for (std::size_t j = n_; j < m_; ++j) work_[j] = cx<T>{0, 0};
+    for (std::size_t j = n_; j < m_; ++j) work[j] = cx<T>{0, 0};
     // Circular convolution with b through the pow2 Stockham engine.
-    stockham_multirow<T>(work_.data(), scratch_.data(), conv, tw_fwd_);
-    for (std::size_t i = 0; i < m_; ++i) work_[i] = work_[i] * bf_[i];
-    stockham_multirow<T>(work_.data(), scratch_.data(), conv, tw_inv_);
+    stockham_multirow<T>(work, partner, conv, tw_fwd_, stages_);
+    for (std::size_t i = 0; i < m_; ++i) work[i] = work[i] * bf_[i];
+    stockham_multirow<T>(work, partner, conv, tw_inv_, stages_);
     // Post-multiply by the chirp and scatter back.
     for (std::size_t k = 0; k < n_; ++k) {
-      data[ro + k * lo.point_stride] = work_[k] * a_[k];
+      data[ro + k * lo.point_stride] = work[k] * a_[k];
     }
   }
 }
 
 template <typename T>
 AxisFft<T>::AxisFft(std::size_t n, Direction dir)
-    : n_(n), tw_(n, dir) {
+    : n_(n), tw_(n, dir), stages_(radix_schedule(n)) {
   if (!is_7smooth(n)) {
-    blue_ = std::make_unique<Bluestein<T>>(n, dir);
+    blue_ = std::make_unique<const Bluestein<T>>(n, dir);
   }
 }
 
 template <typename T>
-void AxisFft<T>::run(cx<T>* data, cx<T>* scratch, const MultirowLayout& lo) {
+std::size_t AxisFft<T>::scratch_elems(const MultirowLayout& lo) const {
+  if (blue_) return blue_->scratch_elems();
+  if (lo.nrows == 0) return 0;
+  return (lo.nrows - 1) * lo.row_stride + (lo.n - 1) * lo.point_stride + 1;
+}
+
+template <typename T>
+void AxisFft<T>::run(cx<T>* data, cx<T>* scratch,
+                     const MultirowLayout& lo) const {
   REPRO_CHECK(lo.n == n_);
   if (blue_) {
-    blue_->execute(data, lo);
+    blue_->execute(data, scratch, lo);
   } else {
-    stockham_multirow<T>(data, scratch, lo, tw_);
+    stockham_multirow<T>(data, scratch, lo, tw_, stages_);
   }
 }
 

@@ -15,9 +15,10 @@
 // integer math before the double-precision sin/cos — for large n the naive
 // j^2*pi/n argument would lose every significant bit of the angle.
 //
-// The precomputed tables (chirp a, scaled kernel spectrum FFT_m(b)/m) are
-// exposed so the simulated GPU Bluestein path uploads these exact values:
-// host and device then share every constant, which is what keeps their
+// Both engines are immutable once built: a transform reads only tables
+// fixed at construction and works in caller-provided scratch, so one
+// engine may run on many threads at once. The simulated GPU's Mixed3D
+// line kernel runs AxisFft itself, which is what keeps host and device
 // results bit-for-bit identical.
 #pragma once
 
@@ -39,8 +40,13 @@ class Bluestein {
  public:
   Bluestein(std::size_t n, Direction dir);
 
-  /// Transform every row of `lo` (lo.n must equal size()) in place.
-  void execute(cx<T>* data, const MultirowLayout& lo);
+  /// Transform every row of `lo` (lo.n must equal size()) in place, one
+  /// row at a time through `scratch` (scratch_elems() elements).
+  void execute(cx<T>* data, cx<T>* scratch, const MultirowLayout& lo) const;
+
+  /// The zero-padded convolution line and its Stockham ping-pong
+  /// partner: 2m elements, whatever the layout.
+  [[nodiscard]] std::size_t scratch_elems() const { return 2 * m_; }
 
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] std::size_t conv_size() const { return m_; }
@@ -60,8 +66,7 @@ class Bluestein {
   std::vector<cx<T>> bf_;  ///< FFT_m(b)/m, m entries
   TwiddleTable<T> tw_fwd_;
   TwiddleTable<T> tw_inv_;
-  std::vector<cx<T>> work_;     ///< m-length convolution buffer
-  std::vector<cx<T>> scratch_;  ///< Stockham ping-pong partner
+  std::vector<StageSpec> stages_;  ///< radix_schedule(m)
 };
 
 extern template class Bluestein<float>;
@@ -77,10 +82,14 @@ class AxisFft {
   AxisFft(AxisFft&&) noexcept = default;
   AxisFft& operator=(AxisFft&&) noexcept = default;
 
-  /// Transform all rows of `lo` in place; `scratch` must cover the same
-  /// index range as `data` (Stockham ping-pong partner; unused by the
-  /// Bluestein path, which carries its own convolution buffers).
-  void run(cx<T>* data, cx<T>* scratch, const MultirowLayout& lo);
+  /// Transform all rows of `lo` in place through `scratch`, which holds
+  /// scratch_elems(lo) elements.
+  void run(cx<T>* data, cx<T>* scratch, const MultirowLayout& lo) const;
+
+  /// Scratch one run() over `lo` needs: the Stockham ping-pong partner,
+  /// indexed like the data (the layout's whole index range), or the
+  /// Bluestein convolution buffers (2 * bluestein_length(n)).
+  [[nodiscard]] std::size_t scratch_elems(const MultirowLayout& lo) const;
 
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] Direction direction() const { return tw_.direction(); }
@@ -88,8 +97,9 @@ class AxisFft {
 
  private:
   std::size_t n_;
-  TwiddleTable<T> tw_;  ///< n-th roots (Stockham path)
-  std::unique_ptr<Bluestein<T>> blue_;
+  TwiddleTable<T> tw_;             ///< n-th roots (Stockham path)
+  std::vector<StageSpec> stages_;  ///< radix_schedule(n) (Stockham path)
+  std::unique_ptr<const Bluestein<T>> blue_;
 };
 
 extern template class AxisFft<float>;

@@ -2,11 +2,11 @@
 // kernels.
 //
 // radix_schedule(n) is THE stage order for a 7-smooth transform length:
-// host stockham_multirow and the simulated mixed-radix kernels both walk
-// this exact list, which is what makes host and device results bit-for-bit
-// identical for every supported size. Sizes with a prime factor larger
-// than 7 take the Bluestein/chirp-z fallback (bluestein.h), whose internal
-// convolution length is the power of two bluestein_length(n).
+// stockham_multirow walks it, inside fft::AxisFft, the one line engine
+// that both the host plans and the simulated Mixed3D kernel run, and the
+// GPU cost model prices it stage by stage. Sizes with a prime factor
+// larger than 7 take the Bluestein/chirp-z fallback (bluestein.h), whose
+// internal convolution length is the power of two bluestein_length(n).
 #pragma once
 
 #include <cstddef>
@@ -28,9 +28,6 @@ struct StageSpec {
 /// decomposition the pre-mixed-radix engine used, so pow2 results are
 /// unchanged bit-for-bit.
 inline constexpr std::size_t kRadixPreference[] = {4, 2, 3, 5, 7};
-
-/// Largest radix radix_schedule emits (bounds per-butterfly scratch).
-inline constexpr std::size_t kMaxMixedRadix = 7;
 
 /// Stage decomposition of a 7-smooth n (empty when n has a prime factor
 /// larger than 7, or when n <= 1 — a length-1 transform has no stages).

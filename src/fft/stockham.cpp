@@ -68,16 +68,20 @@ void stage(const cx<T>* src, cx<T>* dst, const MultirowLayout& lo,
 template <typename T>
 void stockham_multirow(cx<T>* data, cx<T>* scratch, const MultirowLayout& lo,
                        const TwiddleTable<T>& tw) {
-  REPRO_CHECK(tw.size() == lo.n);
-  if (lo.n == 1) {
-    return;
-  }
   const auto stages = radix_schedule(lo.n);
-  REPRO_CHECK_MSG(!stages.empty(),
+  REPRO_CHECK_MSG(lo.n <= 1 || !stages.empty(),
                   "stockham_multirow handles 7-smooth lengths only; got n=" +
                       describe_size(lo.n) +
                       " — route sizes with a prime factor > 7 through the "
                       "Bluestein fallback (fft/bluestein.h)");
+  stockham_multirow<T>(data, scratch, lo, tw, stages);
+}
+
+template <typename T>
+void stockham_multirow(cx<T>* data, cx<T>* scratch, const MultirowLayout& lo,
+                       const TwiddleTable<T>& tw,
+                       std::span<const StageSpec> stages) {
+  REPRO_CHECK(tw.size() == lo.n);
   const int sign = direction_sign(tw.direction());
 
   const cx<T>* src = data;
@@ -125,5 +129,13 @@ template void stockham_multirow<float>(cx<float>*, cx<float>*,
 template void stockham_multirow<double>(cx<double>*, cx<double>*,
                                         const MultirowLayout&,
                                         const TwiddleTable<double>&);
+template void stockham_multirow<float>(cx<float>*, cx<float>*,
+                                       const MultirowLayout&,
+                                       const TwiddleTable<float>&,
+                                       std::span<const StageSpec>);
+template void stockham_multirow<double>(cx<double>*, cx<double>*,
+                                        const MultirowLayout&,
+                                        const TwiddleTable<double>&,
+                                        std::span<const StageSpec>);
 
 }  // namespace repro::fft

@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "common/complex.h"
+#include "fft/factor.h"
 #include "fft/twiddle.h"
 
 namespace repro::fft {
@@ -32,11 +34,26 @@ template <typename T>
 void stockham_multirow(cx<T>* data, cx<T>* scratch, const MultirowLayout& layout,
                        const TwiddleTable<T>& tw);
 
+/// The same transform along a precomputed `stages` ==
+/// radix_schedule(layout.n), for engines that run one length many times.
+template <typename T>
+void stockham_multirow(cx<T>* data, cx<T>* scratch, const MultirowLayout& layout,
+                       const TwiddleTable<T>& tw,
+                       std::span<const StageSpec> stages);
+
 extern template void stockham_multirow<float>(cx<float>*, cx<float>*,
                                               const MultirowLayout&,
                                               const TwiddleTable<float>&);
 extern template void stockham_multirow<double>(cx<double>*, cx<double>*,
                                                const MultirowLayout&,
                                                const TwiddleTable<double>&);
+extern template void stockham_multirow<float>(cx<float>*, cx<float>*,
+                                              const MultirowLayout&,
+                                              const TwiddleTable<float>&,
+                                              std::span<const StageSpec>);
+extern template void stockham_multirow<double>(cx<double>*, cx<double>*,
+                                               const MultirowLayout&,
+                                               const TwiddleTable<double>&,
+                                               std::span<const StageSpec>);
 
 }  // namespace repro::fft

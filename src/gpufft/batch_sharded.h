@@ -81,10 +81,6 @@ class BatchShardedFft3DPlan final : public FftPlanT<float> {
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
-  [[nodiscard]] sim::DeviceGroup& group() const { return *group_; }
-  [[nodiscard]] std::size_t n() const { return n_; }
-  [[nodiscard]] std::size_t shards() const { return shards_; }
-
  private:
   sim::DeviceGroup* group_;
   std::size_t n_;

@@ -3,12 +3,11 @@
 //
 // The paper's five-step executor is locked to pow2 extents by its coarse
 // f1*f2 split and its fine kernel's radix-4/2 stages. This plan lifts that
-// restriction: each axis is transformed by one MixedAxisKernelT pass
-// walking the shared fft::radix_schedule (radix 2/3/4/5/7), and an axis
-// with a prime factor larger than 7 runs the Bluestein chirp-z transform —
-// two pow2 convolution FFTs through the same staged engine, with every
-// table lifted from the host fft::Bluestein so host and device agree
-// bit-for-bit for every size.
+// restriction: each axis is transformed by one MixedAxisKernelT pass whose
+// threads run the host reference's per-axis engine, fft::AxisFft, on one
+// line each — mixed-radix Stockham (radix 2/3/4/5/7) for 7-smooth
+// lengths, the Bluestein chirp-z transform otherwise. Host and device
+// share that one engine, so they agree bit-for-bit for every size.
 //
 // Non-pow2 rows misalign G80's 128-byte coalescing segments; whether to
 // pad each row up to a 16-element boundary (TuneConfig::pitch) is a
@@ -43,9 +42,9 @@ class MixedFft3DT final : public FftPlanT<T> {
   using FftPlanT<T>::desc_;
   using FftPlanT<T>::dev_;
 
-  MixedAxisTablesT<T> tx_;
-  MixedAxisTablesT<T> ty_;
-  MixedAxisTablesT<T> tz_;
+  fft::AxisFft<T> fx_;
+  fft::AxisFft<T> fy_;
+  fft::AxisFft<T> fz_;
 };
 
 extern template class MixedFft3DT<float>;

@@ -182,9 +182,6 @@ class OutOfCoreFft3D final : public FftPlanT<float> {
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
-  [[nodiscard]] std::size_t n() const { return n_; }
-  [[nodiscard]] std::size_t splits() const { return splits_; }
-
   /// Phase breakdown of the last execute()/execute_host().
   [[nodiscard]] const OutOfCoreTiming& last_timing() const {
     return last_timing_;

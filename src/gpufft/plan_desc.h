@@ -14,6 +14,7 @@
 #include <string>
 #include <type_traits>
 
+#include "common/hash.h"
 #include "gpufft/tuning.h"
 #include "gpufft/types.h"
 
@@ -118,23 +119,12 @@ struct PlanDesc {
   }
 
   [[nodiscard]] std::size_t hash() const {
-    // FNV-1a over the description fields.
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(static_cast<std::uint64_t>(kind));
-    mix(shape.nx);
-    mix(shape.ny);
-    mix(shape.nz);
-    mix(static_cast<std::uint64_t>(dir));
-    mix(static_cast<std::uint64_t>(precision));
-    mix(tune.hash());
-    mix(static_cast<std::uint64_t>(transpose));
-    mix(splits);
-    mix(static_cast<std::uint64_t>(layout));
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(fnv1a(
+        {static_cast<std::uint64_t>(kind), shape.nx, shape.ny, shape.nz,
+         static_cast<std::uint64_t>(dir),
+         static_cast<std::uint64_t>(precision), tune.hash(),
+         static_cast<std::uint64_t>(transpose), splits,
+         static_cast<std::uint64_t>(layout)}));
   }
 
   /// Element pitch between consecutive X rows of the device buffer. Equal

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "gpufft/fine_kernel.h"
 #include "gpufft/outofcore.h"
 #include "gpufft/rank_kernels.h"
@@ -95,15 +96,6 @@ constexpr double kImprovementMargin = 1e-2;
 /// Memoized per-step scores: many candidates share coarse or fine
 /// sub-configurations, so each distinct synthetic launch is costed once.
 using Memo = std::unordered_map<std::uint64_t, double>;
-
-std::uint64_t mix_key(std::initializer_list<std::uint64_t> vs) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint64_t v : vs) {
-    h ^= v;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Miss bytes of `fetch_bytes` of twiddle fetches against the per-SM
 /// direct-mapped texture cache: one cold fill of the table footprint per
@@ -235,7 +227,7 @@ double coarse_step_ms_memo(const sim::GpuSpec& spec, const CoarseRankStep& st,
                            const PlanDesc& d, Memo& memo) {
   const TuneConfig& cfg = d.tune;
   const auto& e = st.in_shape.extent;
-  const std::uint64_t key = mix_key(
+  const std::uint64_t key = fnv1a(
       {1, e[0], e[1], e[2], e[3], e[4],
        static_cast<std::uint64_t>(st.rank1), st.axis_n, cfg.grid_for(spec),
        cfg.threads_per_block,
@@ -401,7 +393,7 @@ double fine_step_ms(const sim::GpuSpec& spec, const FineStep& fs,
 double fine_step_ms_memo(const sim::GpuSpec& spec, const FineStep& fs,
                          const PlanDesc& d, Memo& memo) {
   const TuneConfig& cfg = d.tune;
-  const std::uint64_t key = mix_key(
+  const std::uint64_t key = fnv1a(
       {2, static_cast<std::uint64_t>(fs.real),
        static_cast<std::uint64_t>(fs.dir), fs.nx, fs.count,
        cfg.grid_for(spec), cfg.threads_per_block, cfg.shmem_pad_words,
@@ -539,7 +531,7 @@ MixedAxisSample mixed_axis_sample(const sim::GpuSpec& spec,
 
 double mixed_axis_ms(const sim::GpuSpec& spec, const PlanDesc& d,
                      const MixedAxisWalk& walk, Memo& memo) {
-  const std::uint64_t key = mix_key(
+  const std::uint64_t key = fnv1a(
       {4, walk.shape.nx, walk.shape.ny, walk.shape.nz, walk.pitch,
        static_cast<std::uint64_t>(walk.axis), d.tune.grid_for(spec),
        d.tune.threads_per_block, static_cast<std::uint64_t>(d.precision)});
@@ -741,28 +733,28 @@ TuneResult tune_plan(const sim::GpuSpec& spec, const PlanDesc& desc) {
 
 std::uint64_t spec_fingerprint(const sim::GpuSpec& g) {
   const auto d = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  return mix_key({static_cast<std::uint64_t>(g.num_sms),
-                  static_cast<std::uint64_t>(g.sps_per_sm), d(g.sp_clock_ghz),
-                  static_cast<std::uint64_t>(g.registers_per_sm),
-                  g.shmem_per_sm, static_cast<std::uint64_t>(g.shmem_banks),
-                  static_cast<std::uint64_t>(g.max_threads_per_sm),
-                  static_cast<std::uint64_t>(g.max_blocks_per_sm),
-                  static_cast<std::uint64_t>(g.warp_size),
-                  g.device_memory_bytes, d(g.mem_clock_mhz),
-                  static_cast<std::uint64_t>(g.bus_width_bits),
-                  static_cast<std::uint64_t>(g.dram.channels),
-                  static_cast<std::uint64_t>(g.dram.banks_per_channel),
-                  g.dram.row_bytes, g.dram.interleave, d(g.dram.row_miss_ns),
-                  d(g.dram.row_cycle_ns), d(g.dram.lookahead_ns),
-                  d(g.dram.activate_channel_ns), g.dram.spread_threshold_bytes,
-                  d(g.dram.spread_penalty_ns), d(g.dram.spread_log_range),
-                  d(g.dram.peak_efficiency),
-                  static_cast<std::uint64_t>(g.pcie.gen), d(g.pcie.h2d_gbs),
-                  d(g.pcie.d2h_gbs), d(g.pcie.latency_us),
-                  static_cast<std::uint64_t>(g.dma_engines), d(g.fp64_ratio),
-                  static_cast<std::uint64_t>(g.threads_to_saturate_mem),
-                  d(g.launch_overhead_us), d(g.texture_cache_bytes),
-                  d(g.compute_efficiency)});
+  return fnv1a({static_cast<std::uint64_t>(g.num_sms),
+                static_cast<std::uint64_t>(g.sps_per_sm), d(g.sp_clock_ghz),
+                static_cast<std::uint64_t>(g.registers_per_sm),
+                g.shmem_per_sm, static_cast<std::uint64_t>(g.shmem_banks),
+                static_cast<std::uint64_t>(g.max_threads_per_sm),
+                static_cast<std::uint64_t>(g.max_blocks_per_sm),
+                static_cast<std::uint64_t>(g.warp_size),
+                g.device_memory_bytes, d(g.mem_clock_mhz),
+                static_cast<std::uint64_t>(g.bus_width_bits),
+                static_cast<std::uint64_t>(g.dram.channels),
+                static_cast<std::uint64_t>(g.dram.banks_per_channel),
+                g.dram.row_bytes, g.dram.interleave, d(g.dram.row_miss_ns),
+                d(g.dram.row_cycle_ns), d(g.dram.lookahead_ns),
+                d(g.dram.activate_channel_ns), g.dram.spread_threshold_bytes,
+                d(g.dram.spread_penalty_ns), d(g.dram.spread_log_range),
+                d(g.dram.peak_efficiency),
+                static_cast<std::uint64_t>(g.pcie.gen), d(g.pcie.h2d_gbs),
+                d(g.pcie.d2h_gbs), d(g.pcie.latency_us),
+                static_cast<std::uint64_t>(g.dma_engines), d(g.fp64_ratio),
+                static_cast<std::uint64_t>(g.threads_to_saturate_mem),
+                d(g.launch_overhead_us), d(g.texture_cache_bytes),
+                d(g.compute_efficiency)});
 }
 
 namespace {

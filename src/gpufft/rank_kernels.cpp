@@ -5,7 +5,6 @@
 #include <string>
 #include <type_traits>
 
-#include "fft/bluestein.h"
 #include "gpufft/stage_engine.h"
 
 namespace repro::gpufft {
@@ -134,29 +133,6 @@ template class RankKernelT<double>;
 
 // ---- Mixed-radix / Bluestein line kernels ----
 
-template <typename T>
-MixedAxisTablesT<T> MixedAxisTablesT<T>::make(std::size_t n, Direction dir) {
-  MixedAxisTablesT<T> tb;
-  tb.n = n;
-  if (n <= 1) return tb;
-  if (fft::is_7smooth(n)) {
-    tb.stages = fft::radix_schedule(n);
-    tb.roots = make_roots<T>(n, dir);
-    return tb;
-  }
-  // Lift the host Bluestein engine's tables verbatim: same chirp, same
-  // pre-scaled kernel spectrum, same pow2 convolution roots — the device
-  // convolution then reproduces the host fallback bit-for-bit.
-  const fft::Bluestein<T> blue(n, dir);
-  tb.conv_n = blue.conv_size();
-  tb.conv_stages = fft::radix_schedule(tb.conv_n);
-  tb.chirp.assign(blue.chirp().begin(), blue.chirp().end());
-  tb.kernel_fft.assign(blue.kernel_fft().begin(), blue.kernel_fft().end());
-  tb.conv_fwd = make_roots<T>(tb.conv_n, Direction::Forward);
-  tb.conv_inv = make_roots<T>(tb.conv_n, Direction::Inverse);
-  return tb;
-}
-
 MixedAxisWalk::MixedAxisWalk(Shape3 volume, std::size_t row_pitch,
                              MixedAxis pass_axis)
     : shape(volume), pitch(row_pitch), axis(pass_axis) {
@@ -186,8 +162,8 @@ sim::LaunchConfig mixed_axis_config(const MixedAxisWalk& walk, bool fp64,
                                     unsigned grid_blocks,
                                     unsigned threads_per_block) {
   const std::size_t n = walk.n;
-  // Same routing as MixedAxisTablesT::make: 7-smooth lines run their radix
-  // schedule, the rest a pair of pow2 Bluestein convolution FFTs.
+  // Same routing as fft::AxisFft: 7-smooth lines run their radix schedule,
+  // the rest a pair of pow2 Bluestein convolution FFTs.
   const bool blue = !fft::is_7smooth(n);
   const std::size_t conv_n = blue ? fft::bluestein_length(n) : 0;
   sim::LaunchConfig c;
@@ -218,18 +194,17 @@ sim::LaunchConfig mixed_axis_config(const MixedAxisWalk& walk, bool fp64,
 template <typename T>
 MixedAxisKernelT<T>::MixedAxisKernelT(DeviceBuffer<cx<T>>& data, Shape3 shape,
                                       std::size_t row_pitch, MixedAxis axis,
-                                      const MixedAxisTablesT<T>& tables,
-                                      Direction dir, unsigned grid_blocks,
+                                      const fft::AxisFft<T>& engine,
+                                      unsigned grid_blocks,
                                       unsigned threads_per_block)
     : data_(data),
       walk_(shape, row_pitch, axis),
-      tables_(tables),
-      dir_(dir),
+      engine_(engine),
       grid_(grid_blocks),
       tpb_(threads_per_block) {
   REPRO_CHECK(row_pitch >= shape.nx);
   REPRO_CHECK(data_.size() >= row_pitch * shape.ny * shape.nz);
-  REPRO_CHECK(tables_.n == walk_.n);
+  REPRO_CHECK(engine_.size() == walk_.n);
 }
 
 template <typename T>
@@ -240,55 +215,28 @@ sim::LaunchConfig MixedAxisKernelT<T>::config() const {
 template <typename T>
 void MixedAxisKernelT<T>::run_block(sim::BlockCtx& ctx) {
   auto buf = ctx.global(data_);
-  const MixedAxisTablesT<T>& tb = tables_;
-  const std::size_t n = tb.n;
-  const std::size_t work = tb.line_elems();
-  const int sign = fft::direction_sign(dir_);
-  // The Bluestein convolution runs a fixed Forward/Inverse pair whatever
-  // the user direction (the chirp carries the sign) — as on the host.
-  const int fwd_sign = fft::direction_sign(Direction::Forward);
-  const int inv_sign = fft::direction_sign(Direction::Inverse);
+  const std::size_t n = walk_.n;
+  const fft::MultirowLayout one_line{n, 1, 1, n};
+  const std::size_t scratch_elems = engine_.scratch_elems(one_line);
 
   ctx.threads([&](sim::ThreadCtx& t) {
-    std::vector<cx<T>> u(work);
-    std::vector<cx<T>> v(work);
+    std::vector<cx<T>> line(n);
+    std::vector<cx<T>> scratch(scratch_elems);
     for (std::size_t li = t.global_id(); li < walk_.slots;
          li += t.total_threads()) {
       const std::size_t base = walk_.line_base(li);
       if (base == SIZE_MAX) continue;  // pad slot of the padded layout
-      if (!tb.bluestein()) {
-        for (std::size_t p = 0; p < n; ++p) {
-          u[p] = buf.load(t, base + p * walk_.stride);
-        }
-        cx<T>* res =
-            run_mixed_line<T>(tb.stages, u.data(), v.data(), tb.roots, sign);
-        for (std::size_t p = 0; p < n; ++p) {
-          buf.store(t, base + p * walk_.stride, res[p]);
-        }
-      } else {
-        // Chirp-premultiply into the zero-padded convolution line.
-        for (std::size_t j = 0; j < n; ++j) {
-          u[j] = buf.load(t, base + j * walk_.stride) * tb.chirp[j];
-        }
-        for (std::size_t j = n; j < work; ++j) u[j] = cx<T>{0, 0};
-        cx<T>* res = run_mixed_line<T>(tb.conv_stages, u.data(), v.data(),
-                                       tb.conv_fwd, fwd_sign);
-        for (std::size_t i = 0; i < work; ++i) {
-          res[i] = res[i] * tb.kernel_fft[i];
-        }
-        cx<T>* other = res == u.data() ? v.data() : u.data();
-        res = run_mixed_line<T>(tb.conv_stages, res, other, tb.conv_inv,
-                                inv_sign);
-        for (std::size_t k = 0; k < n; ++k) {
-          buf.store(t, base + k * walk_.stride, res[k] * tb.chirp[k]);
-        }
+      for (std::size_t p = 0; p < n; ++p) {
+        line[p] = buf.load(t, base + p * walk_.stride);
+      }
+      engine_.run(line.data(), scratch.data(), one_line);
+      for (std::size_t p = 0; p < n; ++p) {
+        buf.store(t, base + p * walk_.stride, line[p]);
       }
     }
   });
 }
 
-template struct MixedAxisTablesT<float>;
-template struct MixedAxisTablesT<double>;
 template class MixedAxisKernelT<float>;
 template class MixedAxisKernelT<double>;
 

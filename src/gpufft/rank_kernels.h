@@ -20,7 +20,7 @@
 #include <array>
 
 #include "common/tensor.h"
-#include "fft/factor.h"
+#include "fft/bluestein.h"
 #include "gpufft/smallfft.h"
 #include "gpufft/tuning.h"
 #include "gpufft/types.h"
@@ -177,33 +177,6 @@ inline const char* mixed_axis_name(MixedAxis a) {
   return a == MixedAxis::X ? "X" : (a == MixedAxis::Y ? "Y" : "Z");
 }
 
-/// Host-precomputed tables driving one axis of the Mixed3D plan. For a
-/// 7-smooth axis: the shared radix schedule plus the axis-length roots.
-/// Otherwise the Bluestein fallback's chirp and convolution tables, lifted
-/// verbatim from the host fft::Bluestein engine so device results stay
-/// bit-for-bit against the host reference.
-template <typename T>
-struct MixedAxisTablesT {
-  std::size_t n{1};                    ///< axis length
-  std::vector<fft::StageSpec> stages;  ///< 7-smooth schedule (empty: Bluestein)
-  std::vector<cx<T>> roots;            ///< n roots for the user direction
-  // Bluestein fallback (n has a prime factor > 7):
-  std::size_t conv_n{0};                    ///< pow2 convolution length m
-  std::vector<fft::StageSpec> conv_stages;  ///< schedule of m
-  std::vector<cx<T>> chirp;                 ///< a_j (signed by user dir)
-  std::vector<cx<T>> kernel_fft;            ///< FFT_m(b) / m
-  std::vector<cx<T>> conv_fwd;              ///< m roots, forward
-  std::vector<cx<T>> conv_inv;              ///< m roots, inverse
-
-  [[nodiscard]] bool bluestein() const { return conv_n != 0; }
-  /// Length of the per-line working buffer a kernel needs.
-  [[nodiscard]] std::size_t line_elems() const {
-    return bluestein() ? conv_n : n;
-  }
-
-  static MixedAxisTablesT make(std::size_t n, Direction dir);
-};
-
 /// The line walk of one whole-axis pass over a `shape` volume whose rows
 /// are `pitch` elements apart: which lines the pass transforms, the thread
 /// index domain it walks and where each line's points sit.
@@ -255,36 +228,31 @@ sim::LaunchConfig mixed_axis_config(const MixedAxisWalk& walk, bool fp64,
                                     unsigned threads_per_block);
 
 /// One whole-axis pass of the Mixed3D plan: every line along `axis` is
-/// transformed in place by one thread (gather -> staged mixed-radix FFT in
-/// thread-local storage -> scatter; Bluestein lines run the chirp-multiply
-/// and both pow2 convolution FFTs inside the same pass). Rows are
-/// `row_pitch` elements apart, so the same kernel serves the dense and the
-/// padded layout — the planner's PitchMode only moves the addresses.
+/// transformed in place by one thread, which gathers it into thread-local
+/// storage, runs the host reference's `engine` on it (mixed-radix
+/// Stockham, or Bluestein's chirp multiplies and pow2 convolution FFTs)
+/// and scatters it back. Rows are `row_pitch` elements apart, so the same
+/// kernel serves the dense and the padded layout — the planner's
+/// PitchMode only moves the addresses.
 template <typename T>
 class MixedAxisKernelT final : public sim::Kernel {
  public:
   MixedAxisKernelT(DeviceBuffer<cx<T>>& data, Shape3 shape,
                    std::size_t row_pitch, MixedAxis axis,
-                   const MixedAxisTablesT<T>& tables, Direction dir,
-                   unsigned grid_blocks, unsigned threads_per_block);
+                   const fft::AxisFft<T>& engine, unsigned grid_blocks,
+                   unsigned threads_per_block);
 
   [[nodiscard]] sim::LaunchConfig config() const override;
   void run_block(sim::BlockCtx& ctx) override;
 
-  /// Lines this pass transforms (the axis' cross-section).
-  [[nodiscard]] std::size_t lines() const { return walk_.lines; }
-
  private:
   DeviceBuffer<cx<T>>& data_;
   MixedAxisWalk walk_;
-  const MixedAxisTablesT<T>& tables_;
-  Direction dir_;
+  const fft::AxisFft<T>& engine_;
   unsigned grid_;
   unsigned tpb_;
 };
 
-extern template struct MixedAxisTablesT<float>;
-extern template struct MixedAxisTablesT<double>;
 extern template class MixedAxisKernelT<float>;
 extern template class MixedAxisKernelT<double>;
 

@@ -290,10 +290,6 @@ class ShardedExecutor : public FftPlanT<float> {
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
-  [[nodiscard]] sim::DeviceGroup& group() const { return *group_; }
-  [[nodiscard]] std::size_t n() const { return n_; }
-  [[nodiscard]] std::size_t shards() const { return shards_; }
-
   /// Geometry the last execute()/execute_host() actually ran with.
   [[nodiscard]] const ShardLayout& last_layout() const {
     return last_layout_;

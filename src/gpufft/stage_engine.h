@@ -178,40 +178,6 @@ constexpr std::size_t fine_twiddle_step(const FineStage& st, std::size_t u) {
   return u / st.m * st.m;
 }
 
-/// Run every mixed-radix Stockham stage of one line held in thread-local
-/// storage, ping-ponging between `a` and `b`. Stage order, butterflies and
-/// twiddle indices replicate fft::stockham_multirow exactly (same
-/// radix_schedule, same fft_small ops, same roots-table values), so the
-/// device result is bit-for-bit the host reference. Returns the buffer
-/// holding the natural-order result (`a` or `b`).
-template <typename T>
-inline cx<T>* run_mixed_line(const std::vector<fft::StageSpec>& stages,
-                             cx<T>* a, cx<T>* b,
-                             const std::vector<cx<T>>& roots, int sign) {
-  cx<T>* src = a;
-  cx<T>* dst = b;
-  for (const fft::StageSpec& st : stages) {
-    const std::size_t R = st.radix;
-    for (std::size_t j = 0; j < st.l; ++j) {
-      for (std::size_t k = 0; k < st.m; ++k) {
-        const std::size_t in0 = k + st.m * j;
-        const std::size_t out0 = k + st.m * R * j;
-        cx<T> v[fft::kMaxMixedRadix];
-        for (std::size_t q = 0; q < R; ++q) {
-          v[q] = src[in0 + q * st.m * st.l];
-        }
-        fft_small(v, R, sign, static_cast<const cx<T>*>(nullptr));
-        dst[out0] = v[0];
-        for (std::size_t r = 1; r < R; ++r) {
-          dst[out0 + r * st.m] = roots[j * st.m * r] * v[r];
-        }
-      }
-    }
-    std::swap(src, dst);
-  }
-  return src;
-}
-
 /// FP operations of one mixed-radix line transform of length n (butterfly
 /// cost plus the R-1 twiddle multiplies per butterfly).
 inline double mixed_line_flops(std::size_t n) {

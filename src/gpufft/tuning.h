@@ -20,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash.h"
 #include "gpufft/types.h"
 
 namespace repro::gpufft {
@@ -76,21 +77,11 @@ struct TuneConfig {
 
   /// FNV-1a over the fields (mixed into PlanDesc::hash()).
   [[nodiscard]] std::size_t hash() const {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(static_cast<std::uint64_t>(coarse_twiddles));
-    mix(static_cast<std::uint64_t>(fine_twiddles));
-    mix(grid_blocks);
-    mix(blocks_per_sm);
-    mix(threads_per_block);
-    mix(coarse_radix);
-    mix(shmem_pad_words);
-    mix(slab_depth);
-    mix(static_cast<std::uint64_t>(pitch));
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(fnv1a(
+        {static_cast<std::uint64_t>(coarse_twiddles),
+         static_cast<std::uint64_t>(fine_twiddles), grid_blocks,
+         blocks_per_sm, threads_per_block, coarse_radix, shmem_pad_words,
+         slab_depth, static_cast<std::uint64_t>(pitch)}));
   }
 
   /// Grid size on `gpu`: the explicit override, or blocks_per_sm per SM.

@@ -125,7 +125,6 @@ double DramModel::replay(std::span<const std::vector<Transaction>> streams) {
   // end up reusing each other's open rows.
   std::vector<std::size_t> pos(streams.size(), 0);
   bool any = true;
-  double total_bytes = 0.0;
   while (any) {
     any = false;
     for (std::size_t s = 0; s < streams.size(); ++s) {
@@ -167,7 +166,6 @@ double DramModel::replay(std::span<const std::vector<Transaction>> streams) {
       chan_free[loc.channel] = end;
       bank.ready_ns = end;
       bank.open_row = loc.row;
-      total_bytes += t.bytes;
     }
   }
   double elapsed = 0.0;
