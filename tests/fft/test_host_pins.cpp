@@ -4,8 +4,9 @@
 // double, forward and inverse, and compares an FNV-1a hash over the
 // output bytes exactly. The shapes cover pow2, 7-smooth (mixed-radix
 // Stockham) and Bluestein axes, batched 1-D rows, a Bluestein length
-// whose convolution buffers outgrow its data, the split half-spectrum
-// real plans and one Scaling::ByN inverse.
+// whose convolution buffers outgrow its data, length-1 axes, the split
+// half-spectrum real plans (including a one-column main block) and
+// Scaling::ByN inverses.
 //
 // On a mismatch the test prints the observed hashes as a C++ initializer,
 // so a deliberate re-baseline is a copy of that line.
@@ -128,6 +129,31 @@ TEST(HostPins, Plan2DSmoothByBluestein) {
                 {15779536031283780580ull, 6913441341439234736ull, 1395321952868422907ull, 7382951527547193371ull});
 }
 
+Hashes plan2d_hashes(Shape2 shape, std::uint64_t seed,
+                     Scaling scaling = Scaling::None) {
+  return complex_hashes(
+      shape.area(), seed,
+      [shape, scaling]<typename T>(std::span<cx<T>> data, Direction d) {
+        Plan2D<T>(shape, d, scaling).execute(data);
+      });
+}
+
+TEST(HostPins, Plan2DLengthOneX) {
+  // Every row is one point; the Bluestein Y is the whole transform.
+  expect_hashes(plan2d_hashes(Shape2{1, 13}, 32),
+                {3179644392264175326ull, 3206659284611066610ull, 8115033778256820556ull, 10354881506566652710ull});
+}
+
+TEST(HostPins, Plan2DBluesteinX) {
+  expect_hashes(plan2d_hashes(Shape2{97, 3}, 33),
+                {16251550514222378494ull, 2854109938168683304ull, 10174134646886540248ull, 12643220814606521878ull});
+}
+
+TEST(HostPins, Plan2DScaledByN) {
+  expect_hashes(plan2d_hashes(Shape2{12, 11}, 34, Scaling::ByN),
+                {2102985513043754415ull, 7373834711022721920ull, 17362787058944089092ull, 11564151782481378206ull});
+}
+
 // ---- Plan3D ----
 
 TEST(HostPins, Plan3DPow2) {
@@ -185,6 +211,23 @@ TEST(HostPins, RealSplit3D) {
   const auto [f_fwd, f_inv] = real_hashes<float>(kShape, 91);
   const auto [d_fwd, d_inv] = real_hashes<double>(kShape, 92);
   expect_hashes({f_fwd, f_inv, d_fwd, d_inv}, {904328826687152882ull, 11901936271565113270ull, 5970034160738875593ull, 15795274972226675043ull});
+}
+
+TEST(HostPins, RealSplitOneColumnMainBlock) {
+  // nx = 2: main-block pitch 1, so both regions are one column wide;
+  // ny = 1 and a Bluestein Z.
+  constexpr Shape3 kShape{2, 1, 17};
+  const auto [f_fwd, f_inv] = real_hashes<float>(kShape, 93);
+  const auto [d_fwd, d_inv] = real_hashes<double>(kShape, 94);
+  expect_hashes({f_fwd, f_inv, d_fwd, d_inv}, {5510394872963354ull, 2602163820668600493ull, 2139833633485074536ull, 1398009427057095605ull});
+}
+
+TEST(HostPins, RealSplitBluesteinY) {
+  // Bluestein Y, 7-smooth Z.
+  constexpr Shape3 kShape{20, 13, 7};
+  const auto [f_fwd, f_inv] = real_hashes<float>(kShape, 95);
+  const auto [d_fwd, d_inv] = real_hashes<double>(kShape, 96);
+  expect_hashes({f_fwd, f_inv, d_fwd, d_inv}, {12355339448109471534ull, 15420207614080463346ull, 12778080932113279449ull, 4851327814598266187ull});
 }
 
 }  // namespace
