@@ -5,60 +5,30 @@
 #include "common/check.h"
 
 namespace repro::fft {
-namespace {
 
-template <typename T>
-void scale_all(std::span<cx<T>> data, std::size_t n_points) {
-  const T s = static_cast<T>(1.0 / static_cast<double>(n_points));
-  for (auto& z : data) {
-    z = z * s;
-  }
-}
-
-// The three axis passes of a volume (x fastest in memory).
-
-/// X: points unit-stride, one multirow call over all ny*nz lines.
-MultirowLayout x_layout(Shape3 s) {
-  return MultirowLayout{s.nx, 1, s.ny * s.nz, s.nx};
-}
-
-/// Y, one z-plane per call: points stride nx, rows down x (unit stride) —
-/// the classic multirow pattern that keeps the inner loop sequential.
-MultirowLayout y_layout(Shape3 s) {
-  return MultirowLayout{s.ny, s.nx, s.nx, 1};
-}
-
-/// Z: points stride nx*ny, rows over the whole XY plane (unit stride).
-MultirowLayout z_layout(Shape3 s) {
+MultirowLayout pass_layout(Axis axis, Shape3 s) {
+  if (axis == Axis::X) return MultirowLayout{s.nx, 1, s.ny * s.nz, s.nx};
+  if (axis == Axis::Y) return MultirowLayout{s.ny, s.nx, s.nx, 1};
   return MultirowLayout{s.nz, s.nx * s.ny, s.nx * s.ny, 1};
 }
-
-}  // namespace
 
 template <typename T>
 Plan1D<T>::Plan1D(std::size_t n, Direction dir, Scaling scaling)
     : n_(n),
       scaling_(scaling),
       axis_(n, dir),
-      scratch_(axis_.scratch_elems(MultirowLayout{n, 1, 1, n})) {
+      scratch_(axis_.scratch_elems(pass_layout(Axis::X, Shape3{n, 1, 1}))) {
   REPRO_CHECK_MSG(n >= 1, "Plan1D needs a positive size");
 }
 
 template <typename T>
 void Plan1D<T>::execute(std::span<cx<T>> data, std::size_t batch) {
   REPRO_CHECK(data.size() == n_ * batch);
-  // All rows advance together: rows are the unit-stride dimension only when
-  // n_ is the stride between them, so here each row is a separate transform
-  // batched via the multirow row loop (row_stride = n).
-  const MultirowLayout lo{n_, /*point_stride=*/1, /*nrows=*/batch,
-                          /*row_stride=*/n_};
-  if (scratch_.size() < axis_.scratch_elems(lo)) {
-    scratch_.resize(axis_.scratch_elems(lo));
-  }
-  axis_.run(data.data(), scratch_.data(), lo);
-  if (scaling_ == Scaling::ByN) {
-    scale_all(data, n_);
-  }
+  const Shape3 rows{n_, batch, 1};
+  const std::size_t need = axis_.scratch_elems(pass_layout(Axis::X, rows));
+  if (scratch_.size() < need) scratch_.resize(need);
+  run_pass(axis_, Axis::X, rows, data.data(), scratch_.data());
+  if (scaling_ == Scaling::ByN) scale_by_n(data, n_);
 }
 
 template <typename T>
@@ -68,26 +38,19 @@ Plan3D<T>::Plan3D(Shape3 shape, Direction dir, Scaling scaling)
       ax_(shape.nx, dir),
       ay_(shape.ny, dir),
       az_(shape.nz, dir),
-      scratch_(std::max({ax_.scratch_elems(x_layout(shape)),
-                         ay_.scratch_elems(y_layout(shape)),
-                         az_.scratch_elems(z_layout(shape))})) {
+      scratch_(std::max({ax_.scratch_elems(pass_layout(Axis::X, shape)),
+                         ay_.scratch_elems(pass_layout(Axis::Y, shape)),
+                         az_.scratch_elems(pass_layout(Axis::Z, shape))})) {
   REPRO_CHECK_MSG(shape.volume() >= 1, "Plan3D needs a non-empty shape");
 }
 
 template <typename T>
 void Plan3D<T>::execute(std::span<cx<T>> data) {
   REPRO_CHECK(data.size() == shape_.volume());
-  cx<T>* d = data.data();
-  cx<T>* s = scratch_.data();
-  ax_.run(d, s, x_layout(shape_));
-  for (std::size_t z = 0; z < shape_.nz; ++z) {
-    ay_.run(d + z * shape_.nx * shape_.ny, s, y_layout(shape_));
-  }
-  az_.run(d, s, z_layout(shape_));
-
-  if (scaling_ == Scaling::ByN) {
-    scale_all(data, shape_.volume());
-  }
+  run_pass(ax_, Axis::X, shape_, data.data(), scratch_.data());
+  run_pass(ay_, Axis::Y, shape_, data.data(), scratch_.data());
+  run_pass(az_, Axis::Z, shape_, data.data(), scratch_.data());
+  if (scaling_ == Scaling::ByN) scale_by_n(data, shape_.volume());
 }
 
 template class Plan1D<float>;

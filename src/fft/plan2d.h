@@ -1,16 +1,12 @@
-// 2-D complex-to-complex host plans (row-major x-fastest layout), rounding
-// out the host library's plan family. Built on the same multirow Stockham
-// engine as the 1-D/3-D plans.
+// 2-D complex-to-complex host plans (row-major x-fastest layout): Plan3D
+// over an (nx, ny, 1) volume, so a 2-D transform runs the same X and Y
+// passes as a 3-D one (plan.h).
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
-#include "common/complex.h"
 #include "common/tensor.h"
 #include "fft/plan.h"
-#include "fft/stockham.h"
 
 namespace repro::fft {
 
@@ -24,27 +20,14 @@ struct Shape2 {
   }
 };
 
-/// 2-D complex-to-complex plan (any axis lengths; 7-smooth sizes run the
-/// mixed-radix Stockham engine, others the Bluestein fallback).
+/// 2-D complex-to-complex plan (any axis lengths): Plan3D over
+/// (nx, ny, 1). execute() takes shape.area() elements; Scaling::ByN
+/// divides by the area.
 template <typename T>
-class Plan2D {
+class Plan2D : public Plan3D<T> {
  public:
-  Plan2D(Shape2 shape, Direction dir, Scaling scaling = Scaling::None);
-
-  /// Transform in place; data.size() must equal shape.area().
-  void execute(std::span<cx<T>> data);
-
-  [[nodiscard]] Shape2 shape() const { return shape_; }
-
- private:
-  Shape2 shape_;
-  Scaling scaling_;
-  AxisFft<T> ax_;
-  AxisFft<T> ay_;
-  std::vector<cx<T>> scratch_;
+  Plan2D(Shape2 shape, Direction dir, Scaling scaling = Scaling::None)
+      : Plan3D<T>(Shape3{shape.nx, shape.ny, 1}, dir, scaling) {}
 };
-
-extern template class Plan2D<float>;
-extern template class Plan2D<double>;
 
 }  // namespace repro::fft

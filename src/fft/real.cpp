@@ -94,15 +94,27 @@ void PlanC2R<T>::execute(std::span<const cx<T>> in, std::span<T> out) {
 
 namespace {
 
-/// Flat index of bin (kx, ky, kz) in the split half-spectrum layout —
-/// main block with power-of-two pitch nx/2 plus a Nyquist tail plane.
-/// Mirrors gpufft::half_spectrum_index (real3d.h), the device layout
-/// this module is the bit-for-bit reference for.
-constexpr std::size_t split_index(Shape3 s, std::size_t kx, std::size_t ky,
-                                  std::size_t kz) {
-  const std::size_t m = s.nx / 2;
-  return kx < m ? (kz * s.ny + ky) * m + kx
-                : m * s.ny * s.nz + kz * s.ny + ky;
+/// Run `fft` along `axis` of both regions of `shape`'s split layout at
+/// `data`: the (nx/2, ny, nz) main block, then the (1, ny, nz) Nyquist
+/// tail at offset (nx/2)*ny*nz — the host mirror of
+/// gpufft::run_real_coarse_pass.
+template <typename T>
+void split_pass(const AxisFft<T>& fft, Axis axis, Shape3 shape, cx<T>* data,
+                cx<T>* scratch) {
+  const Shape3 main{shape.nx / 2, shape.ny, shape.nz};
+  run_pass(fft, axis, main, data, scratch);
+  run_pass(fft, axis, Shape3{1, shape.ny, shape.nz}, data + main.volume(),
+           scratch);
+}
+
+/// Scratch for split_pass along Y and Z. The main block's layouts span
+/// at least the tail's (its pitch nx/2 is >= 1), so they size it.
+template <typename T>
+std::size_t split_scratch_elems(const AxisFft<T>& ay, const AxisFft<T>& az,
+                                Shape3 shape) {
+  const Shape3 main{shape.nx / 2, shape.ny, shape.nz};
+  return std::max(ay.scratch_elems(pass_layout(Axis::Y, main)),
+                  az.scratch_elems(pass_layout(Axis::Z, main)));
 }
 
 }  // namespace
@@ -111,13 +123,12 @@ template <typename T>
 PlanR2C3D<T>::PlanR2C3D(Shape3 shape)
     : shape_(shape),
       row_(shape.nx),
-      py_(shape.ny, Direction::Forward),
-      pz_(shape.nz, Direction::Forward),
-      line_(std::max(shape.ny, shape.nz)),
+      ay_(shape.ny, Direction::Forward),
+      az_(shape.nz, Direction::Forward),
+      scratch_(split_scratch_elems(ay_, az_, shape)),
       rowbuf_(shape.nx / 2 + 1) {
-  // Y/Z extents are unrestricted: the line transforms route through the
-  // mixed-radix/Bluestein Plan1D. Only the real X axis must be even
-  // (checked by the PlanR2C member above).
+  // Y/Z extents are unrestricted (mixed-radix or Bluestein passes). Only
+  // the real X axis must be even (checked by the PlanR2C member above).
 }
 
 template <typename T>
@@ -125,54 +136,31 @@ void PlanR2C3D<T>::execute(std::span<const T> in, std::span<cx<T>> out) {
   REPRO_CHECK(in.size() == shape_.volume());
   REPRO_CHECK(out.size() == spectrum_elems());
   const std::size_t m = shape_.nx / 2;
-  const std::size_t ny = shape_.ny;
-  const std::size_t nz = shape_.nz;
+  const std::size_t rows = shape_.ny * shape_.nz;
 
   // X: per-row r2c, scattered into the split layout (bins [0, m) at the
   // row's main-block pitch, bin m into the tail plane).
-  for (std::size_t r = 0; r < ny * nz; ++r) {
+  for (std::size_t r = 0; r < rows; ++r) {
     row_.execute(in.subspan(r * shape_.nx, shape_.nx),
                  std::span<cx<T>>(rowbuf_));
     std::copy(rowbuf_.begin(), rowbuf_.begin() + m, out.begin() + r * m);
-    out[m * ny * nz + r] = rowbuf_[m];
+    out[m * rows + r] = rowbuf_[m];
   }
-  // Y then Z: ordinary complex line transforms of each half-spectrum
-  // column (gather strided, transform, scatter back).
-  for (std::size_t z = 0; z < nz; ++z) {
-    for (std::size_t kx = 0; kx <= m; ++kx) {
-      for (std::size_t y = 0; y < ny; ++y) {
-        line_[y] = out[split_index(shape_, kx, y, z)];
-      }
-      py_.execute(std::span<cx<T>>(line_.data(), ny));
-      for (std::size_t y = 0; y < ny; ++y) {
-        out[split_index(shape_, kx, y, z)] = line_[y];
-      }
-    }
-  }
-  for (std::size_t y = 0; y < ny; ++y) {
-    for (std::size_t kx = 0; kx <= m; ++kx) {
-      for (std::size_t z = 0; z < nz; ++z) {
-        line_[z] = out[split_index(shape_, kx, y, z)];
-      }
-      pz_.execute(std::span<cx<T>>(line_.data(), nz));
-      for (std::size_t z = 0; z < nz; ++z) {
-        out[split_index(shape_, kx, y, z)] = line_[z];
-      }
-    }
-  }
+  split_pass(ay_, Axis::Y, shape_, out.data(), scratch_.data());
+  split_pass(az_, Axis::Z, shape_, out.data(), scratch_.data());
 }
 
 template <typename T>
 PlanC2R3D<T>::PlanC2R3D(Shape3 shape)
     : shape_(shape),
       row_(shape.nx),
-      py_(shape.ny, Direction::Inverse, Scaling::ByN),
-      pz_(shape.nz, Direction::Inverse, Scaling::ByN),
-      line_(std::max(shape.ny, shape.nz)),
+      ay_(shape.ny, Direction::Inverse),
+      az_(shape.nz, Direction::Inverse),
+      scratch_(split_scratch_elems(ay_, az_, shape)),
       rowbuf_(shape.nx / 2 + 1),
       spectrum_((shape.nx / 2 + 1) * shape.ny * shape.nz) {
-  // Y/Z extents are unrestricted (mixed-radix/Bluestein line transforms);
-  // the even-X requirement is checked by the PlanC2R member above.
+  // Y/Z extents are unrestricted (mixed-radix or Bluestein passes); the
+  // even-X requirement is checked by the PlanC2R member above.
 }
 
 template <typename T>
@@ -180,38 +168,19 @@ void PlanC2R3D<T>::execute(std::span<const cx<T>> in, std::span<T> out) {
   REPRO_CHECK(in.size() == spectrum_elems());
   REPRO_CHECK(out.size() == shape_.volume());
   const std::size_t m = shape_.nx / 2;
-  const std::size_t ny = shape_.ny;
-  const std::size_t nz = shape_.nz;
+  const std::size_t rows = shape_.ny * shape_.nz;
   std::copy(in.begin(), in.end(), spectrum_.begin());
 
-  // Z then Y inverse (scaled) line transforms, then the per-row c2r
-  // gathering each row's dense bins out of the split layout.
-  for (std::size_t y = 0; y < ny; ++y) {
-    for (std::size_t kx = 0; kx <= m; ++kx) {
-      for (std::size_t z = 0; z < nz; ++z) {
-        line_[z] = spectrum_[split_index(shape_, kx, y, z)];
-      }
-      pz_.execute(std::span<cx<T>>(line_.data(), nz));
-      for (std::size_t z = 0; z < nz; ++z) {
-        spectrum_[split_index(shape_, kx, y, z)] = line_[z];
-      }
-    }
-  }
-  for (std::size_t z = 0; z < nz; ++z) {
-    for (std::size_t kx = 0; kx <= m; ++kx) {
-      for (std::size_t y = 0; y < ny; ++y) {
-        line_[y] = spectrum_[split_index(shape_, kx, y, z)];
-      }
-      py_.execute(std::span<cx<T>>(line_.data(), ny));
-      for (std::size_t y = 0; y < ny; ++y) {
-        spectrum_[split_index(shape_, kx, y, z)] = line_[y];
-      }
-    }
-  }
-  for (std::size_t r = 0; r < ny * nz; ++r) {
+  // Z then Y inverse passes, each scaled by 1/n of its axis, then the
+  // per-row c2r gathering each row's dense bins out of the split layout.
+  split_pass(az_, Axis::Z, shape_, spectrum_.data(), scratch_.data());
+  scale_by_n(std::span<cx<T>>(spectrum_), shape_.nz);
+  split_pass(ay_, Axis::Y, shape_, spectrum_.data(), scratch_.data());
+  scale_by_n(std::span<cx<T>>(spectrum_), shape_.ny);
+  for (std::size_t r = 0; r < rows; ++r) {
     std::copy(spectrum_.begin() + r * m, spectrum_.begin() + (r + 1) * m,
               rowbuf_.begin());
-    rowbuf_[m] = spectrum_[m * ny * nz + r];
+    rowbuf_[m] = spectrum_[m * rows + r];
     row_.execute(std::span<const cx<T>>(rowbuf_),
                  out.subspan(r * shape_.nx, shape_.nx));
   }

@@ -66,10 +66,12 @@ extern template class PlanC2R<double>;
 /// complex transforms along Y and Z. Output is the non-redundant
 /// half-spectrum, (nx/2+1)*ny*nz bins, in the *split* layout the device
 /// real plan (gpufft/real3d.h) uses: bins kx < nx/2 in a main block with
-/// power-of-two row pitch nx/2 (bin (kx, ky, kz) at (kz*ny+ky)*(nx/2)+kx)
-/// and the Nyquist bins kx = nx/2 in a tail plane at offset (nx/2)*ny*nz
-/// (row (ky, kz) at kz*ny+ky). This is the bit-for-bit layout reference
-/// for the device plan.
+/// row pitch nx/2 (bin (kx, ky, kz) at (kz*ny+ky)*(nx/2)+kx) and the
+/// Nyquist bins kx = nx/2 in a tail plane at offset (nx/2)*ny*nz (row
+/// (ky, kz) at kz*ny+ky). Each region is an ordinary volume, (nx/2, ny, nz)
+/// and (1, ny, nz), so Y and Z are Plan3D's passes (plan.h) over both,
+/// the host mirror of gpufft::run_real_coarse_pass. This is the
+/// bit-for-bit layout reference for the device plan.
 template <typename T>
 class PlanR2C3D {
  public:
@@ -86,14 +88,16 @@ class PlanR2C3D {
  private:
   Shape3 shape_;
   PlanR2C<T> row_;
-  Plan1D<T> py_;
-  Plan1D<T> pz_;
-  std::vector<cx<T>> line_;
-  std::vector<cx<T>> rowbuf_;  ///< dense nx/2+1 bins of one X row
+  AxisFft<T> ay_;
+  AxisFft<T> az_;
+  std::vector<cx<T>> scratch_;  ///< the Y and Z passes' scratch
+  std::vector<cx<T>> rowbuf_;   ///< dense nx/2+1 bins of one X row
 };
 
-/// Inverse of PlanR2C3D: a *true* inverse (scaled by 1/(nx*ny*nz) overall
-/// via the ByN line plans and the c2r half plan).
+/// Inverse of PlanR2C3D: a *true* inverse, scaled by 1/(nx*ny*nz) overall.
+/// Z then Y inverse passes over both regions, each followed by its axis's
+/// 1/n (Scaling::ByN per line), then the per-row c2r, itself a true
+/// inverse (1/nx).
 template <typename T>
 class PlanC2R3D {
  public:
@@ -110,9 +114,9 @@ class PlanC2R3D {
  private:
   Shape3 shape_;
   PlanC2R<T> row_;
-  Plan1D<T> py_;
-  Plan1D<T> pz_;
-  std::vector<cx<T>> line_;
+  AxisFft<T> ay_;
+  AxisFft<T> az_;
+  std::vector<cx<T>> scratch_;   ///< the Y and Z passes' scratch
   std::vector<cx<T>> rowbuf_;    ///< dense nx/2+1 bins of one X row
   std::vector<cx<T>> spectrum_;  ///< Y/Z-inverted copy of the input
 };

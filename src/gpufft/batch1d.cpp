@@ -13,7 +13,8 @@ Batch1DFftT<T>::Batch1DFftT(Device& dev, std::size_t n, std::size_t count,
                   "batched lines run the fine radix-4/2 kernel, so the "
                   "length must be a power of two in [16, 512]; got n=" +
                       fft::describe_size(n) +
-                      " — the host fft::PlanBatch1D accepts any size");
+                      " — the host fft::Plan1D's batched "
+                      "execute(data, batch) accepts any size");
   REPRO_CHECK(count > 0);
 }
 

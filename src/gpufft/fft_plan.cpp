@@ -1,12 +1,25 @@
 #include "gpufft/fft_plan.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "gpufft/cache.h"
 #include "gpufft/staging.h"
 
 namespace repro::gpufft {
+namespace {
+
+/// Copy `rows` rows of `nx` elements from row pitch `from` to pitch `to`.
+template <typename U>
+void repitch(const U* src, std::size_t from, U* dst, std::size_t to,
+             std::size_t nx, std::size_t rows) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy_n(src + r * from, nx, dst + r * to);
+  }
+}
+
+}  // namespace
 
 void accumulate_steps(std::vector<StepTiming>& total,
                       std::vector<double>& traffic,
@@ -78,16 +91,53 @@ std::vector<StepTiming> FftPlanT<T>::execute_batch(
 }
 
 template <typename T>
-std::vector<StepTiming> FftPlanT<T>::execute_host(std::span<cx<T>> data) {
-  return with_plan_context(desc_, [&] {
-    auto lease = ResourceCache::of(dev_).template lease<T>(data.size());
-    auto& staging = lease.buffer();
-    staged_h2d(dev_, staging,
-               std::span<const cx<T>>(data.data(), data.size()),
-               /*stream=*/nullptr, /*dst_offset=*/0, policy_.staging);
-    auto steps = execute(staging);
-    staged_d2h(dev_, data, staging, /*stream=*/nullptr, /*src_offset=*/0,
+void FftPlanT<T>::check_host_volume(std::span<const cx<T>> data) const {
+  REPRO_CHECK_MSG(data.size() == host_elements(),
+                  "plan[" + desc_.to_string() + "] takes host volumes of " +
+                      std::to_string(host_elements()) + " elements; got " +
+                      std::to_string(data.size()));
+}
+
+template <typename T>
+void FftPlanT<T>::stage_up(std::span<const cx<T>> data,
+                           DeviceBuffer<cx<T>>& staging, sim::Stream* stream) {
+  const Shape3 s = desc_.shape;
+  const std::size_t pitch = desc_.row_pitch();
+  if (pitch == s.nx) {
+    staged_h2d(dev_, staging, data, stream, /*dst_offset=*/0,
                policy_.staging);
+    return;
+  }
+  std::vector<cx<T>> pitched(buffer_elements(), cx<T>{0, 0});
+  repitch(data.data(), s.nx, pitched.data(), pitch, s.nx, s.ny * s.nz);
+  staged_h2d(dev_, staging, std::span<const cx<T>>(pitched), stream,
+             /*dst_offset=*/0, policy_.staging);
+}
+
+template <typename T>
+void FftPlanT<T>::stage_down(DeviceBuffer<cx<T>>& staging,
+                             std::span<cx<T>> data, sim::Stream* stream) {
+  const Shape3 s = desc_.shape;
+  const std::size_t pitch = desc_.row_pitch();
+  if (pitch == s.nx) {
+    staged_d2h(dev_, data, staging, stream, /*src_offset=*/0,
+               policy_.staging);
+    return;
+  }
+  std::vector<cx<T>> pitched(buffer_elements());
+  staged_d2h(dev_, std::span<cx<T>>(pitched), staging, stream,
+             /*src_offset=*/0, policy_.staging);
+  repitch(pitched.data(), pitch, data.data(), s.nx, s.nx, s.ny * s.nz);
+}
+
+template <typename T>
+std::vector<StepTiming> FftPlanT<T>::execute_host(std::span<cx<T>> data) {
+  check_host_volume(data);
+  return with_plan_context(desc_, [&] {
+    auto lease = ResourceCache::of(dev_).template lease<T>(buffer_elements());
+    stage_up(data, lease.buffer(), /*stream=*/nullptr);
+    auto steps = execute(lease.buffer());
+    stage_down(lease.buffer(), data, /*stream=*/nullptr);
     return steps;
   });
 }
@@ -96,6 +146,7 @@ template <typename T>
 std::vector<StepTiming> FftPlanT<T>::execute_batch_host(
     std::span<const std::span<cx<T>>> volumes) {
   REPRO_CHECK(!volumes.empty());
+  for (const auto& v : volumes) check_host_volume(v);
   // The steps sum per-kernel durations; the batch's cost is the
   // overlapped makespan the stream scheduler resolved.
   const double t0 = dev_.elapsed_ms();
@@ -110,8 +161,7 @@ template <typename T>
 std::vector<StepTiming> FftPlanT<T>::execute_batch_host_impl(
     std::span<const std::span<cx<T>>> volumes) {
   const std::size_t jobs = volumes.size();
-  const std::size_t count = volumes[0].size();
-  for (const auto& v : volumes) REPRO_CHECK(v.size() == count);
+  const std::size_t count = buffer_elements();
 
   // Two staging buffers, two streams, one slot per job parity.
   auto& cache = ResourceCache::of(dev_);
@@ -127,17 +177,14 @@ std::vector<StepTiming> FftPlanT<T>::execute_batch_host_impl(
   issue_double_buffered(
       jobs,
       [&](std::size_t i) {
-        staged_h2d(dev_, *staging[i % 2],
-                   std::span<const cx<T>>(volumes[i].data(), count),
-                   streams[i % 2], /*dst_offset=*/0, policy_.staging);
+        stage_up(volumes[i], *staging[i % 2], streams[i % 2]);
       },
       [&](std::size_t i) {
         accumulate_steps(total, traffic,
                          execute_async(*staging[i % 2], *streams[i % 2]));
       },
       [&](std::size_t i) {
-        staged_d2h(dev_, volumes[i], *staging[i % 2], streams[i % 2],
-                   /*src_offset=*/0, policy_.staging);
+        stage_down(*staging[i % 2], volumes[i], streams[i % 2]);
       });
   finish_accumulation(total, traffic);
   // Leaving scope destroys the streams, which folds their timelines into

@@ -22,6 +22,10 @@
 //                       two streams: job i's transform overlaps job
 //                       i+1's upload and job i-1's download wherever the
 //                       card's engines allow (Section 4.4's suggestion)
+//
+// Both host entry points take dense volumes of exactly the plan's size and
+// share one staging path, which re-pitches the X rows of a padded layout
+// on the way up and back.
 #pragma once
 
 #include <algorithm>
@@ -117,8 +121,9 @@ class FftPlanT {
       std::span<DeviceBuffer<cx<T>>* const> volumes);
 
   /// Transform a host-resident volume: upload into a leased staging
-  /// buffer, execute, download. The out-of-core plan overrides this with
-  /// its streamed two-phase algorithm.
+  /// buffer, execute, download. `data` holds host_elements() elements.
+  /// The out-of-core plan overrides this with its streamed two-phase
+  /// algorithm.
   virtual std::vector<StepTiming> execute_host(std::span<cx<T>> data);
 
   /// Transform many host-resident same-shape volumes, double-buffering
@@ -143,6 +148,14 @@ class FftPlanT {
   /// padded (nx/2+1)*ny*nz rows for RealHalfSpectrum plans.
   [[nodiscard]] std::size_t buffer_elements() const {
     return desc_.buffer_elements();
+  }
+
+  /// Elements of each volume the host entry points take: buffer_elements()
+  /// less a padded layout's row padding, since callers hand over dense
+  /// rows.
+  [[nodiscard]] std::size_t host_elements() const {
+    const Shape3 s = desc_.shape;
+    return buffer_elements() - (desc_.row_pitch() - s.nx) * s.ny * s.nz;
   }
 
   /// Total simulated milliseconds of the last execute or batch.
@@ -174,6 +187,18 @@ class FftPlanT {
  private:
   std::vector<StepTiming> execute_batch_host_impl(
       std::span<const std::span<cx<T>>> volumes);
+
+  /// Throw unless `data` holds host_elements() elements.
+  void check_host_volume(std::span<const cx<T>> data) const;
+
+  /// Move a host volume up to / back from `staging` on `stream`
+  /// (nullptr: the default queue) under the policy's staging bounds. A
+  /// padded layout goes through a re-pitched host copy, so
+  /// buffer_elements() elements cross the link either way.
+  void stage_up(std::span<const cx<T>> data, DeviceBuffer<cx<T>>& staging,
+                sim::Stream* stream);
+  void stage_down(DeviceBuffer<cx<T>>& staging, std::span<cx<T>> data,
+                  sim::Stream* stream);
 
   ExecPolicy policy_;
 };

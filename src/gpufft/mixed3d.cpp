@@ -1,6 +1,5 @@
 #include "gpufft/mixed3d.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -59,32 +58,6 @@ std::vector<StepTiming> MixedFft3DT<T>::execute_impl(DeviceBuffer<cx<T>>& data) 
   run_axis(MixedAxis::Y, fy_);
   run_axis(MixedAxis::Z, fz_);
   this->finish(steps);
-  return steps;
-}
-
-template <typename T>
-std::vector<StepTiming> MixedFft3DT<T>::execute_host(std::span<cx<T>> data) {
-  const Shape3 shape = desc_.shape;
-  const std::size_t pitch = desc_.row_pitch();
-  if (pitch == shape.nx) {
-    return FftPlanT<T>::execute_host(data);  // dense: stage verbatim
-  }
-  REPRO_CHECK_MSG(data.size() == shape.volume(),
-                  "padded Mixed3D plans take a dense host volume and "
-                  "re-pitch it internally");
-  // Stage the re-pitched copy through the base path, so the padded layout
-  // honours the ExecPolicy's staging bounds exactly as the dense one does.
-  std::vector<cx<T>> padded(desc_.buffer_elements(), cx<T>{0, 0});
-  const std::size_t rows = shape.ny * shape.nz;
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::copy_n(data.data() + r * shape.nx, shape.nx,
-                padded.data() + r * pitch);
-  }
-  auto steps = FftPlanT<T>::execute_host(std::span<cx<T>>(padded));
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::copy_n(padded.data() + r * pitch, shape.nx,
-                data.data() + r * shape.nx);
-  }
   return steps;
 }
 

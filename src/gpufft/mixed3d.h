@@ -13,7 +13,8 @@
 // pad each row up to a 16-element boundary (TuneConfig::pitch) is a
 // planner decision, scored against the simulator's coalescing model. The
 // kernels only change addresses between the two layouts, so results are
-// identical elementwise.
+// identical elementwise. Host volumes stay dense either way: FftPlanT's
+// host staging re-pitches the rows on the way up and back.
 #pragma once
 
 #include "gpufft/fft_plan.h"
@@ -29,11 +30,6 @@ class MixedFft3DT final : public FftPlanT<T> {
               const TuneConfig& options = {});
 
   std::vector<StepTiming> execute_impl(DeviceBuffer<cx<T>>& data) override;
-
-  /// Dense layouts stage the volume verbatim; a padded layout packs each
-  /// X row at the tuned pitch on upload and unpacks on download, so
-  /// callers always hand over (and get back) a dense volume.
-  std::vector<StepTiming> execute_host(std::span<cx<T>> data) override;
 
   /// Element pitch between consecutive X rows (the tuned layout).
   [[nodiscard]] std::size_t row_pitch() const { return this->desc_.row_pitch(); }

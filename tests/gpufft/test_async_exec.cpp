@@ -3,6 +3,7 @@
 // overlapped host-batch pipeline's speedup on a dual-copy-engine card.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/metrics.h"
@@ -149,6 +150,31 @@ TEST(AsyncExec, BatchHostSingleVolumeDegeneratesToExecuteHost) {
   std::span<cxf> span_b(b);
   plan.execute_batch_host(std::span<const std::span<cxf>>(&span_b, 1));
   EXPECT_TRUE(bit_identical(a, b));
+}
+
+TEST(AsyncExec, HostEntryPointsRejectAWrongSizeVolume) {
+  // A half-size span after a full run would otherwise transform the
+  // stale rest of the pooled staging lease.
+  const Shape3 shape = cube(16);
+  Device dev(sim::geforce_8800_gt());
+  BandwidthFft3D plan(dev, shape, Direction::Forward);
+  auto full = random_complex<float>(shape.volume(), 51);
+  plan.execute_host(std::span<cxf>(full));
+
+  auto half = random_complex<float>(shape.volume() / 2, 52);
+  const auto expect_rejected = [](auto&& run) {
+    try {
+      run();
+      FAIL() << "a 2048-element span must not run a 4096-element plan";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("4096"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("2048"), std::string::npos) << msg;
+    }
+  };
+  expect_rejected([&] { plan.execute_host(std::span<cxf>(half)); });
+  const std::span<cxf> one[] = {std::span<cxf>(half)};
+  expect_rejected([&] { plan.execute_batch_host(one); });
 }
 
 TEST(AsyncExec, OutOfCoreStreamingShortensTheMakespan) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -84,6 +85,33 @@ TEST(Mixed3D, PaddedLayoutBitIdenticalToDense) {
   const auto pad = mixed_fft3d(input, shape, Direction::Forward, padded);
   EXPECT_TRUE(bit_identical(dense, pad))
       << "padding only moves addresses, never values";
+}
+
+TEST(Mixed3D, PaddedBatchHostBitIdenticalToHost) {
+  // 12 pads to a 16-element pitch: 960 device elements per 720-element
+  // host volume. Each batch starts on a cold staging arena.
+  const Shape3 shape{12, 10, 6};
+  TuneConfig padded;
+  padded.pitch = PitchMode::Padded;
+  for (const std::size_t jobs : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(jobs) + " volume(s)");
+    Device dev(sim::geforce_8800_gts());
+    MixedFft3D plan(dev, shape, Direction::Forward, padded);
+    ASSERT_EQ(plan.buffer_elements(), 960u);
+    std::vector<std::vector<cxf>> inputs, volumes;
+    std::vector<std::span<cxf>> spans;
+    for (std::size_t i = 0; i < jobs; ++i) {
+      inputs.push_back(random_complex<float>(shape.volume(), 61 + i));
+      volumes.push_back(inputs.back());
+    }
+    for (auto& v : volumes) spans.emplace_back(v);
+    plan.execute_batch_host(spans);
+    for (std::size_t i = 0; i < jobs; ++i) {
+      EXPECT_TRUE(bit_identical(
+          volumes[i], host_fft3d(inputs[i], shape, Direction::Forward)))
+          << "volume " << i;
+    }
+  }
 }
 
 TEST(Mixed3D, PaddedPitchRoundsRowsUpTo16) {
