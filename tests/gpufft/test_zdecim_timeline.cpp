@@ -1,12 +1,15 @@
 // Golden timelines of every Z-decimated schedule: the sharded complex and
 // split-real plans on host-staged, peer-slab and pencil layouts, the
-// pipelined batch, and the single-card out-of-core reference. Each case
-// pins, exactly, the makespan, the phase fence, the seven Table 12 bucket
-// sums, the exchanged bytes, every device's PCIe counters and launch
-// count, an FNV-1a hash over every device's launch history (kernel name
-// and duration), and an FNV-1a hash over the output volumes. The
-// simulated clock is deterministic, so a refactor of the executors must
-// leave every value bit-identical.
+// pipelined batch, the single-card out-of-core reference, the host batch
+// entry points, the dealt batch and the lost-card reruns. Each case pins,
+// exactly, the makespan, the phase fence, the seven Table 12 bucket sums
+// (or batch rows), the exchanged bytes, every device's PCIe counters and
+// launch count, an FNV-1a hash over every device's launch history (kernel
+// name and duration), and an FNV-1a hash over the output volumes; the
+// failover cases add every device's device_lost_failovers ledger, the
+// dealt batches every volume's member and completion time. The simulated
+// clock is deterministic, so a refactor of the executors must leave every
+// value bit-identical.
 //
 // On a mismatch the test prints the observed pin as a C++ initializer, so
 // a deliberate re-baseline is a copy of that line.
@@ -23,9 +26,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "gpufft/batch_sharded.h"
 #include "gpufft/outofcore.h"
 #include "gpufft/real3d.h"
 #include "gpufft/sharded.h"
+#include "sim/fault.h"
 #include "sim/topology/peer_mesh.h"
 #include "sim/topology/torus2d.h"
 
@@ -87,6 +92,24 @@ std::vector<Device*> members(sim::DeviceGroup& g) {
   return out;
 }
 
+using Ledger = std::vector<std::uint64_t>;
+
+/// The failover ledger: every member's device_lost_failovers, in ordinal
+/// order.
+Ledger failovers(sim::DeviceGroup& g) {
+  Ledger out;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    out.push_back(g.device(i).health().device_lost_failovers);
+  }
+  return out;
+}
+
+/// A host batch's rows into the bucket slots (one row per bucket).
+void observe_rows(Pin& p, const std::vector<StepTiming>& rows) {
+  ASSERT_EQ(rows.size(), p.buckets.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) p.buckets[i] = rows[i].ms;
+}
+
 /// Pin of a sharded run: bucket sums over the fleet plus group counters.
 Pin observe(const ShardedTiming& t, double makespan_ms, sim::DeviceGroup& g) {
   Pin p;
@@ -134,6 +157,17 @@ std::string to_cpp(const Pin& p) {
   return s;
 }
 
+/// `v` as a C++ initializer at full precision.
+std::string to_cpp(const std::vector<double>& v) {
+  std::string s = "{";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, i == 0 ? "%.17g" : ", %.17g", v[i]);
+    s += buf;
+  }
+  return s + "}";
+}
+
 void expect_pin(const Pin& got, const Pin& want) {
   SCOPED_TRACE("observed pin: " + to_cpp(got));
   // Exact comparisons throughout: the simulated clock is deterministic.
@@ -154,6 +188,14 @@ void expect_pin(const Pin& got, const Pin& want) {
   }
   EXPECT_EQ(got.history_hash, want.history_hash);
   EXPECT_EQ(got.output_hash, want.output_hash);
+}
+
+/// A dealt batch's per-volume placement and completion offsets.
+void expect_deal(const BatchDealTiming& got, const std::vector<int>& member,
+                 const std::vector<double>& done_ms) {
+  SCOPED_TRACE("observed volume_done_ms: " + to_cpp(got.volume_done_ms));
+  EXPECT_EQ(got.volume_member, member);
+  EXPECT_EQ(got.volume_done_ms, done_ms);
 }
 
 constexpr std::size_t kN = 32;
@@ -469,6 +511,212 @@ TEST(ZDecimTimeline, OutOfCoreInverse) {
               {{524608u, 524288u, 0.94069251439539325, 1.3867796334012206,
                 32u}},
               1273441858931224451ull, 4468205884165092580ull});
+}
+
+// ---- Host batches, dealt batches and lost-card reruns ----
+
+std::vector<std::vector<cxf>> complex_volumes(std::size_t count,
+                                              std::uint64_t seed) {
+  std::vector<std::vector<cxf>> vols;
+  for (std::size_t k = 0; k < count; ++k) {
+    vols.push_back(random_complex<float>(kN * kN * kN, seed + k));
+  }
+  return vols;
+}
+
+TEST(ZDecimTimeline, OutOfCoreBatchHost) {
+  // Two cubes through the FftPlan batch entry point: they run back to
+  // back (neither fits on the card), the rows are the bucket sums and
+  // last_total_ms() the batch span on the device clock.
+  Device dev(sim::geforce_8800_gts());
+  OutOfCoreFft3D plan(dev, kN, 4, Direction::Forward);
+  auto vols = complex_volumes(2, 31);
+  const std::vector<std::span<cxf>> spans(vols.begin(), vols.end());
+  const auto rows = plan.execute_batch_host(spans);
+  Pin p;
+  p.makespan_ms = plan.last_total_ms();
+  observe_rows(p, rows);
+  observe_devices(p, {&dev});
+  p.output_hash = output_hash(spans);
+  expect_pin(p,
+             {5.4128421634308266, 0,
+              {1.3806310940499034, 0.55945670477976239, 0.09929000187441428,
+               1.386779633401221, 0.42063109404990401, 0.17927400187441428,
+               1.386779633401221},
+              0u,
+              {{1048896u, 1048576u, 1.841323608445296, 2.7735592668024358,
+                64u}},
+              9731115556359052163ull, 2084829344741149781ull});
+  EXPECT_EQ(dev.health().device_lost_failovers, 0u);
+}
+
+TEST(ZDecimTimeline, DealtBatchTree3) {
+  // Five cubes dealt round-robin over three cards, then the FftPlan batch
+  // entry point over two more on the same plan: dealing restarts at
+  // member 0, the rows are the out-of-core buckets summed over the batch
+  // and last_total_ms() the dealt makespan.
+  auto g = tree(3);
+  BatchShardedFft3DPlan plan(*g, kN, 4, Direction::Forward);
+  auto vols = complex_volumes(5, 40);
+  const std::vector<std::span<cxf>> spans(vols.begin(), vols.end());
+  const BatchDealTiming bt = plan.execute_batch(spans);
+  Pin p;
+  p.makespan_ms = bt.makespan_ms;
+  observe_devices(p, members(*g));
+  p.output_hash = output_hash(spans);
+  expect_pin(p,
+             {5.4895407085285912, 0, {0, 0, 0, 0, 0, 0, 0}, 0u,
+              {{1048896u, 1048576u, 1.8858349999999999, 2.8057599999999998,
+                64u},
+               {1048896u, 1048576u, 1.8858349999999999, 2.8057599999999998,
+                64u},
+               {524608u, 524288u, 0.96295500000000001, 1.4028799999999999,
+                32u}},
+              4958869335081459587ull, 3537010597727183797ull});
+  expect_deal(bt, {0, 1, 2, 0, 1},
+              {2.7447703542642947, 2.7447703542642947, 2.7447703542642947,
+               5.4895407085285912, 5.4895407085285912});
+  EXPECT_EQ(failovers(*g), (Ledger{0, 0, 0}));
+
+  auto more = complex_volumes(2, 50);
+  const std::vector<std::span<cxf>> more_spans(more.begin(), more.end());
+  const auto rows = plan.execute_batch_host(more_spans);
+  Pin q;
+  q.makespan_ms = plan.last_total_ms();
+  observe_rows(q, rows);
+  observe_devices(q, members(*g));
+  q.output_hash = output_hash(more_spans);
+  expect_pin(q,
+             {2.7447703542643014, 0,
+              {1.4028800000000008, 0.55945670477976239, 0.09929000187441428,
+               1.4028800000000008, 0.44288000000000005, 0.17927400187441428,
+               1.4028800000000008},
+              0u,
+              {{1573184u, 1572864u, 2.8087149999999999, 4.2086399999999999,
+                96u},
+               {1573184u, 1572864u, 2.8087149999999999, 4.2086399999999999,
+                96u},
+               {524608u, 524288u, 0.96295500000000001, 1.4028799999999999,
+                32u}},
+              3611785157035833219ull, 2960917432801934130ull});
+  EXPECT_EQ(failovers(*g), (Ledger{0, 0, 0}));
+}
+
+/// One 32^3 forward cube on a two-card tree whose member 1 is lost at its
+/// `nth` DeviceLost occurrence: the run restores the input and reruns on
+/// the survivor, so the output matches ShardedForwardTree2's. The lost
+/// card holds the only failover in the ledger.
+Pin sharded_lost_card(std::uint64_t nth) {
+  auto g = tree(2);
+  ShardedFft3DPlan plan(*g, kN, 4, Direction::Forward);
+  g->faults(1).arm(sim::FaultKind::DeviceLost, nth);
+  auto data = random_complex<float>(kN * kN * kN, 11);
+  const ShardedTiming t = plan.execute(std::span<cxf>(data));
+  EXPECT_EQ(plan.last_total_ms(), t.makespan_ms);
+  Pin p = observe(t, t.makespan_ms, *g);
+  const std::span<cxf> out[] = {data};
+  p.output_hash = output_hash(out);
+  EXPECT_EQ(failovers(*g), (Ledger{0, 1}));
+  return p;
+}
+
+TEST(ZDecimTimeline, ShardedLostCardAt5Tree2) {
+  expect_pin(sharded_lost_card(5),
+             {2.706421081715412, 1.7130787170526458,
+              {0.69031554702495168, 0.2797283523898812, 0.04964500093720714,
+               0.69338981670061051, 0.210315547024952, 0.08963700093720714,
+               0.69338981670061051},
+              524288u,
+              {{590144u, 589824u, 1.1132714011516307, 1.5601270875763724,
+                38u},
+               {16704u, 0u, 0.083206142034548944, 0, 0u}},
+              3952214795282524586ull, 15148475872261195582ull});
+}
+
+TEST(ZDecimTimeline, ShardedLostCardAt30Tree2) {
+  expect_pin(sharded_lost_card(30),
+             {2.7064210817154106, 1.7130787170526443,
+              {0.69031554702495168, 0.2797283523898812, 0.04964500093720714,
+               0.69338981670061051, 0.210315547024952, 0.08963700093720714,
+               0.69338981670061051},
+              524288u,
+              {{655680u, 655360u, 1.2858502879078686, 1.7334745417515243,
+                44u},
+               {98624u, 65536u, 0.29892975047984649, 0.17334745417515277,
+                6u}},
+              5014928778063418238ull, 15148475872261195582ull});
+}
+
+TEST(ZDecimTimeline, ShardedLostCardAt60Tree2) {
+  expect_pin(sharded_lost_card(60),
+             {2.7064210817154106, 1.7130787170526443,
+              {0.69031554702495168, 0.2797283523898812, 0.04964500093720714,
+               0.69338981670061051, 0.210315547024952, 0.08963700093720714,
+               0.69338981670061051},
+              524288u,
+              {{786752u, 786432u, 1.3910080614203444, 2.080169450101828,
+                48u},
+               {196928u, 196608u, 0.43779808061420356, 0.52004236252545832,
+                14u}},
+              4154598824693475139ull, 15148475872261195582ull});
+}
+
+TEST(ZDecimTimeline, DealtBatchLostCardTree2) {
+  // Four cubes dealt over two cards; member 1 is lost during its second
+  // volume (volume 3), which restores and re-deals to member 0.
+  auto g = tree(2);
+  BatchShardedFft3DPlan plan(*g, kN, 4, Direction::Forward);
+  g->faults(1).arm(sim::FaultKind::DeviceLost, 200);
+  auto vols = complex_volumes(4, 60);
+  const std::vector<std::span<cxf>> spans(vols.begin(), vols.end());
+  const BatchDealTiming bt = plan.execute_batch(spans);
+  Pin p;
+  p.makespan_ms = bt.makespan_ms;
+  observe_devices(p, members(*g));
+  p.output_hash = output_hash(spans);
+  expect_pin(p,
+             {8.119263245146259, 0, {0, 0, 0, 0, 0, 0, 0}, 0u,
+              {{1573184u, 1572864u, 2.7419547024951969, 4.1603389002036506,
+                96u},
+               {721216u, 671744u, 1.4584291746641063, 1.7768114052953123,
+                50u}},
+              12927776679946658174ull, 5038495775037811215ull});
+  expect_deal(bt, {0, 1, 0, 0},
+              {2.7064210817154137, 2.7064210817154137, 5.4128421634308266,
+               8.119263245146259});
+  EXPECT_EQ(failovers(*g), (Ledger{0, 1}));
+}
+
+TEST(ZDecimTimeline, ShardedRealInverseBatchHostTree2) {
+  // Two half-spectrum volumes back to back through ShardedExecutor's host
+  // batch: rows summed, last_total_ms() the span on the fleet clock,
+  // last_timing() the final volume's breakdown.
+  auto g = tree(2);
+  ShardedRealFft3DPlan plan(*g, kN, 4, Direction::Inverse);
+  auto v0 = real_volume(23);
+  auto v1 = real_volume(29);
+  const std::vector<std::span<cxf>> spans{std::span<cxf>(v0),
+                                          std::span<cxf>(v1)};
+  const auto rows = plan.execute_batch_host(spans);
+  Pin p;
+  p.makespan_ms = plan.last_total_ms();
+  p.barrier_ms = plan.last_timing().barrier_ms;
+  observe_rows(p, rows);
+  p.exchange_bytes = plan.last_timing().exchange_bytes();
+  observe_devices(p, members(*g));
+  p.output_hash = output_hash(spans);
+  expect_pin(p,
+             {4.983926550740728, 1.5213344729471912,
+              {2.6134602687140118, 0.68490612933458306, 0.17024481349578258,
+               2.6167266802443985, 0.69346026871401145, 0.53230369259606258,
+               2.6167266802443985},
+              278528u,
+              {{278976u, 278528u, 1.7135462571976965, 2.6167266802443963,
+                64u},
+               {278976u, 278528u, 1.7135462571976965, 2.6167266802443963,
+                64u}},
+              9631326541530521267ull, 7504908339054235424ull});
+  EXPECT_EQ(failovers(*g), (Ledger{0, 0}));
 }
 
 }  // namespace
