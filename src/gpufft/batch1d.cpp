@@ -22,7 +22,6 @@ template <typename T>
 std::vector<StepTiming> Batch1DFftT<T>::execute_impl(DeviceBuffer<cx<T>>& data) {
   const std::size_t n = this->n();
   const std::size_t count = this->count();
-  REPRO_CHECK(data.size() >= n * count);
   FineFftKernelT<T> k(data, data,
                       FineKernelParams::tuned(this->desc_.tune,
                                               this->dev_.spec(), n, count,

@@ -1,6 +1,5 @@
 #include "gpufft/batch_sharded.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "gpufft/registry.h"
@@ -73,49 +72,33 @@ std::vector<StepTiming> BatchShardedFft3DPlan::execute_impl(DeviceBuffer<cxf>&) 
 BatchDealTiming BatchShardedFft3DPlan::execute_batch(
     std::span<const std::span<cxf>> volumes) {
   REPRO_CHECK(!volumes.empty());
-  for (const auto& v : volumes) REPRO_CHECK(v.size() == n_ * n_ * n_);
+  for (const auto& v : volumes) check_host_volume(v);
   return with_plan_context(desc_, [&] {
-    auto alive = group_->schedulable_members();
-    REPRO_CHECK_MSG(!alive.empty(),
-                    "every device in the group has been lost");
     // Propagate the batch plan's policy so every dealt volume verifies
     // inside its member's out-of-core execute — per-volume bounded
     // recompute with the running member attributed. (Member plans are
     // registry-shared; the policy is per-plan state, set fresh here.)
-    for (std::size_t d : alive) {
+    for (std::size_t d : group_->schedulable_members()) {
       member_plans_[d]->set_exec_policy(this->exec_policy());
     }
     const double t0 = group_->elapsed_ms();
-    const bool armed = group_->any_faults_armed();
     BatchDealTiming bt;
     bt.volume_done_ms.resize(volumes.size());
     bt.volume_member.resize(volumes.size());
     std::vector<StepTiming> rows;
     std::vector<double> traffic;
-    std::vector<cxf> snapshot;
     std::size_t next = 0;
     for (std::size_t k = 0; k < volumes.size(); ++k) {
-      const std::span<cxf> data = volumes[k];
-      // The out-of-core phase 2 overwrites `data` in place, so only an
-      // armed injector can leave a volume torn — snapshot only then.
-      if (armed) snapshot.assign(data.begin(), data.end());
-      for (;;) {
-        const std::size_t d = alive[next % alive.size()];
-        ++next;
-        try {
-          accumulate_steps(rows, traffic,
-                           member_plans_[d]->execute_host(data));
-          bt.volume_member[k] = static_cast<int>(d);
-          bt.volume_done_ms[k] = group_->device(d).elapsed_ms() - t0;
-          break;
-        } catch (const sim::DeviceLostError& e) {
-          alive = group_->schedulable_members();
-          if (alive.empty() || snapshot.empty()) throw;
-          ++group_->device(e.device()).health().device_lost_failovers;
-          std::copy(snapshot.begin(), snapshot.end(), data.begin());
-          // Re-deal this volume to the next survivor in rotation.
-        }
-      }
+      // Each attempt deals the volume to the next schedulable member in
+      // rotation, so a volume torn by a lost card re-deals to a survivor.
+      retry_past_lost_cards(*group_, volumes[k], [&] {
+        const auto members = group_->schedulable_members();
+        const std::size_t d = members[next++ % members.size()];
+        accumulate_steps(rows, traffic,
+                         member_plans_[d]->execute_host(volumes[k]));
+        bt.volume_member[k] = static_cast<int>(d);
+        bt.volume_done_ms[k] = group_->device(d).elapsed_ms() - t0;
+      });
     }
     // Members already synced their own volumes (the out-of-core plan
     // drains its device); the group view is just the slowest member.
@@ -135,11 +118,9 @@ std::vector<StepTiming> BatchShardedFft3DPlan::execute_host(
 
 std::vector<StepTiming> BatchShardedFft3DPlan::execute_batch_host(
     std::span<const std::span<cxf>> volumes) {
-  const BatchDealTiming bt = execute_batch(volumes);
-  std::vector<StepTiming> steps = last_steps_;
-  finish(steps);
-  last_total_ms_ = bt.makespan_ms;
-  return steps;
+  // execute_batch leaves last_total_ms() at the dealt makespan.
+  execute_batch(volumes);
+  return last_steps_;
 }
 
 BatchChoice choose_batch_strategy(const ShardPhases& p,

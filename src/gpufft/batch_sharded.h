@@ -55,18 +55,19 @@ struct BatchDealTiming {
 ///   auto plan = gpufft::PlanRegistry::of(group).get_or_create(
 ///       gpufft::PlanDesc::batch_sharded3d(256, 8, Direction::Forward));
 ///
-/// Survives DeviceLost mid-batch: the failing volume restores from its
-/// snapshot (taken only while faults are armed) and re-deals to a
-/// survivor; completed volumes keep their results.
+/// Survives DeviceLost mid-batch through the sharded plans' one retry
+/// (retry_past_lost_cards): the failing volume restores from its snapshot
+/// and re-deals to a survivor; completed volumes keep their results.
 class BatchShardedFft3DPlan final : public FftPlanT<float> {
  public:
   BatchShardedFft3DPlan(sim::DeviceGroup& group, std::size_t n,
                         std::size_t shards, Direction dir,
                         TuneConfig tune = {});
 
-  /// Deal `volumes` across the alive members. Volumes dealt to different
-  /// cards overlap fully (independent engine timelines); volumes on the
-  /// same card run back-to-back, each internally double-buffered.
+  /// Deal `volumes` across the alive members once all are checked.
+  /// Volumes dealt to different cards overlap fully (independent engine
+  /// timelines); volumes on one card run back-to-back, each internally
+  /// double-buffered.
   BatchDealTiming execute_batch(std::span<const std::span<cxf>> volumes);
 
   /// Unsupported: the batch is host-resident by construction.

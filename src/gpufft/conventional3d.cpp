@@ -124,7 +124,6 @@ std::vector<StepTiming> ConventionalFft3D::execute_impl(DeviceBuffer<cxf>& data)
   const Shape3 shape = desc_.shape;
   const TuneConfig& tune = desc_.tune;
   const unsigned grid = tune.grid_for(dev_.spec());
-  REPRO_CHECK(data.size() >= shape.volume());
   auto ws = ResourceCache::of(dev_).lease<float>(shape.volume());
   auto& work = ws.buffer();
   const auto [nx, ny, nz] = shape;

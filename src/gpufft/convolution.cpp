@@ -143,7 +143,7 @@ Convolution3D::Convolution3D(Device& dev, Shape3 shape, Layout layout)
 void Convolution3D::set_filter(std::span<const cxf> filter) {
   REPRO_CHECK_MSG(desc_.layout == Layout::Complex,
                   "set_filter_real is the real-layout entry point");
-  REPRO_CHECK(filter.size() == desc_.shape.volume());
+  check_host_volume(filter);
   dev_.h2d(filter_hat_, filter);
   fwd_->execute(filter_hat_);
   filter_set_ = true;
@@ -152,7 +152,6 @@ void Convolution3D::set_filter(std::span<const cxf> filter) {
 void Convolution3D::set_filter_real(std::span<const float> filter) {
   REPRO_CHECK_MSG(desc_.layout == Layout::RealHalfSpectrum,
                   "set_filter is the complex-layout entry point");
-  REPRO_CHECK(filter.size() == desc_.shape.volume());
   const auto packed = pack_real_volume(filter, desc_.shape);
   dev_.h2d(filter_hat_, std::span<const cxf>(packed));
   fwd_->execute(filter_hat_);
@@ -162,7 +161,6 @@ void Convolution3D::set_filter_real(std::span<const float> filter) {
 std::vector<StepTiming> Convolution3D::execute_impl(DeviceBuffer<cxf>& data) {
   REPRO_CHECK_MSG(filter_set_, "set_filter must be called first");
   const std::size_t elems = desc_.buffer_elements();
-  REPRO_CHECK(data.size() >= elems);
   std::vector<StepTiming> steps;
   auto record = [&](const char* name, const LaunchResult& r) {
     steps.push_back(step_row<float>(name, r.total_ms, elems));
@@ -193,7 +191,7 @@ std::vector<StepTiming> Convolution3D::execute_impl(DeviceBuffer<cxf>& data) {
 void Convolution3D::correlate_on_device(std::span<const cxf> signal) {
   REPRO_CHECK_MSG(desc_.layout == Layout::Complex,
                   "correlate_real is the real-layout entry point");
-  REPRO_CHECK(signal.size() == desc_.shape.volume());
+  check_host_volume(signal);
   dev_.h2d(signal_, signal);
   execute(signal_);
 }
@@ -201,7 +199,6 @@ void Convolution3D::correlate_on_device(std::span<const cxf> signal) {
 void Convolution3D::correlate_real_on_device(std::span<const float> signal) {
   REPRO_CHECK_MSG(desc_.layout == Layout::RealHalfSpectrum,
                   "correlate is the complex-layout entry point");
-  REPRO_CHECK(signal.size() == desc_.shape.volume());
   const auto packed = pack_real_volume(signal, desc_.shape);
   dev_.h2d(signal_, std::span<const cxf>(packed));
   execute(signal_);

@@ -55,11 +55,11 @@ FftPlanT<T>::FftPlanT(Device& dev, PlanDesc desc, const TuneConfig& tune)
 
 template <typename T>
 std::vector<StepTiming> FftPlanT<T>::execute(DeviceBuffer<cx<T>>& data) {
+  check_device_volume(data);
   if (policy_.verify == VerifyPolicy::Off) return execute_impl(data);
   // The retained input is restored with a real (timed) re-upload.
-  const std::size_t elems = std::min(buffer_elements(), data.size());
   return verified_span_run<T>(
-      dev_, policy_, desc_, std::span<cx<T>>(data.data(), elems),
+      dev_, policy_, desc_, std::span<cx<T>>(data.data(), buffer_elements()),
       [&] { return execute_impl(data); },
       [&](std::span<const cx<T>> input) { dev_.h2d(data, input); });
 }
@@ -77,12 +77,15 @@ template <typename T>
 std::vector<StepTiming> FftPlanT<T>::execute_batch(
     std::span<DeviceBuffer<cx<T>>* const> volumes) {
   REPRO_CHECK(!volumes.empty());
+  for (const auto* volume : volumes) {
+    REPRO_CHECK(volume != nullptr);
+    check_device_volume(*volume);
+  }
   // One plan, one set of leased resources, volumes back-to-back. Steps of
   // every volume line up (same plan), so per-step times accumulate.
   std::vector<StepTiming> total;
   std::vector<double> traffic;  // gbs * ms accumulator per step
   for (auto* volume : volumes) {
-    REPRO_CHECK(volume != nullptr);
     accumulate_steps(total, traffic, execute(*volume));
   }
   finish_accumulation(total, traffic);
@@ -95,6 +98,15 @@ void FftPlanT<T>::check_host_volume(std::span<const cx<T>> data) const {
   REPRO_CHECK_MSG(data.size() == host_elements(),
                   "plan[" + desc_.to_string() + "] takes host volumes of " +
                       std::to_string(host_elements()) + " elements; got " +
+                      std::to_string(data.size()));
+}
+
+template <typename T>
+void FftPlanT<T>::check_device_volume(const DeviceBuffer<cx<T>>& data) const {
+  REPRO_CHECK_MSG(data.size() >= buffer_elements(),
+                  "plan[" + desc_.to_string() +
+                      "] takes device buffers of at least " +
+                      std::to_string(buffer_elements()) + " elements; got " +
                       std::to_string(data.size()));
 }
 

@@ -23,9 +23,10 @@
 //                       i+1's upload and job i-1's download wherever the
 //                       card's engines allow (Section 4.4's suggestion)
 //
-// Both host entry points take dense volumes of exactly the plan's size and
-// share one staging path, which re-pitches the X rows of a padded layout
-// on the way up and back.
+// Every entry point checks all its volumes before any work, naming the
+// plan and both counts: device buffers of at least buffer_elements(),
+// dense host volumes of exactly host_elements(). The two host entry
+// points share one staging path, which re-pitches a padded layout's rows.
 #pragma once
 
 #include <algorithm>
@@ -114,9 +115,9 @@ class FftPlanT {
   virtual std::vector<StepTiming> execute_async(DeviceBuffer<cx<T>>& data,
                                                 sim::Stream& stream);
 
-  /// Run every volume through this one plan's resources back-to-back.
-  /// Returned steps carry per-step times summed across the batch, and
-  /// last_total_ms() is their sum.
+  /// Run every volume through this one plan's resources back-to-back,
+  /// after checking them all. Returned steps carry per-step times summed
+  /// across the batch, and last_total_ms() is their sum.
   std::vector<StepTiming> execute_batch(
       std::span<DeviceBuffer<cx<T>>* const> volumes);
 
@@ -180,6 +181,28 @@ class FftPlanT {
     return last_total_ms_;
   }
 
+  /// Throw unless `data` holds host_elements() elements.
+  void check_host_volume(std::span<const cx<T>> data) const;
+
+  /// The host batch of plans whose volumes cannot double-buffer on one
+  /// card: checked volumes through execute_host in turn, rows summed, and
+  /// last_total_ms() the span on `clock` (the plan's Device or group).
+  template <typename Clock>
+  std::vector<StepTiming> execute_host_back_to_back(
+      std::span<const std::span<cx<T>>> volumes, const Clock& clock) {
+    REPRO_CHECK(!volumes.empty());
+    for (const auto& v : volumes) check_host_volume(v);
+    const double t0 = clock.elapsed_ms();
+    std::vector<StepTiming> total;
+    std::vector<double> traffic;
+    for (const auto& v : volumes) {
+      accumulate_steps(total, traffic, execute_host(v));
+    }
+    finish_accumulation(total, traffic);
+    last_total_ms_ = clock.elapsed_ms() - t0;
+    return total;
+  }
+
   Device& dev_;
   PlanDesc desc_;
   double last_total_ms_ = 0.0;
@@ -188,8 +211,9 @@ class FftPlanT {
   std::vector<StepTiming> execute_batch_host_impl(
       std::span<const std::span<cx<T>>> volumes);
 
-  /// Throw unless `data` holds host_elements() elements.
-  void check_host_volume(std::span<const cx<T>> data) const;
+  /// Throw unless `data` holds at least buffer_elements() elements (the
+  /// out-of-core plan runs its slabs in one larger staging buffer).
+  void check_device_volume(const DeviceBuffer<cx<T>>& data) const;
 
   /// Move a host volume up to / back from `staging` on `stream`
   /// (nullptr: the default queue) under the policy's staging bounds. A

@@ -34,11 +34,6 @@ template <typename T>
 std::vector<StepTiming> MixedFft3DT<T>::execute_impl(DeviceBuffer<cx<T>>& data) {
   const Shape3 shape = desc_.shape;
   const std::size_t pitch = desc_.row_pitch();
-  REPRO_CHECK_MSG(data.size() >= desc_.buffer_elements(),
-                  "Mixed3D buffer too small: the " +
-                      std::string(pitch_mode_name(desc_.tune.pitch)) +
-                      " layout needs " +
-                      std::to_string(desc_.buffer_elements()) + " elements");
   const unsigned grid = desc_.tune.grid_for(dev_.spec());
   std::vector<StepTiming> steps;
   const auto run_axis = [&](MixedAxis axis, const fft::AxisFft<T>& engine) {

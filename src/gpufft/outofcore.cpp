@@ -160,6 +160,7 @@ std::vector<StepTiming> OutOfCoreFft3D::execute_impl(DeviceBuffer<cxf>&) {
 }
 
 OutOfCoreTiming OutOfCoreFft3D::execute(std::span<cxf> host_data) {
+  check_host_volume(host_data);
   return with_plan_context(desc_, [&] {
     return verified_span_run<float>(dev_, this->exec_policy(), desc_,
                                     host_data,
@@ -168,7 +169,6 @@ OutOfCoreTiming OutOfCoreFft3D::execute(std::span<cxf> host_data) {
 }
 
 OutOfCoreTiming OutOfCoreFft3D::execute_impl(std::span<cxf> host_data) {
-  REPRO_CHECK(host_data.size() == n_ * n_ * n_);
   const std::size_t plane = n_ * n_;
   const std::size_t local_nz = n_ / splits_;
   const unsigned grid = desc_.tune.grid_for(dev_.spec());
@@ -258,27 +258,14 @@ OutOfCoreTiming OutOfCoreFft3D::execute_impl(std::span<cxf> host_data) {
 }
 
 std::vector<StepTiming> OutOfCoreFft3D::execute_host(std::span<cxf> data) {
-  const OutOfCoreTiming t = execute(data);
-  // The rows report the schedule-independent Table 12 sums; the cost of
-  // the run is the overlapped makespan the stream scheduler resolved.
-  last_total_ms_ = t.makespan_ms;
-  return table12_rows(t, n_ * n_ * n_);
+  // The rows report the schedule-independent Table 12 sums; execute()
+  // leaves last_total_ms() at the overlapped makespan.
+  return table12_rows(execute(data), n_ * n_ * n_);
 }
 
 std::vector<StepTiming> OutOfCoreFft3D::execute_batch_host(
     std::span<const std::span<cxf>> volumes) {
-  REPRO_CHECK(!volumes.empty());
-  // Each volume exceeds device memory, so volumes cannot double-buffer
-  // against each other; every run already overlaps internally.
-  const double t0 = dev_.elapsed_ms();
-  std::vector<StepTiming> total;
-  std::vector<double> traffic;
-  for (const auto& volume : volumes) {
-    accumulate_steps(total, traffic, execute_host(volume));
-  }
-  finish_accumulation(total, traffic);
-  last_total_ms_ = dev_.elapsed_ms() - t0;
-  return total;
+  return execute_host_back_to_back(volumes, dev_);
 }
 
 }  // namespace repro::gpufft

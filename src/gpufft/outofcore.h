@@ -177,8 +177,8 @@ class OutOfCoreFft3D final : public FftPlanT<float> {
   /// last_total_ms() afterwards reports the overlapped makespan.
   std::vector<StepTiming> execute_host(std::span<cxf> data) override;
 
-  /// Many cubes: volumes never fit on the card, so the batch is the
-  /// streamed execute_host per volume (each already overlaps internally).
+  /// Many cubes, back to back: they cannot double-buffer on the card, and
+  /// each streamed run overlaps internally (execute_host_back_to_back).
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 

@@ -27,7 +27,6 @@ std::vector<StepTiming> BandwidthFft2DT<T>::execute_impl(
   const std::size_t area = nx * ny;
   const TuneConfig& tune = this->desc_.tune;
   Device& dev = this->dev_;
-  REPRO_CHECK(data.size() >= area);
   auto ws = ResourceCache::of(dev).template lease<T>(area);
   auto& work = ws.buffer();
   const auto [f1, f2] = sy_;

@@ -1,5 +1,7 @@
 #include "gpufft/real3d.h"
 
+#include <string>
+
 #include "fft/factor.h"
 #include "gpufft/cache.h"
 
@@ -7,7 +9,9 @@ namespace repro::gpufft {
 
 template <typename T>
 std::vector<cx<T>> pack_real_volume(std::span<const T> real, Shape3 shape) {
-  REPRO_CHECK(real.size() == shape.volume());
+  REPRO_CHECK_MSG(real.size() == shape.volume(),
+                  "real volumes take " + std::to_string(shape.volume()) +
+                      " elements; got " + std::to_string(real.size()));
   const std::size_t m = shape.nx / 2;
   const std::size_t rows = shape.ny * shape.nz;
   // Main block (pitch m) plus the zeroed Nyquist tail plane.
@@ -91,7 +95,6 @@ std::vector<StepTiming> RealFft3DT<T>::execute_impl(DeviceBuffer<cx<T>>& data) {
   const Direction dir = this->desc_.dir;
   Device& dev = this->dev_;
   const std::size_t elems = half_spectrum_elems(shape);
-  REPRO_CHECK(data.size() >= elems);
   auto ws = ResourceCache::of(dev).template lease<T>(elems);
   std::vector<StepTiming> steps;
   steps.reserve(5);

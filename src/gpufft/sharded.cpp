@@ -202,66 +202,33 @@ std::vector<StepTiming> ShardedExecutor::execute_impl(DeviceBuffer<cxf>&) {
 }
 
 ShardedTiming ShardedExecutor::execute(std::span<cxf> host_data) {
-  REPRO_CHECK(host_data.size() == buffer_elements());
-  // Device-loss failover: run the schedule over the resolved members, and
-  // when a card dies mid-run restore the input from the snapshot,
-  // re-resolve the layout over the survivors (possibly dropping from
-  // pencil to slab, or from peer legs to host staging when a torus
-  // forwarder died), and run again. Decimation arithmetic depends only on
-  // `shards`, so the recovered result is bit-identical to an undisturbed
-  // run. The snapshot is taken only while faults are armed — phase 2
-  // overwrites the volume in place and an armed injector is the only way
-  // a run can stop halfway — so the fault-free path pays nothing for the
-  // safety net.
-  const auto resolve = [&] {
-    return resolve_shard(group_->topo(), group_,
-                         group_->schedulable_members(), n_, shards_, decomp_);
-  };
+  check_host_volume(host_data);
+  // Each attempt resolves the layout over the schedulable members, so a
+  // rerun re-shards over the survivors (possibly dropping from pencil to
+  // slab, or to host staging when a torus forwarder died).
   return with_plan_context(desc_, [&] {
     return verified_span_run<float>(
         this->device(), this->exec_policy(), desc_, host_data, [&] {
-          ResolvedShard r = resolve();
-          REPRO_CHECK_MSG(!r.members.empty(),
-                          "every device in the group has been lost");
-          std::vector<cxf> snapshot;
-          if (group_->any_faults_armed()) {
-            snapshot.assign(host_data.begin(), host_data.end());
-          }
-          for (;;) {
-            try {
-              return run_on(r.members, r.layout, host_data);
-            } catch (const sim::DeviceLostError& e) {
-              ResolvedShard next = resolve();
-              if (next.members.empty() || snapshot.empty()) throw;
-              ++group_->device(e.device()).health().device_lost_failovers;
-              std::copy(snapshot.begin(), snapshot.end(), host_data.begin());
-              r = std::move(next);
-            }
-          }
+          return retry_past_lost_cards(*group_, host_data, [&] {
+            const ResolvedShard r =
+                resolve_shard(group_->topo(), group_,
+                              group_->schedulable_members(), n_, shards_,
+                              decomp_);
+            return run_on(r.members, r.layout, host_data);
+          });
         });
   });
 }
 
 std::vector<StepTiming> ShardedExecutor::execute_host(std::span<cxf> data) {
-  const ShardedTiming t = execute(data);
-  // The rows are schedule-independent duration sums across the fleet; the
-  // cost of the run is the overlapped group makespan.
-  last_total_ms_ = t.makespan_ms;
-  return table12_rows(t.sum(), buffer_elements());
+  // The rows are schedule-independent duration sums across the fleet;
+  // execute() leaves last_total_ms() at the overlapped group makespan.
+  return table12_rows(execute(data).sum(), buffer_elements());
 }
 
 std::vector<StepTiming> ShardedExecutor::execute_batch_host(
     std::span<const std::span<cxf>> volumes) {
-  REPRO_CHECK(!volumes.empty());
-  const double t0 = group_->elapsed_ms();
-  std::vector<StepTiming> total;
-  std::vector<double> traffic;
-  for (const auto& volume : volumes) {
-    accumulate_steps(total, traffic, execute_host(volume));
-  }
-  finish_accumulation(total, traffic);
-  last_total_ms_ = group_->elapsed_ms() - t0;
-  return total;
+  return execute_host_back_to_back(volumes, *group_);
 }
 
 void ShardedExecutor::phase1_transform(std::size_t d, DeviceBuffer<cxf>& slab,
@@ -740,7 +707,7 @@ double ShardedBatchTiming::compute_occupancy() const {
 ShardedBatchTiming ShardedFft3DPlan::execute_batch(
     std::span<const std::span<cxf>> volumes, BatchMode mode) {
   REPRO_CHECK(!volumes.empty());
-  for (const auto& v : volumes) REPRO_CHECK(v.size() == buffer_elements());
+  for (const auto& v : volumes) check_host_volume(v);
   // Verified batches drain serially: the pipelined interleave keeps
   // several volumes in flight, so a failed check could not recompute one
   // volume without replaying the whole window, while the serial path
@@ -906,10 +873,9 @@ ShardedBatchTiming ShardedFft3DPlan::execute_batch(
 
 std::vector<StepTiming> ShardedFft3DPlan::execute_batch_host(
     std::span<const std::span<cxf>> volumes) {
+  // The rows are duration sums across the batch; execute_batch leaves
+  // last_total_ms() at the overlapped (pipelined) batch makespan.
   const ShardedBatchTiming bt = execute_batch(volumes);
-  // The rows are duration sums across the batch; the cost of the run is
-  // the overlapped (pipelined) batch makespan.
-  last_total_ms_ = bt.makespan_ms;
   return table12_rows(bt.total.sum(), volumes.size() * buffer_elements());
 }
 

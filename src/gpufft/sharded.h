@@ -63,12 +63,13 @@
 // bit-identical across any device count and any spec mix.
 //
 // Losing a card mid-run (sim/fault.h DeviceLost) is survivable: execute()
-// restores the input from a pre-run snapshot (taken only while faults are
-// armed — the fault-free path pays nothing), re-shards over the surviving
-// members, and reruns — falling back to fewer cards (ultimately one, the
-// out-of-core schedule) when the survivor count stops dividing the phase
-// extents. Results stay bit-identical because decimation arithmetic
-// depends only on `shards`, never on the member count.
+// and the dealt batch share one retry (retry_past_lost_cards), which
+// restores the input from a snapshot (taken only while faults are armed),
+// and the rerun re-shards over the survivors — falling back to fewer cards
+// (ultimately one, the out-of-core schedule) when the survivor count stops
+// dividing the phase extents. Results stay bit-identical because
+// decimation arithmetic depends only on `shards`, never on the member
+// count. The pipelined batch instead restarts the phase a loss broke.
 //
 // probe_shard_phases/sharded_model_ms give a closed-form model of this
 // schedule: serial chains on 1-DMA cards, depth-2 double-buffered rates on
@@ -91,6 +92,29 @@
 #include "sim/device_group.h"
 
 namespace repro::gpufft {
+
+/// Run `attempt` (which picks its members afresh) over `data` while a
+/// member is schedulable: on a DeviceLostError, charge the failover to the
+/// card it names, restore `data` and rerun. Only an armed injector can
+/// stop a run halfway, so `data` is snapshot (and the loss survived) only
+/// while faults are armed.
+template <typename Attempt>
+auto retry_past_lost_cards(sim::DeviceGroup& group, std::span<cxf> data,
+                           Attempt&& attempt) {
+  REPRO_CHECK_MSG(!group.schedulable_members().empty(),
+                  "every device in the group has been lost");
+  std::vector<cxf> snapshot;
+  if (group.any_faults_armed()) snapshot.assign(data.begin(), data.end());
+  for (;;) {
+    try {
+      return attempt();
+    } catch (const sim::DeviceLostError& e) {
+      if (snapshot.empty() || group.schedulable_members().empty()) throw;
+      ++group.device(e.device()).health().device_lost_failovers;
+      std::copy(snapshot.begin(), snapshot.end(), data.begin());
+    }
+  }
+}
 
 /// How the Z-decimated volume is split across members for phase 2.
 enum class Decomposition {
@@ -286,7 +310,7 @@ class ShardedExecutor : public FftPlanT<float> {
 
   /// Volumes back-to-back through execute_host (the base-class batch
   /// would route through the unsupported device-buffer execute()): rows
-  /// summed across volumes, last_total_ms() the batch span.
+  /// summed across volumes, last_total_ms() the span on the fleet clock.
   std::vector<StepTiming> execute_batch_host(
       std::span<const std::span<cxf>> volumes) override;
 
@@ -349,9 +373,8 @@ class ShardedExecutor : public FftPlanT<float> {
                       ShardedTiming& timing);
 
   /// One full run over the device subset `members` (indices into the
-  /// group) with the resolved `layout`. The failover wrapper in
-  /// execute() re-invokes this with the surviving members (and their
-  /// re-resolved layout) when a card is lost mid-run.
+  /// group) with the resolved `layout`: one attempt of execute()'s
+  /// lost-card retry.
   ShardedTiming run_on(const std::vector<std::size_t>& members,
                        const ShardLayout& layout, std::span<cxf> host_data);
 

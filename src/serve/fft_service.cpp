@@ -1,6 +1,7 @@
 #include "serve/fft_service.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/rng.h"
 
@@ -23,7 +24,10 @@ FftService::FftService(sim::DeviceGroup& group, ServiceConfig cfg)
 
 Admission FftService::submit(const FftRequest& req) {
   REPRO_CHECK_MSG(req.data.size() == req.desc.buffer_elements(),
-                  "request volume does not match its plan description");
+                  "request " + std::to_string(req.id) + " holds " +
+                      std::to_string(req.data.size()) + " elements; its plan[" +
+                      req.desc.to_string() + "] takes " +
+                      std::to_string(req.desc.buffer_elements()));
   if (queue_.size() >= cfg_.max_queue_depth) {
     ++rejected_queue_full_;
     return Admission::RejectedQueueFull;

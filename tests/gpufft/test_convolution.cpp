@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/metrics.h"
 #include "common/rng.h"
 
@@ -212,6 +214,36 @@ TEST(Convolution, LayoutGuardsEntryPoints) {
   const std::vector<cxf> cplx(shape.volume());
   EXPECT_THROW(cconv.set_filter_real(reals), Error);
   EXPECT_THROW(rconv.set_filter(cplx), Error);
+}
+
+TEST(Convolution, WrongSizeVolumesNameBothCounts) {
+  const Shape3 shape = cube(32);
+  Device dev(sim::geforce_8800_gt());
+  Convolution3D cconv(dev, shape);
+  Convolution3D rconv(dev, shape, Layout::RealHalfSpectrum);
+  const std::vector<float> reals(100);
+  const std::vector<cxf> cplx(100);
+  const auto expect_named = [](const std::string& want, auto&& run) {
+    try {
+      run();
+      ADD_FAILURE() << "a 100-element volume was taken";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(want + " 32768 elements; got 100"),
+                std::string::npos)
+          << msg;
+    }
+  };
+  // The complex entry points take host volumes of the plan's size, the
+  // real ones shape.volume() reals.
+  const std::string complex =
+      "plan[" + cconv.desc().to_string() + "] takes host volumes of";
+  expect_named(complex, [&] { cconv.set_filter(cplx); });
+  expect_named("real volumes take", [&] { rconv.set_filter_real(reals); });
+  cconv.set_filter(std::vector<cxf>(shape.volume()));
+  rconv.set_filter_real(std::vector<float>(shape.volume()));
+  expect_named(complex, [&] { cconv.correlate(cplx); });
+  expect_named("real volumes take", [&] { rconv.correlate_real(reals); });
 }
 
 TEST(PointwiseMultiply, ConjugateOption) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "serve/workload.h"
@@ -148,6 +149,24 @@ TEST(FftService, RejectsWhenQueueIsFull) {
   EXPECT_EQ(rep.completed, 2u);
   EXPECT_EQ(rep.rejected_queue_full, 1u);
   EXPECT_EQ(rep.max_queue_depth, 2u);
+}
+
+TEST(FftService, WrongSizeRequestNamesBothCounts) {
+  sim::DeviceGroup group(2, sim::geforce_8800_gts());
+  FftService service(group);
+  const auto desc = PlanDesc::sharded3d(32, 4, Direction::Forward);
+  std::vector<cxf> volume(100);
+  try {
+    service.submit({7, desc, std::span<cxf>(volume), 0.0});
+    FAIL() << "a 100-element request must not be admitted";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("request 7 holds 100 elements; its plan[" +
+                       desc.to_string() + "] takes 32768"),
+              std::string::npos)
+        << msg;
+  }
+  EXPECT_EQ(service.queue_depth(), 0u);
 }
 
 TEST(FftService, RejectsRequestsOverTheByteWatermark) {
